@@ -35,6 +35,7 @@ from .scheme import (
     run_session,
 )
 from .secrecy import verify_session
+from .sharing import symbols_to_bytes
 
 PAYLOAD_CAP_BYTES = 64
 
@@ -73,15 +74,6 @@ def _parse_pda_source(source: str) -> tuple[str, Pda]:
         return source, mn_pda(lam, t)
     path = Path(source)
     return f"file:{path.name}", load_pda(path.read_text())
-
-
-def _payload_bytes(vec, field: BinaryField) -> bytes:
-    value = 0
-    for sym in vec:
-        value = (value << field.l) | int(sym)
-    bits = len(vec) * field.l
-    padded = -(-bits // 8) * 8
-    return (value << (padded - bits)).to_bytes(padded // 8, "big")
 
 
 def _load_library(directory: str, num_files: int) -> tuple[bytes, ...]:
@@ -232,7 +224,7 @@ def cmd_simulate(args) -> int:
 
     lines = []
     for pair, payload in session.transmissions.items():
-        blob = _payload_bytes(payload, field)
+        blob = symbols_to_bytes(payload, field)
         shown = blob[:PAYLOAD_CAP_BYTES] if not args.full_payloads else blob
         suffix = (
             f" (+{len(blob) - len(shown)} bytes)" if len(shown) < len(blob) else ""
@@ -278,10 +270,6 @@ def cmd_verify(args) -> int:
     manifest = json.loads(manifest_path.read_text())
     session = _session_from_manifest(manifest, strip_pads=args.strip_pads)
 
-    # Decode and the secrecy checks are read-only over the session and are
-    # safe to fan out (verify_session takes max_workers), but measured
-    # timings show threads losing badly to the GIL on these small numpy
-    # kernels, so the CLI runs them sequentially.
     ok = True
     if not args.placement_only:
         for user in session.garray.column_users:

@@ -69,9 +69,10 @@ class PdaParams:
                 f"need 0 < Z < F, got Z={self.stars_per_column}, F={self.num_rows}"
             )
         # Holds for every valid PDA; a failure means the validator is broken.
-        assert self.num_ints <= self.num_caches * (
-            self.num_rows - self.stars_per_column
-        )
+        if self.num_ints > self.num_caches * (self.num_rows - self.stars_per_column):
+            raise RuntimeError(
+                f"S={self.num_ints} exceeds Lambda*(F-Z) for a PDA that passed validation"
+            )
 
     @property
     def memory_ratio(self) -> Fraction:

@@ -41,6 +41,8 @@ from .pda import Pda, tau
 from .sharing import (
     ShareMeta,
     SymbolMatrix,
+    _share_meta,
+    bytes_to_symbols,
     cauchy_matrix,
     random_vector,
     share_file,
@@ -276,12 +278,6 @@ def helper_placement(
             f"memory ratio mismatch: Z/F = {Fraction(p.stars_per_column, p.num_rows)}"
             f" but M/(M+N) = {Fraction(m, m + n)}"
         )
-    library = list(library)
-    if len(library) != n:
-        raise ValueError(f"library must hold {n} files, got {len(library)}")
-    if any(len(f) != config.file_bytes for f in library):
-        raise ValueError("library files must all have the configured length")
-
     shares, randomness = [], []
     meta: ShareMeta | None = None
     for data in library:
@@ -292,7 +288,10 @@ def helper_placement(
 
     # Per-cache storage meets the memory budget with equality: N*Z*(B/(F-Z)) = M*B.
     stored_bits = n * p.stars_per_column * meta.share_bits
-    assert Fraction(stored_bits) == m * meta.padded_bits
+    if Fraction(stored_bits) != m * meta.padded_bits:
+        raise RuntimeError(
+            f"caches store {stored_bits} bits, the budget is {m * meta.padded_bits}"
+        )
     return shares, randomness, meta, cached_rows
 
 
@@ -383,29 +382,25 @@ def synthetic_library(config: SystemConfig) -> tuple[bytes, ...]:
     )
 
 
-def run_session(
-    pda: Pda,
-    config: SystemConfig,
-    library=None,
-    assignment=None,
-    profile=None,
-    demands=None,
-    strip_pads: bool = False,
-) -> SessionState:
-    """Drive all four phases and return the completed session."""
+def _session_inputs(
+    config: SystemConfig, num_caches: int, library, assignment, profile, demands
+) -> tuple[Association, tuple[int, ...], tuple[bytes, ...]]:
+    """Check a session's association, demands and library against config
+    and a scheme with num_caches caches; fill in the seed-derived library and
+    the worst-case demands when they are not given."""
     if (assignment is None) == (profile is None):
         raise ValueError("give exactly one of assignment or profile")
     association = (
         Association.from_profile(profile)
         if profile is not None
-        else Association.from_assignment(assignment, pda.num_caches)
+        else Association.from_assignment(assignment, num_caches)
     )
     if association.num_users != config.num_users:
         raise ValueError(
             f"association covers {association.num_users} users, "
             f"config says {config.num_users}"
         )
-    if not (association.num_caches == config.num_caches == pda.num_caches):
+    if not (association.num_caches == config.num_caches == num_caches):
         raise ValueError("cache counts disagree")
 
     if demands is None:
@@ -421,7 +416,26 @@ def run_session(
     if library is None:
         library = synthetic_library(config)
     library = tuple(bytes(f) for f in library)
+    if len(library) != config.num_files:
+        raise ValueError(f"library must hold {config.num_files} files, got {len(library)}")
+    if any(len(f) != config.file_bytes for f in library):
+        raise ValueError("library files must all have the configured length")
+    return association, demands, library
 
+
+def run_session(
+    pda: Pda,
+    config: SystemConfig,
+    library=None,
+    assignment=None,
+    profile=None,
+    demands=None,
+    strip_pads: bool = False,
+) -> SessionState:
+    """Drive all four phases and return the completed session."""
+    association, demands, library = _session_inputs(
+        config, pda.num_caches, library, assignment, profile, demands
+    )
     canonical = pda.permute_columns(association.cache_order)
     enc = cauchy_matrix(canonical.num_rows, config.field)
     shares, randomness, meta, cached_rows = helper_placement(
@@ -433,7 +447,11 @@ def run_session(
     )
     transmissions = deliver(garray, shares, demands, key_pool, strip_pads)
     rate = rate_report(canonical, association.profile)
-    assert len(transmissions) == rate.num_transmissions
+    if len(transmissions) != rate.num_transmissions:
+        raise RuntimeError(
+            f"{len(transmissions)} transmissions sent, the rate formula gives "
+            f"{rate.num_transmissions}"
+        )
     return SessionState(
         config=config,
         pda=canonical,
@@ -531,49 +549,16 @@ def one_time_pad_session(
         raise ValueError("the one-time-pad baseline is the M = 0 scheme")
     if (assignment is None) and (profile is None):
         profile = (config.num_users,) + (0,) * (config.num_caches - 1)
-    association = (
-        Association.from_profile(profile)
-        if profile is not None
-        else Association.from_assignment(assignment, config.num_caches)
+    association, demands, library = _session_inputs(
+        config, config.num_caches, library, assignment, profile, demands
     )
-    if association.num_users != config.num_users:
-        raise ValueError("association covers the wrong number of users")
-    if demands is None:
-        if config.num_files < config.num_users:
-            raise ValueError("worst-case demands need N >= K")
-        demands = worst_case_demands(config.num_users)
-    demands = tuple(demands)
-    if any(not 1 <= d <= config.num_files for d in demands):
-        raise ValueError("demand out of range")
-    if library is None:
-        library = synthetic_library(config)
-    library = tuple(bytes(f) for f in library)
-    if any(len(f) != config.file_bytes for f in library):
-        raise ValueError("library files must all have the configured length")
 
     field = config.field
     enc = SymbolMatrix(1, 1, ((1,),))
-    meta = ShareMeta(
-        num_shares=1,
-        num_random=0,
-        data_bits=8 * config.file_bytes,
-        padded_bits=-(-8 * config.file_bytes // field.l) * field.l,
-        symbols_per_share=-(-8 * config.file_bytes // field.l),
-    )
-    shares = []
-    for data in library:
-        subfile = int.from_bytes(data, "big") << (meta.padded_bits - meta.data_bits)
-        mask = field.order - 1
-        shares.append(
-            [
-                field.vector(
-                    [
-                        (subfile >> (meta.padded_bits - (t + 1) * field.l)) & mask
-                        for t in range(meta.symbols_per_share)
-                    ]
-                )
-            ]
-        )
+    meta = _share_meta(8 * config.file_bytes, 1, 0, field)
+    shares = [
+        [bytes_to_symbols(data, field, meta.symbols_per_share)] for data in library
+    ]
 
     columns, users = [], []
     for lam in range(1, association.num_caches + 1):

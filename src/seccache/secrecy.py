@@ -74,7 +74,8 @@ class SecrecyVerdict:
     witness_rows: tuple[tuple[RowLabel, int], ...] | None = None
 
     def __post_init__(self):
-        assert self.holds == (self.witness is None)
+        if self.holds != (self.witness is None):
+            raise ValueError("a verdict carries a witness exactly when it fails")
 
     def witness_hex(self) -> str:
         if self.witness is None:
@@ -484,7 +485,8 @@ def brute_force_secrecy(
     witness = _exposing_combination(
         model.field, model.obs_rand, model.obs_files[:, model.protected_columns(protected)]
     )
-    assert witness is not None
+    if witness is None:
+        raise RuntimeError("enumeration found a dependence the linear model lacks")
     return _verdict(model, witness)
 
 
@@ -512,59 +514,36 @@ class SecrecyReport:
 
 
 def verify_session(
-    session: SessionState,
-    include_delivery: bool = True,
-    max_workers: int | None = None,
+    session: SessionState, include_delivery: bool = True
 ) -> SecrecyReport:
     """Run the full battery: per-cache placement secrecy, per-user
     placement secrecy, per-user delivery secrecy (all files but the
     demanded one), and the broadcast-only eavesdropper.
-
-    The per-user checks are pure reads over a completed session, so with
-    max_workers they fan out across a thread pool; the shared row blocks
-    are built up front so workers never mutate the analyzer.
     """
     analyzer = SessionAnalyzer(session)
-    session.config.field.exp_table  # warm the tables before fanning out
-    for lam in range(1, session.config.num_caches + 1):
-        analyzer.cache_block(lam)
-    if include_delivery:
-        analyzer.delivery_block()
     all_files = range(1, session.config.num_files + 1)
     users = session.garray.column_users
-
-    def placement_check(user: int) -> SecrecyVerdict:
-        return check_zero_information(
-            analyzer.user_model(user, include_delivery=False), all_files
-        )
-
-    def delivery_check(user: int) -> SecrecyVerdict:
-        return check_zero_information(
-            analyzer.user_model(user, include_delivery=True),
-            set(all_files) - {session.demands[user - 1]},
-        )
-
     cache_placement = {
         lam: check_zero_information(analyzer.cache_model(lam), all_files)
         for lam in range(1, session.config.num_caches + 1)
     }
-    if max_workers is not None and max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers) as pool:
-            user_placement = dict(zip(users, pool.map(placement_check, users)))
-            user_delivery = (
-                dict(zip(users, pool.map(delivery_check, users)))
-                if include_delivery
-                else None
-            )
-    else:
-        user_placement = {user: placement_check(user) for user in users}
-        user_delivery = (
-            {user: delivery_check(user) for user in users}
-            if include_delivery
-            else None
+    user_placement = {
+        user: check_zero_information(
+            analyzer.user_model(user, include_delivery=False), all_files
         )
+        for user in users
+    }
+    user_delivery = (
+        {
+            user: check_zero_information(
+                analyzer.user_model(user, include_delivery=True),
+                set(all_files) - {session.demands[user - 1]},
+            )
+            for user in users
+        }
+        if include_delivery
+        else None
+    )
     eavesdropper = (
         check_zero_information(analyzer.eavesdropper_model(), all_files)
         if include_delivery

@@ -166,7 +166,10 @@ def reconstruct_file(
     return inputs[: enc.rows - num_random]
 
 
-# -- byte <-> symbol plumbing ------------------------------------------------
+# -- byte <-> symbol codec --------------------------------------------------
+#
+# The one place that knows the layout: a byte string is read MSB-first as a
+# single bit stream, cut into l-bit symbols, and zero-padded at the end.
 
 
 def _share_meta(data_bits: int, f: int, z: int, field: BinaryField) -> ShareMeta:
@@ -177,41 +180,41 @@ def _share_meta(data_bits: int, f: int, z: int, field: BinaryField) -> ShareMeta
     return ShareMeta(f, z, data_bits, padded, padded // ((f - z) * field.l))
 
 
+def bytes_to_symbols(data: bytes, field: BinaryField, count: int) -> np.ndarray:
+    """The bit stream of data as `count` l-bit symbols, zero-padded at the end."""
+    if count * field.l < 8 * len(data):
+        raise ValueError(f"{count} symbols of {field.l} bits cannot hold {len(data)} bytes")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count * field.l)
+    weights = (1 << np.arange(field.l - 1, -1, -1)).astype(field.dtype)
+    return bits.reshape(count, field.l) @ weights
+
+
+def symbols_to_bytes(symbols, field: BinaryField) -> bytes:
+    """The bit stream of l-bit symbols as bytes, zero-padded at the end."""
+    shifts = np.arange(field.l - 1, -1, -1, dtype=field.dtype)
+    bits = np.asarray(symbols, dtype=field.dtype)[:, None] >> shifts
+    bits &= 1
+    return np.packbits(bits).tobytes()
+
+
 def bytes_to_subfiles(
     data: bytes, f: int, z: int, field: BinaryField
 ) -> tuple[list[np.ndarray], ShareMeta]:
     """Split a byte string into F-Z equal subfile symbol vectors.
 
-    The bit stream is read MSB-first and zero-padded at the end so its
-    length is divisible by (F-Z) * l; the original length is kept in the
-    returned metadata and restored on reassembly.
+    The padded length is divisible by (F-Z) * l; the original length is kept
+    in the returned metadata and restored on reassembly.
     """
     meta = _share_meta(8 * len(data), f, z, field)
-    value = int.from_bytes(data, "big") << (meta.padded_bits - meta.data_bits)
-    total_syms = meta.padded_bits // field.l
-    mask = field.order - 1
-    symbols = [
-        (value >> (meta.padded_bits - (t + 1) * field.l)) & mask
-        for t in range(total_syms)
-    ]
-    per = meta.symbols_per_share
-    subfiles = [
-        field.vector(symbols[m * per : (m + 1) * per])
-        for m in range(meta.num_subfiles)
-    ]
-    return subfiles, meta
+    symbols = bytes_to_symbols(data, field, meta.padded_bits // field.l)
+    return list(symbols.reshape(meta.num_subfiles, meta.symbols_per_share)), meta
 
 
 def subfiles_to_bytes(
     subfiles: list[np.ndarray], meta: ShareMeta, field: BinaryField
 ) -> bytes:
     """Inverse of bytes_to_subfiles: reassemble bits and strip the padding."""
-    value = 0
-    for sub in subfiles:
-        for sym in sub:
-            value = (value << field.l) | int(sym)
-    value >>= meta.padded_bits - meta.data_bits
-    return value.to_bytes(meta.data_bits // 8, "big")
+    return symbols_to_bytes(np.concatenate(subfiles), field)[: meta.data_bits // 8]
 
 
 def random_vector(length: int, field: BinaryField, rng) -> np.ndarray:

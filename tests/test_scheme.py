@@ -456,6 +456,20 @@ def test_baseline_requires_zero_memory(worked_pda):
         one_time_pad_session(config)
 
 
+@pytest.mark.parametrize(
+    "num_users, kwargs, message",
+    [
+        (3, dict(library=[bytes(3)] * 6), "library must hold 4 files, got 6"),
+        (3, dict(demands=(1, 2, 3, 4, 1)), "demand vector length must be K"),
+        (3, dict(demands=(1, 2)), "demand vector length must be K"),
+        (2, dict(profile=(1, 1, 0)), "cache counts disagree"),
+    ],
+)
+def test_baseline_checks_inputs_like_run_session(num_users, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        one_time_pad_session(baseline_config(num_users, 4), **kwargs)
+
+
 # -- determinism -------------------------------------------------------------------
 
 

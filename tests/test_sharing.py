@@ -1,14 +1,19 @@
 """Cauchy/MDS construction and the (Z, F) sharing round trip."""
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seccache.field import BinaryField
 from seccache.sharing import (
+    ShareMeta,
     SymbolMatrix,
     bytes_to_subfiles,
+    bytes_to_symbols,
     cauchy_matrix,
     encode_shares,
     invert_matrix,
@@ -16,6 +21,7 @@ from seccache.sharing import (
     reconstruct_file,
     share_file,
     subfiles_to_bytes,
+    symbols_to_bytes,
     unshare_file,
 )
 
@@ -201,3 +207,69 @@ def test_symbol_matrix_shape_checked():
 
 def test_symbol_matrix_hex_str(gf3):
     assert SymbolMatrix(2, 2, ((10, 1), (0, 15))).hex_str() == "a 1\n0 f"
+
+
+# -- codec against a Python-integer reference --------------------------------------
+
+
+def ref_bytes_to_subfiles(data, f, z, field):
+    """Reference codec: the file as one big integer, shifted out l bits at a time."""
+    unit = (f - z) * field.l
+    data_bits = 8 * len(data)
+    padded = -(-data_bits // unit) * unit
+    meta = ShareMeta(f, z, data_bits, padded, padded // unit)
+    value = int.from_bytes(data, "big") << (padded - data_bits)
+    mask = field.order - 1
+    symbols = [
+        (value >> (padded - (t + 1) * field.l)) & mask
+        for t in range(padded // field.l)
+    ]
+    per = meta.symbols_per_share
+    subfiles = [field.vector(symbols[m * per : (m + 1) * per]) for m in range(f - z)]
+    return subfiles, meta
+
+
+def ref_symbols_to_bytes(vec, field):
+    """Reference packing: symbols MSB-first, zero-padded to whole bytes."""
+    value = 0
+    for sym in vec:
+        value = (value << field.l) | int(sym)
+    bits = len(vec) * field.l
+    padded = -(-bits // 8) * 8
+    return (value << (padded - bits)).to_bytes(padded // 8, "big")
+
+
+@lru_cache(maxsize=None)
+def field_of_width(l):
+    return BinaryField(l)
+
+
+shapes = st.integers(1, 8).flatmap(lambda f: st.tuples(st.just(f), st.integers(0, f - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(l=st.integers(2, 16), data=st.binary(min_size=1, max_size=300), shape=shapes)
+def test_codec_matches_reference(l, data, shape):
+    field, (f, z) = field_of_width(l), shape
+    subs, meta = bytes_to_subfiles(data, f, z, field)
+    ref_subs, ref_meta = ref_bytes_to_subfiles(data, f, z, field)
+    assert meta == ref_meta
+    assert len(subs) == len(ref_subs)
+    for sub, ref in zip(subs, ref_subs):
+        assert sub.dtype == ref.dtype and np.array_equal(sub, ref)
+        assert symbols_to_bytes(sub, field) == ref_symbols_to_bytes(ref, field)
+    assert subfiles_to_bytes(subs, meta, field) == data
+
+
+@settings(max_examples=150, deadline=None)
+@given(l=st.integers(2, 16), draw=st.data())
+def test_symbols_to_bytes_matches_reference(l, draw):
+    field = field_of_width(l)
+    symbols = draw.draw(st.lists(st.integers(0, field.order - 1), max_size=40))
+    vec = field.vector(symbols)
+    assert symbols_to_bytes(vec, field) == ref_symbols_to_bytes(vec, field)
+
+
+def test_bytes_to_symbols_rejects_a_short_count(gf8):
+    with pytest.raises(ValueError):
+        bytes_to_symbols(b"\x01\x02", gf8, 1)
