@@ -2,8 +2,9 @@
 verification, rate/bound queries, and CSV sweeps.
 
 A simulation writes a self-contained run directory (manifest.json,
-transmissions.log, decode.txt, rate.json); `verify` re-derives the whole
-session from the manifest, so identical manifests give identical bytes.
+transmissions.log, decode.txt, rate.json); identical manifests give
+identical bytes, so `verify` re-derives the whole session from the manifest
+and checks that the other three files are exactly what it regenerates.
 Exit codes: 0 only when every check the command performs passes.
 """
 
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 from . import __version__
@@ -30,11 +32,10 @@ from .scheme import (
     decode_user,
     helper_memory_for,
     one_time_pad_session,
-    pruning_savings,
     rate_report,
     run_session,
 )
-from .secrecy import verify_session
+from .secrecy import strip_pads, verify_session
 from .sharing import symbols_to_bytes
 
 PAYLOAD_CAP_BYTES = 64
@@ -92,7 +93,30 @@ def _field_from_args(args) -> BinaryField:
     return BinaryField(args.field)
 
 
-def _session_from_manifest(manifest: dict, strip_pads: bool = False):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_manifest(manifest) -> None:
+    """Raise ValueError unless the manifest holds every input verify needs."""
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest.json: expected a JSON object")
+    for keys, kind, ok in (
+        (("pda_text",), "a string", lambda v: isinstance(v, str)),
+        (("profile", "demands"), "a list of integers",
+         lambda v: isinstance(v, list) and all(map(_is_int, v))),
+        (("num_files", "file_bytes", "field_bits", "field_poly", "seed"), "an integer", _is_int),
+        (("library_dir",), "a string or null", lambda v: v is None or isinstance(v, str)),
+    ):
+        for key in keys:
+            if key not in manifest:
+                raise ValueError(f"manifest.json: missing {key!r}")
+            if not ok(manifest[key]):
+                raise ValueError(f"manifest.json: {key!r} must be {kind}")
+
+
+def _session_from_manifest(manifest):
+    _check_manifest(manifest)
     field = BinaryField(manifest["field_bits"], manifest["field_poly"])
     pda = load_pda(manifest["pda_text"])
     num_files = manifest["num_files"]
@@ -107,7 +131,7 @@ def _session_from_manifest(manifest: dict, strip_pads: bool = False):
     )
     library = (
         _load_library(manifest["library_dir"], num_files)
-        if manifest.get("library_dir")
+        if manifest["library_dir"]
         else None
     )
     return run_session(
@@ -116,8 +140,58 @@ def _session_from_manifest(manifest: dict, strip_pads: bool = False):
         library=library,
         profile=tuple(manifest["profile"]),
         demands=tuple(manifest["demands"]),
-        strip_pads=strip_pads,
     )
+
+
+def _decode_checks(session) -> dict[int, bool]:
+    """Whether each user decodes exactly the file it demanded."""
+    return {
+        user: decode_user(session, user) == session.library[session.demands[user - 1] - 1]
+        for user in session.garray.column_users
+    }
+
+
+def _run_artifacts(session, decoded: dict[int, bool], full_payloads: bool) -> dict[str, str]:
+    """The text of a run directory's transmissions.log, decode.txt and
+    rate.json; payloads are capped at PAYLOAD_CAP_BYTES unless full_payloads."""
+    lines = []
+    for pair, payload in session.transmissions.items():
+        blob = symbols_to_bytes(payload, session.config.field)
+        shown = blob if full_payloads else blob[:PAYLOAD_CAP_BYTES]
+        suffix = (
+            f" (+{len(blob) - len(shown)} bytes)" if len(shown) < len(blob) else ""
+        )
+        lines.append(f"X{pair[0]},{pair[1]} {shown.hex()}{suffix}")
+    decode_lines = [
+        f"user {user}: {'OK' if good else 'MISMATCH'}" for user, good in decoded.items()
+    ]
+    rate = session.rate
+    rate_doc = {
+        "num_transmissions": rate.num_transmissions,
+        "rate": str(rate.rate),
+        "rate_decimal": fraction_to_decimal(rate.rate),
+        "per_s_multiplicity": list(rate.per_s_multiplicity),
+        "subpacketization": session.pda.num_rows,
+    }
+    return {
+        "transmissions.log": "\n".join(lines) + "\n",
+        "decode.txt": "\n".join(decode_lines) + "\n",
+        "rate.json": json.dumps(rate_doc, indent=2, sort_keys=True) + "\n",
+    }
+
+
+def _check_artifacts(run_dir: Path, session, decoded: dict[int, bool]) -> None:
+    """Raise ValueError unless the run directory holds exactly the outputs
+    the session renders; a logged payload may be capped or in full, since
+    --full-payloads is not recorded in the manifest."""
+    full = _run_artifacts(session, decoded, full_payloads=True)
+    capped = _run_artifacts(session, decoded, full_payloads=False)
+    for name, text in full.items():
+        written = (run_dir / name).read_bytes().decode("utf-8", "replace").split("\n")
+        lines = zip_longest(written, text.split("\n"), capped[name].split("\n"))
+        for n, (got, *wants) in enumerate(lines, start=1):
+            if got not in wants:
+                raise ValueError(f"{name} line {n} differs from the regenerated run: {got!r:.80}")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -222,38 +296,12 @@ def cmd_simulate(args) -> int:
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    lines = []
-    for pair, payload in session.transmissions.items():
-        blob = symbols_to_bytes(payload, field)
-        shown = blob[:PAYLOAD_CAP_BYTES] if not args.full_payloads else blob
-        suffix = (
-            f" (+{len(blob) - len(shown)} bytes)" if len(shown) < len(blob) else ""
-        )
-        lines.append(f"X{pair[0]},{pair[1]} {shown.hex()}{suffix}")
-    (out / "transmissions.log").write_text("\n".join(lines) + "\n")
+    decoded = _decode_checks(session)
+    for name, text in _run_artifacts(session, decoded, args.full_payloads).items():
+        (out / name).write_text(text)
 
-    ok = True
-    decode_lines = []
-    for user in session.garray.column_users:
-        got = decode_user(session, user)
-        want = session.library[session.demands[user - 1] - 1]
-        good = got == want
-        ok = ok and good
-        decode_lines.append(f"user {user}: {'OK' if good else 'MISMATCH'}")
-    (out / "decode.txt").write_text("\n".join(decode_lines) + "\n")
-
+    ok = all(decoded.values())
     rate = session.rate
-    rate_doc = {
-        "num_transmissions": rate.num_transmissions,
-        "rate": str(rate.rate),
-        "rate_decimal": fraction_to_decimal(rate.rate),
-        "per_s_multiplicity": list(rate.per_s_multiplicity),
-        "subpacketization": session.pda.num_rows,
-    }
-    if args.report_pruning:
-        rate_doc["prunable_transmissions"] = pruning_savings(session)
-    (out / "rate.json").write_text(json.dumps(rate_doc, indent=2, sort_keys=True) + "\n")
-
     print(
         f"simulated: {rate.num_transmissions} transmissions, "
         f"rate {rate.rate} ({fraction_to_decimal(rate.rate)}), F={session.pda.num_rows}"
@@ -267,35 +315,27 @@ def cmd_verify(args) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"no manifest.json in {run_dir}")
-    manifest = json.loads(manifest_path.read_text())
-    session = _session_from_manifest(manifest, strip_pads=args.strip_pads)
+    session = _session_from_manifest(json.loads(manifest_path.read_text()))
+    decoded = _decode_checks(session)
+    _check_artifacts(run_dir, session, decoded)
+    if args.strip_pads:
+        session = strip_pads(session)
+        decoded = _decode_checks(session)
 
-    ok = True
-    if not args.placement_only:
-        for user in session.garray.column_users:
-            got = decode_user(session, user)
-            good = got == session.library[session.demands[user - 1] - 1]
-            ok = ok and good
-            print(f"decode user {user}: {'PASS' if good else 'FAIL'}")
-
-    report = verify_session(session, include_delivery=not args.placement_only)
-    for lam, verdict in report.cache_placement.items():
-        ok = ok and verdict.holds
-        print(f"cache-secrecy cache {lam}: {'PASS' if verdict.holds else 'FAIL'}")
-    for user, verdict in report.user_placement.items():
-        ok = ok and verdict.holds
-        print(f"placement-secrecy user {user}: {'PASS' if verdict.holds else 'FAIL'}")
-    if report.user_delivery is not None:
-        for user, verdict in report.user_delivery.items():
-            ok = ok and verdict.holds
-            print(f"delivery-secrecy user {user}: {'PASS' if verdict.holds else 'FAIL'}")
-            if not verdict.holds:
-                print(f"  witness: {verdict.witness_summary()}")
-    if report.eavesdropper is not None:
-        ok = ok and report.eavesdropper.holds
-        print(f"eavesdropper: {'PASS' if report.eavesdropper.holds else 'FAIL'}")
-        if not report.eavesdropper.holds:
-            print(f"  witness: {report.eavesdropper.witness_summary()}")
+    for user, good in decoded.items():
+        print(f"decode user {user}: {'PASS' if good else 'FAIL'}")
+    report = verify_session(session)
+    checks = [
+        *((f"cache-secrecy cache {lam}", v) for lam, v in report.cache_placement.items()),
+        *((f"placement-secrecy user {u}", v) for u, v in report.user_placement.items()),
+        *((f"delivery-secrecy user {u}", v) for u, v in report.user_delivery.items()),
+        ("eavesdropper", report.eavesdropper),
+    ]
+    for name, verdict in checks:
+        print(f"{name}: {'PASS' if verdict.holds else 'FAIL'}")
+        if not verdict.holds:
+            print(f"  witness: {verdict.witness_summary()}")
+    ok = all(decoded.values()) and report.all_hold
     print(f"RESULT: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -358,10 +398,7 @@ def cmd_baseline(args) -> int:
     )
     demands = _parse_demands(args.demands, num_users, args.files)
     session = one_time_pad_session(config, profile=profile, demands=demands)
-    ok = all(
-        decode_user(session, user) == session.library[session.demands[user - 1] - 1]
-        for user in session.garray.column_users
-    )
+    ok = all(_decode_checks(session).values())
     print(f"rate {session.rate.rate} with {session.rate.num_transmissions} transmissions")
     print(f"decode: {'all users OK' if ok else 'MISMATCH'}")
     return 0 if ok else 1
@@ -403,15 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="run directory")
     sim.add_argument("--library", help="directory of N equal-length files")
     sim.add_argument("--full-payloads", action="store_true")
-    sim.add_argument("--report-pruning", action="store_true")
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="re-derive a run and check everything")
     ver.add_argument("run_dir")
     ver.add_argument("--strip-pads", action="store_true",
-                     help="sabotage: re-deliver without one-time pads")
-    ver.add_argument("--placement-only", action="store_true",
-                     help="check only the placement-phase conditions")
+                     help="sabotage: check the broadcasts with the one-time pads removed")
     ver.set_defaults(func=cmd_verify)
 
     rate = sub.add_parser("rate", help="worst-case rate for a PDA and profile")

@@ -63,11 +63,8 @@ class SystemConfig:
     file_bytes: int
     field: BinaryField = dataclass_field(default_factory=default_field)
     seed: int = 0
-    user_memory: int = 1
 
     def __post_init__(self):
-        if self.user_memory != 1:
-            raise ValueError("the scheme requires exactly unit user caches")
         if not 1 <= self.num_caches <= self.num_users:
             raise ValueError("need K >= Lambda >= 1")
         if self.num_files < 1:
@@ -315,19 +312,9 @@ def user_key_placement(
     return key_pool, user_keys
 
 
-def deliver(
-    garray: GArray,
-    shares,
-    demands,
-    key_pool,
-    strip_pads: bool = False,
-) -> dict[Pair, np.ndarray]:
+def deliver(garray: GArray, shares, demands, key_pool) -> dict[Pair, np.ndarray]:
     """One broadcast per distinct pair (s-major order): the XOR of every
-    participant's demanded share with the pair's key.
-
-    strip_pads omits the keys; it exists only to sabotage the scheme for
-    secrecy testing.
-    """
+    participant's demanded share with the pair's key."""
     num_files = len(shares)
     for user in garray.column_users:
         if not 1 <= demands[user - 1] <= num_files:
@@ -339,9 +326,7 @@ def deliver(
             d = demands[garray.column_users[col - 1] - 1]
             share = shares[d - 1][row - 1]
             acc = share.copy() if acc is None else acc ^ share
-        if not strip_pads:
-            acc = acc ^ key_pool[pair]
-        out[pair] = acc
+        out[pair] = acc ^ key_pool[pair]
     return out
 
 
@@ -364,6 +349,7 @@ class SessionState:
     demands: tuple[int, ...]
     transmissions: dict[Pair, np.ndarray]
     rate: RateReport
+    # True only on the verifier's sabotaged copy, whose broadcasts carry no keys.
     pads_stripped: bool = False
 
 
@@ -383,18 +369,12 @@ def synthetic_library(config: SystemConfig) -> tuple[bytes, ...]:
 
 
 def _session_inputs(
-    config: SystemConfig, num_caches: int, library, assignment, profile, demands
+    config: SystemConfig, num_caches: int, library, profile, demands
 ) -> tuple[Association, tuple[int, ...], tuple[bytes, ...]]:
     """Check a session's association, demands and library against config
     and a scheme with num_caches caches; fill in the seed-derived library and
     the worst-case demands when they are not given."""
-    if (assignment is None) == (profile is None):
-        raise ValueError("give exactly one of assignment or profile")
-    association = (
-        Association.from_profile(profile)
-        if profile is not None
-        else Association.from_assignment(assignment, num_caches)
-    )
+    association = Association.from_profile(profile)
     if association.num_users != config.num_users:
         raise ValueError(
             f"association covers {association.num_users} users, "
@@ -424,17 +404,11 @@ def _session_inputs(
 
 
 def run_session(
-    pda: Pda,
-    config: SystemConfig,
-    library=None,
-    assignment=None,
-    profile=None,
-    demands=None,
-    strip_pads: bool = False,
+    pda: Pda, config: SystemConfig, library=None, *, profile, demands=None
 ) -> SessionState:
     """Drive all four phases and return the completed session."""
     association, demands, library = _session_inputs(
-        config, pda.num_caches, library, assignment, profile, demands
+        config, pda.num_caches, library, profile, demands
     )
     canonical = pda.permute_columns(association.cache_order)
     enc = cauchy_matrix(canonical.num_rows, config.field)
@@ -445,7 +419,7 @@ def run_session(
     key_pool, user_keys = user_key_placement(
         garray, meta.symbols_per_share, config.field, _stream(config.seed, "keys")
     )
-    transmissions = deliver(garray, shares, demands, key_pool, strip_pads)
+    transmissions = deliver(garray, shares, demands, key_pool)
     rate = rate_report(canonical, association.profile)
     if len(transmissions) != rate.num_transmissions:
         raise RuntimeError(
@@ -468,7 +442,6 @@ def run_session(
         demands=demands,
         transmissions=transmissions,
         rate=rate,
-        pads_stripped=strip_pads,
     )
 
 
@@ -518,26 +491,8 @@ def decode_all(session: SessionState) -> dict[int, bytes]:
     }
 
 
-def pruning_savings(session: SessionState) -> int:
-    """Broadcasts whose share payloads duplicate an earlier one (possible
-    only under repeated demands).  A demand-aware server could merge them
-    if keys were reissued; this scheme never prunes, so the value is
-    informational."""
-    seen = set()
-    duplicates = 0
-    for pair, occ in session.garray.pair_occurrences.items():
-        payload = frozenset(
-            (session.demands[session.garray.column_users[col - 1] - 1], row)
-            for row, col in occ
-        )
-        if payload in seen:
-            duplicates += 1
-        seen.add(payload)
-    return duplicates
-
-
 def one_time_pad_session(
-    config: SystemConfig, library=None, profile=None, assignment=None, demands=None
+    config: SystemConfig, library=None, profile=None, demands=None
 ) -> SessionState:
     """The M = 0 scheme: no helper content, one whole-file pad per user.
 
@@ -547,10 +502,10 @@ def one_time_pad_session(
     """
     if config.helper_memory != 0:
         raise ValueError("the one-time-pad baseline is the M = 0 scheme")
-    if (assignment is None) and (profile is None):
+    if profile is None:
         profile = (config.num_users,) + (0,) * (config.num_caches - 1)
     association, demands, library = _session_inputs(
-        config, config.num_caches, library, assignment, profile, demands
+        config, config.num_caches, library, profile, demands
     )
 
     field = config.field

@@ -19,7 +19,7 @@ Rows are labeled with structured tuples: ("share", n, j, pos),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -372,11 +372,6 @@ def build_observation_model(
     )
 
 
-def cache_observation_model(session: SessionState, cache: int) -> LinearObservationModel:
-    """What the helper cache itself stores (no user keys, no broadcasts)."""
-    return SessionAnalyzer(session).cache_model(cache)
-
-
 def check_external_eavesdropper(session: SessionState) -> SecrecyVerdict:
     """Broadcast-only observer; every file is protected."""
     model = SessionAnalyzer(session).eavesdropper_model()
@@ -499,23 +494,30 @@ class SecrecyReport:
 
     cache_placement: dict[int, SecrecyVerdict]
     user_placement: dict[int, SecrecyVerdict]
-    user_delivery: dict[int, SecrecyVerdict] | None
-    eavesdropper: SecrecyVerdict | None
+    user_delivery: dict[int, SecrecyVerdict]
+    eavesdropper: SecrecyVerdict
 
     @property
     def all_hold(self) -> bool:
-        verdicts = list(self.cache_placement.values())
-        verdicts += list(self.user_placement.values())
-        if self.user_delivery is not None:
-            verdicts += list(self.user_delivery.values())
-        if self.eavesdropper is not None:
-            verdicts.append(self.eavesdropper)
+        verdicts = [
+            *self.cache_placement.values(),
+            *self.user_placement.values(),
+            *self.user_delivery.values(),
+            self.eavesdropper,
+        ]
         return all(v.holds for v in verdicts)
 
 
-def verify_session(
-    session: SessionState, include_delivery: bool = True
-) -> SecrecyReport:
+def strip_pads(session: SessionState) -> SessionState:
+    """Sabotage for secrecy testing: a copy of the session whose broadcasts
+    carry no one-time pads.  The input session is left untouched."""
+    transmissions = {
+        pair: x ^ session.key_pool[pair] for pair, x in session.transmissions.items()
+    }
+    return replace(session, transmissions=transmissions, pads_stripped=True)
+
+
+def verify_session(session: SessionState) -> SecrecyReport:
     """Run the full battery: per-cache placement secrecy, per-user
     placement secrecy, per-user delivery secrecy (all files but the
     demanded one), and the broadcast-only eavesdropper.
@@ -533,20 +535,12 @@ def verify_session(
         )
         for user in users
     }
-    user_delivery = (
-        {
-            user: check_zero_information(
-                analyzer.user_model(user, include_delivery=True),
-                set(all_files) - {session.demands[user - 1]},
-            )
-            for user in users
-        }
-        if include_delivery
-        else None
-    )
-    eavesdropper = (
-        check_zero_information(analyzer.eavesdropper_model(), all_files)
-        if include_delivery
-        else None
-    )
+    user_delivery = {
+        user: check_zero_information(
+            analyzer.user_model(user, include_delivery=True),
+            set(all_files) - {session.demands[user - 1]},
+        )
+        for user in users
+    }
+    eavesdropper = check_zero_information(analyzer.eavesdropper_model(), all_files)
     return SecrecyReport(cache_placement, user_placement, user_delivery, eavesdropper)

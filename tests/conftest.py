@@ -3,7 +3,7 @@
 
 import pytest
 
-from seccache import BinaryField, Pda, SystemConfig, run_session
+from seccache import BinaryField, Pda, SystemConfig, run_session, secrecy
 from seccache.scheme import helper_memory_for
 
 # The 4x6 reference array used throughout: (Lambda, F, Z, S) = (6, 4, 2, 4).
@@ -77,9 +77,8 @@ def make_worked_session(seed=7, file_bytes=4, field=None, strip_pads=False,
         field=field,
         seed=seed,
     )
-    return run_session(
-        pda, config, profile=WORKED_PROFILE, demands=demands, strip_pads=strip_pads
-    )
+    session = run_session(pda, config, profile=WORKED_PROFILE, demands=demands)
+    return secrecy.strip_pads(session) if strip_pads else session
 
 
 @pytest.fixture

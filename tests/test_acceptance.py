@@ -20,6 +20,7 @@ from seccache import (
     Pda,
     check_zero_information,
     mn_pda,
+    secrecy,
 )
 from seccache.bounds import (
     cutset_bound,
@@ -197,9 +198,8 @@ def _tiny_oracle_instances():
             len(profile), sum(profile), 2,
             helper_memory_for(pda, 2), 1, field=BinaryField(l), seed=seed,
         )
-        return run_session(
-            pda, config, profile=profile, demands=demands, strip_pads=strip_pads
-        )
+        session = run_session(pda, config, profile=profile, demands=demands)
+        return secrecy.strip_pads(session) if strip_pads else session
 
     clean = tiny((1, 1), 3, demands=(1, 2))
     an = SessionAnalyzer(clean, positions=1)

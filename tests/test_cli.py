@@ -1,12 +1,16 @@
 """CLI surface: subcommands, run directories, exit codes, reproducibility."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from seccache.cli import main
 from seccache.pda import Pda, save_pda
 from tests.conftest import WORKED_GRID, WORKED_PROFILE
+
+GOLDEN_MN3_1 = Path(__file__).parent / "data" / "golden" / "mn3_1"
 
 
 @pytest.fixture
@@ -150,15 +154,79 @@ def test_verify_strip_pads_fails_with_witness(worked_pda_file, tmp_path, capsys)
     assert "RESULT: FAIL" in stdout
 
 
-def test_verify_placement_only(worked_pda_file, tmp_path, capsys):
-    out = tmp_path / "run"
-    simulate(worked_pda_file, out)
-    capsys.readouterr()
-    assert run(["verify", out, "--placement-only"]) == 0
-    stdout = capsys.readouterr().out
-    assert "cache-secrecy cache 1: PASS" in stdout
-    assert "placement-secrecy user 1: PASS" in stdout
-    assert "delivery-secrecy" not in stdout and "decode" not in stdout
+@pytest.fixture
+def golden_copy(tmp_path):
+    run_dir = tmp_path / "mn3_1"
+    shutil.copytree(GOLDEN_MN3_1, run_dir)
+    return run_dir
+
+
+@pytest.mark.parametrize(
+    "name, text, line",
+    [
+        ("transmissions.log", "garbage\n", 1),
+        ("decode.txt", "user 1: MISMATCH\n", 1),
+        ("rate.json", "{}\n", 1),
+        ("transmissions.log", "X1,1 ee2068\n", 2),
+        ("decode.txt", "", 1),
+    ],
+)
+def test_verify_rejects_tampered_artifacts(golden_copy, name, text, line, capsys):
+    (golden_copy / name).write_text(text)
+    assert run(["verify", golden_copy]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} line {line} differs")
+
+
+def test_verify_rejects_a_missing_artifact(golden_copy, capsys):
+    (golden_copy / "rate.json").unlink()
+    assert run(["verify", golden_copy, "--strip-pads"]) == 1
+    assert "rate.json" in capsys.readouterr().err
+
+
+def test_verify_accepts_capped_and_full_payloads(tmp_path, capsys):
+    # F - Z = 1: each payload is a whole 70-byte file, logged capped at 64
+    args = ["simulate", "--pda", "mn:2,1", "--profile", "1,1", "--files", 2,
+            "--bytes", 70, "--seed", 3]
+    capped, full = tmp_path / "capped", tmp_path / "full"
+    assert run([*args, "--out", capped]) == 0
+    assert run([*args, "--out", full, "--full-payloads"]) == 0
+    log = (capped / "transmissions.log").read_text().splitlines()
+    assert all(line.endswith(" (+6 bytes)") for line in log)
+    mixed = (full / "transmissions.log").read_text().splitlines()[:1] + log[1:]
+    (capped / "transmissions.log").write_text("\n".join(mixed) + "\n")
+    for run_dir in (capped, full):
+        assert run(["verify", run_dir]) == 0
+        assert capsys.readouterr().out.endswith("RESULT: PASS\n")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.pop("seed"), "missing 'seed'"),
+        (lambda m: m.pop("pda_text"), "missing 'pda_text'"),
+        (lambda m: m.update(profile="2,2,1"), "'profile' must be a list of integers"),
+        (lambda m: m.update(demands=[1, "2", 3, 4, 5]), "'demands' must be a list of integers"),
+        (lambda m: m.update(file_bytes="5"), "'file_bytes' must be an integer"),
+        (lambda m: m.update(seed=True), "'seed' must be an integer"),
+        (lambda m: m.update(library_dir=7), "'library_dir' must be a string or null"),
+        (lambda m: m.clear(), "missing 'pda_text'"),
+    ],
+)
+def test_verify_rejects_malformed_manifest(golden_copy, edit, message, capsys):
+    path = golden_copy / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    assert run(["verify", golden_copy]) == 1
+    assert capsys.readouterr().err == f"error: manifest.json: {message}\n"
+
+
+def test_verify_rejects_a_manifest_that_is_not_an_object(golden_copy, capsys):
+    (golden_copy / "manifest.json").write_text("[1, 2]\n")
+    assert run(["verify", golden_copy]) == 1
+    assert capsys.readouterr().err == "error: manifest.json: expected a JSON object\n"
 
 
 def test_verify_missing_manifest(tmp_path, capsys):

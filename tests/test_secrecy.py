@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from seccache import BinaryField, mn_pda
+from seccache import BinaryField, mn_pda, secrecy
 from seccache.scheme import SystemConfig, helper_memory_for, run_session
 from seccache.secrecy import (
     SecrecyVerdict,
@@ -49,9 +49,8 @@ def tiny_session(profile=(1, 1), num_files=2, l=2, seed=1, strip_pads=False,
         field=BinaryField(l),
         seed=seed,
     )
-    return run_session(
-        pda, config, profile=profile, demands=demands, strip_pads=strip_pads
-    )
+    session = run_session(pda, config, profile=profile, demands=demands)
+    return secrecy.strip_pads(session) if strip_pads else session
 
 
 # -- model construction -------------------------------------------------------
@@ -183,9 +182,27 @@ def test_eavesdropper_fails_when_pads_stripped():
     pda = mn_pda(6, 1)
     config = SystemConfig(6, 6, 6, helper_memory_for(pda, 6), 1,
                           field=BinaryField(8), seed=4)
-    session = run_session(pda, config, profile=(1,) * 6, strip_pads=True)
+    session = secrecy.strip_pads(run_session(pda, config, profile=(1,) * 6))
     verdict = check_external_eavesdropper(session)
     assert not verdict.holds
+
+
+def test_strip_pads_returns_a_padless_copy(worked_session):
+    sent = {pair: x.copy() for pair, x in worked_session.transmissions.items()}
+    stripped = secrecy.strip_pads(worked_session)
+    assert stripped.pads_stripped and not worked_session.pads_stripped
+    assert worked_session.transmissions.keys() == sent.keys()
+    for pair, x in sent.items():
+        assert np.array_equal(worked_session.transmissions[pair], x)
+    # each stripped payload is the XOR of the participants' demanded shares
+    garray = worked_session.garray
+    assert stripped.transmissions.keys() == garray.pair_occurrences.keys()
+    for pair, occurrences in garray.pair_occurrences.items():
+        want = np.zeros_like(sent[pair])
+        for row, col in occurrences:
+            demand = worked_session.demands[garray.column_users[col - 1] - 1]
+            want ^= worked_session.shares[demand - 1][row - 1]
+        assert np.array_equal(stripped.transmissions[pair], want)
 
 
 def test_no_transmissions_is_vacuously_secret():
