@@ -37,7 +37,7 @@ def lambda_of_s(profile, s: int) -> int:
         running += load
         if running >= s:
             return lam
-    raise AssertionError("unreachable: s <= sum(profile)")
+    raise RuntimeError("unreachable: s <= sum(profile)")
 
 
 def cutset_terms(

@@ -144,7 +144,7 @@ class BinaryField:
         for g in range(2, self.order):
             if all(self.pow(g, n // p) != 1 for p in factors):
                 return g
-        raise AssertionError("multiplicative group of a field is cyclic")
+        raise RuntimeError("multiplicative group of a field is cyclic")
 
     def _build_tables(self) -> None:
         q = self.order

@@ -191,7 +191,7 @@ def tau(pda: Pda, s: int) -> int:
     for k in range(1, pda.num_caches + 1):
         if any(pda.entries[j][k - 1] == s for j in range(pda.num_rows)):
             return k
-    raise AssertionError("C2 guarantees every integer occurs")
+    raise RuntimeError("C2 guarantees every integer occurs")
 
 
 def mn_pda(num_caches: int, t: int) -> Pda:

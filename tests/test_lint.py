@@ -6,13 +6,31 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seccache"
 
 
-def test_package_has_no_assert_statements():
+def package_nodes():
+    """(file name, node) for every AST node of the package's modules."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    found = [
-        f"{path.name}:{node.lineno}"
+    return [
+        (path.name, node)
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
     ]
+
+
+def test_package_has_no_assert_statements():
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if isinstance(node, ast.Assert)]
     assert not found, f"python -O drops these checks: {found}"
+
+
+def raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_package_raises_no_assertion_error():
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if raises_assertion_error(node)]
+    assert not found, f"invariants raise RuntimeError, not AssertionError: {found}"

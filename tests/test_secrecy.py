@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from seccache import BinaryField, mn_pda, secrecy
 from seccache.scheme import SystemConfig, helper_memory_for, run_session
@@ -364,3 +365,153 @@ def test_random_small_instances_satisfy_all_conditions():
         )
         session = run_session(pda, config, profile=tuple(buckets))
         assert verify_session(session).all_hold
+
+
+# -- one-position verification ------------------------------------------------
+
+
+def test_positions_below_one_are_rejected():
+    stripped = make_worked_session(strip_pads=True)
+    for positions in (0, -1):
+        with pytest.raises(ValueError, match="positions"):
+            SessionAnalyzer(stripped, positions)
+        with pytest.raises(ValueError, match="positions"):
+            build_observation_model(stripped, 1, positions=positions)
+    session = tiny_session((2, 0), num_files=2, l=2, strip_pads=True,
+                           demands=(1, 2))
+    with pytest.raises(ValueError, match="positions"):
+        brute_force_secrecy(session, 2, {1}, positions=0)
+
+
+def report_checks(report):
+    """(name, verdict) for every check of a report, in a fixed order."""
+    return [
+        *((("cache", lam), v) for lam, v in report.cache_placement.items()),
+        *((("placement", u), v) for u, v in report.user_placement.items()),
+        *((("delivery", u), v) for u, v in report.user_delivery.items()),
+        (("eavesdropper",), report.eavesdropper),
+    ]
+
+
+def full_width_report(session):
+    """verify_session's battery on the full-width model (every position)."""
+    analyzer = SessionAnalyzer(session)
+    all_files = range(1, session.config.num_files + 1)
+    users = session.garray.column_users
+    return secrecy.SecrecyReport(
+        {lam: check_zero_information(analyzer.cache_model(lam), all_files)
+         for lam in range(1, session.config.num_caches + 1)},
+        {u: check_zero_information(analyzer.user_model(u, False), all_files)
+         for u in users},
+        {u: check_zero_information(analyzer.user_model(u, True),
+                                   set(all_files) - {session.demands[u - 1]})
+         for u in users},
+        check_zero_information(analyzer.eavesdropper_model(), all_files),
+    )
+
+
+def position_major(count, positions):
+    """Index order that takes position-innermost rows or columns to
+    position-major ones."""
+    return np.arange(count).reshape(-1, positions).T.ravel()
+
+
+@st.composite
+def small_sessions(draw):
+    num_caches = draw(st.integers(2, 3))
+    pda = mn_pda(num_caches, draw(st.integers(1, num_caches - 1)))
+    l = draw(st.integers(2, 16))
+    assume(1 << l >= 2 * pda.num_rows)  # room for the Cauchy matrix
+    caches = draw(st.lists(st.integers(1, num_caches), min_size=num_caches,
+                           max_size=4))
+    profile = tuple(caches.count(c) for c in range(1, num_caches + 1))
+    num_files = draw(st.integers(1, 3))
+    demands = tuple(draw(st.lists(st.integers(1, num_files), min_size=len(caches),
+                                  max_size=len(caches))))
+    config = SystemConfig(
+        num_caches, len(caches), num_files, helper_memory_for(pda, num_files),
+        draw(st.integers(1, 40)), field=BinaryField(l),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    session = run_session(pda, config, profile=profile, demands=demands)
+    return secrecy.strip_pads(session) if draw(st.booleans()) else session
+
+
+EXACTNESS = settings(max_examples=25, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@EXACTNESS
+@given(session=small_sessions())
+def test_full_width_model_is_identity_kron_one_position_model(session):
+    analyzer = SessionAnalyzer(session)
+    one = SessionAnalyzer(session, positions=1)
+    width = session.meta.symbols_per_share
+    for full, m1 in [
+        *((analyzer.user_model(u, True), one.user_model(u, True))
+          for u in session.garray.column_users),
+        (analyzer.eavesdropper_model(), one.eavesdropper_model()),
+    ]:
+        rows = position_major(full.obs_dim, width)
+        eye = np.eye(width, dtype=full.obs_files.dtype)
+        for got, base in ((full.obs_files, m1.obs_files), (full.obs_rand, m1.obs_rand)):
+            cols = position_major(got.shape[1], width)
+            assert np.array_equal(got[rows][:, cols], np.kron(eye, base))
+        assert [full.row_labels[r] for r in rows] == [
+            (*label[:-1], pos) for pos in range(width) for label in m1.row_labels
+        ]
+
+
+@EXACTNESS
+@given(session=small_sessions())
+def test_verify_session_matches_the_full_width_report(session):
+    got = report_checks(verify_session(session))
+    want = report_checks(full_width_report(session))
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, one), (_, full) in zip(got, want):
+        assert one.holds == full.holds, name
+        assert one.witness_summary() == full.witness_summary(), name
+    assert check_external_eavesdropper(session).holds == want[-1][1].holds
+
+
+@EXACTNESS
+@given(session=small_sessions().map(secrecy.strip_pads))
+def test_one_position_witness_lifts_to_the_full_width_model(session):
+    width = session.meta.symbols_per_share
+    analyzer = SessionAnalyzer(session)
+    one = SessionAnalyzer(session, positions=1)
+    all_files = set(range(1, session.config.num_files + 1))
+    failing = 0
+    for user in session.garray.column_users:
+        protected = all_files - {session.demands[user - 1]}
+        verdict = check_zero_information(one.user_model(user, True), protected)
+        if verdict.holds:
+            continue
+        failing += 1
+        full = analyzer.user_model(user, True)
+        index = {label: r for r, label in enumerate(full.row_labels)}
+        for pos in {0, width - 1}:
+            phi = full.field.zeros(full.obs_dim)
+            for (*label, _), coeff in verdict.witness_rows:
+                phi[index[(*label, pos)]] = coeff
+            assert not any(gf_vec_mat(full.field, phi, full.obs_rand))
+            exposed = full.obs_files[:, full.protected_columns(protected)]
+            assert any(gf_vec_mat(full.field, phi, exposed))
+    assume(failing)  # some stripped sessions leak nothing (e.g. one file)
+
+
+def test_verification_cost_does_not_grow_with_file_size(monkeypatch):
+    shapes = []
+    echelon = secrecy._echelon
+
+    def recording(field, mat, pivot_cols):
+        shapes.append((mat.shape, pivot_cols))
+        return echelon(field, mat, pivot_cols)
+
+    monkeypatch.setattr(secrecy, "_echelon", recording)
+    by_size = {}
+    for file_bytes in (4, 2048):
+        shapes.clear()
+        verify_session(make_worked_session(file_bytes=file_bytes))
+        by_size[file_bytes] = list(shapes)
+    assert by_size[4] and by_size[4] == by_size[2048]
