@@ -26,6 +26,8 @@ RUNS = {
               "--bytes", "5", "--field", "3", "--full-payloads"],
     "mn4_2": ["--pda", "mn:4,2", "--profile", "3,2,2,1", "--files", "8",
               "--bytes", "9", "--field", "12", "--full-payloads"],
+    "mn4_2_l16": ["--pda", "mn:4,2", "--profile", "1,3,2,2", "--files", "9",
+                  "--bytes", "9", "--field", "16", "--seed", "3", "--full-payloads"],
 }
 
 # verify flags -> (file holding the expected stdout, expected exit code)
@@ -39,11 +41,12 @@ M0_DIGESTS = {
     3: "ea6b53dbde56f7605296bb2463ecf551ba67690213542d91c05e923f953054c7",
     8: "cacb2b36ae392f67e55653aca47d4b5477fb6672999893f4ba6c4a44729a9731",
     12: "19532ae9b5bad7895cab40561391edef92e6f8e213413fca04c70786567b88c9",
+    16: "017a9abd8c809da823f34f4dd000e951e7c6a84c9f89435bffb9c17a5c889aff",
 }
 
 
 def m0_digest(l: int) -> str:
-    """Digest of the M = 0 broadcasts for 5-byte files (padded at l = 3, 12)."""
+    """Digest of the M = 0 broadcasts for 5-byte files (padded at l = 3, 12, 16)."""
     config = SystemConfig(
         num_caches=3, num_users=6, num_files=7, helper_memory=Fraction(0),
         file_bytes=5, field=BinaryField(l), seed=7,
