@@ -149,27 +149,32 @@ class BinaryField:
     def _build_tables(self) -> None:
         q = self.order
         g = self._find_generator()
-        exp = np.zeros(2 * (q - 1) - 1, dtype=np.uint16)
-        log = np.zeros(q, dtype=np.int32)
+        # Logs of nonzero elements lie in [0, q - 2], so log a + log b <= 2q - 4.
+        # log 0 = 2q - 3 sends every sum that involves a zero into a zero tail.
+        zero_log = 2 * q - 3
+        exp = np.zeros(2 * zero_log + 1, dtype=self.dtype)
+        log = np.full(q, zero_log, dtype=np.int32)
         x = 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
             x = self.mul(x, g)
-        exp[q - 1 :] = exp[: q - 2]
+        exp[q - 1 : zero_log] = exp[: q - 2]
         self._exp = exp
         self._log = log
 
     @property
     def exp_table(self) -> np.ndarray:
-        """exp[i] = g^i, doubled in length so exp[log a + log b] needs no modulo."""
+        """exp[i] = g^i, doubled in length so exp[log a + log b] needs no
+        modulo, then zero from index 2q - 3 on, where log 0 points."""
         if self._exp is None:
             self._build_tables()
         return self._exp
 
     @property
     def log_table(self) -> np.ndarray:
-        """log[x] for x != 0; index 0 is never valid."""
+        """log[x] for x != 0; log[0] = 2q - 3, so exp[log a + log b] = a * b
+        for every a and b, zero included."""
         if self._log is None:
             self._build_tables()
         return self._log
@@ -205,6 +210,23 @@ class BinaryField:
         if nz.any():
             idx = self.log_table[factors][:, None] + self.log_table[row[nz]][None, :]
             out[:, nz] = self.exp_table[idx]
+        return out
+
+    def matmul(self, coeffs, symbols: np.ndarray) -> np.ndarray:
+        """Matrix product over the field: (R, C) coefficients times a (C, L)
+        symbol array, as an (R, L) array.
+
+        Each term is one table gather, exp[log a + log b], which needs no
+        zero mask.  The C terms of a row are XORed in one coefficient column
+        at a time, so no temporary is larger than R x L.
+        """
+        exp, log = self.exp_table, self.log_table
+        coeff_logs = log[np.asarray(coeffs)]
+        out = self.zeros(len(coeff_logs), symbols.shape[1])
+        term = np.empty_like(out)
+        for column_logs, symbol_logs in zip(coeff_logs.T, log[symbols]):
+            np.take(exp, column_logs[:, None] + symbol_logs, out=term)
+            out ^= term
         return out
 
     def __eq__(self, other) -> bool:

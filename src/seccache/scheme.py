@@ -45,6 +45,7 @@ from .sharing import (
     bytes_to_symbols,
     cauchy_matrix,
     random_vector,
+    random_words,
     share_file,
     unshare_file,
 )
@@ -360,12 +361,25 @@ def _stream(seed: int, tag: str) -> random.Random:
 
 
 def synthetic_library(config: SystemConfig) -> tuple[bytes, ...]:
-    """Seed-derived stand-in library of N equal-length files."""
+    """Seed-derived stand-in library of N equal-length files.
+
+    The bytes are those of successive rng.randrange(256) calls, file after
+    file.  Each call is getrandbits(9): one generator word w, retried while
+    w >> 23 >= 256, that is while its top bit is set, and then w >> 23.  So
+    the words are drawn in batches and the accepted bytes kept in order; the
+    generator is local, so words drawn past the last byte change nothing.
+    """
     rng = _stream(config.seed, "library")
-    return tuple(
-        bytes(rng.randrange(256) for _ in range(config.file_bytes))
-        for _ in range(config.num_files)
-    )
+    size = config.num_files * config.file_bytes
+    chunks, drawn = [], 0
+    while drawn < size:
+        words = random_words(min(2 * (size - drawn) + 64, 1 << 20), rng)
+        chunk = (words[words < 1 << 31] >> 23).astype(np.uint8).tobytes()
+        chunks.append(chunk)
+        drawn += len(chunk)
+    stream = b"".join(chunks)
+    step = config.file_bytes
+    return tuple(stream[i * step : (i + 1) * step] for i in range(config.num_files))
 
 
 def _session_inputs(

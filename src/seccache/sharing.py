@@ -62,6 +62,7 @@ class ShareMeta:
         return self.padded_bits // self.num_subfiles
 
 
+@lru_cache(maxsize=64)
 def cauchy_matrix(n: int, field: BinaryField) -> SymbolMatrix:
     """n x n Cauchy matrix with entry (i, j) = 1 / (x_i + y_j).
 
@@ -109,18 +110,10 @@ def invert_matrix(mat: SymbolMatrix, field: BinaryField) -> SymbolMatrix:
 
 
 def _mat_vec_rows(
-    matrix: SymbolMatrix, vectors: list[np.ndarray], field: BinaryField
+    rows, vectors: list[np.ndarray], field: BinaryField
 ) -> list[np.ndarray]:
-    """Row i of the result = XOR_j matrix[i][j] * vectors[j], elementwise."""
-    width = len(vectors[0])
-    out = []
-    for row in matrix.entries:
-        acc = field.zeros(width)
-        for coeff, vec in zip(row, vectors):
-            if coeff:
-                acc ^= field.scale(coeff, vec)
-        out.append(acc)
-    return out
+    """Row i of the result = XOR_j rows[i][j] * vectors[j], elementwise."""
+    return list(field.matmul(rows, np.stack(vectors)))
 
 
 def encode_shares(
@@ -143,7 +136,7 @@ def encode_shares(
     lengths = {len(v) for v in inputs}
     if len(lengths) != 1:
         raise ValueError("subfile and randomness symbol-lengths differ")
-    return _mat_vec_rows(enc, inputs, field)
+    return _mat_vec_rows(enc.entries, inputs, field)
 
 
 @lru_cache(maxsize=64)
@@ -162,8 +155,8 @@ def reconstruct_file(
         raise ValueError(f"need all {enc.rows} shares, got {len(shares)}")
     if not 0 <= num_random < enc.rows:
         raise ValueError("randomness count out of range")
-    inputs = _mat_vec_rows(_cached_inverse(enc, field), list(shares), field)
-    return inputs[: enc.rows - num_random]
+    rows = _cached_inverse(enc, field).entries[: enc.rows - num_random]
+    return _mat_vec_rows(rows, list(shares), field)
 
 
 # -- byte <-> symbol codec --------------------------------------------------
@@ -217,9 +210,22 @@ def subfiles_to_bytes(
     return symbols_to_bytes(np.concatenate(subfiles), field)[: meta.data_bits // 8]
 
 
+def random_words(count: int, rng) -> np.ndarray:
+    """The next `count` 32-bit words of a random.Random, in draw order.
+
+    getrandbits(32 * count) lays successive generator words out least
+    significant first, so this consumes the same words, in the same order,
+    as `count` calls of getrandbits(k) for k <= 32, each of which returns
+    one word shifted right by 32 - k.
+    """
+    packed = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return np.frombuffer(packed, dtype="<u4")
+
+
 def random_vector(length: int, field: BinaryField, rng) -> np.ndarray:
-    """Uniform symbol vector drawn from a seedable generator."""
-    return field.vector([rng.getrandbits(field.l) for _ in range(length)])
+    """Uniform symbol vector drawn from a seedable generator: the symbols of
+    `length` calls of rng.getrandbits(l), drawn in one call."""
+    return (random_words(length, rng) >> (32 - field.l)).astype(field.dtype)
 
 
 def share_file(

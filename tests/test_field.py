@@ -117,6 +117,9 @@ def test_exp_log_tables_consistent(l):
         a = rng.randrange(1, field.order)
         b = rng.randrange(1, field.order)
         assert exp[log[a] + log[b]] == field.mul(a, b)
+    # log 0 points into a zero tail, so products with 0 need no mask
+    for a in range(field.order):
+        assert exp[log[0] + log[a]] == exp[log[a] + log[0]] == 0
 
 
 def test_scale_and_outer_match_scalar_mul(gf8):

@@ -1,6 +1,7 @@
 """Cauchy/MDS construction and the (Z, F) sharing round trip."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seccache.field import BinaryField
+from seccache.scheme import SystemConfig, _stream, synthetic_library
 from seccache.sharing import (
     ShareMeta,
     SymbolMatrix,
+    _mat_vec_rows,
     bytes_to_subfiles,
     bytes_to_symbols,
     cauchy_matrix,
@@ -273,3 +276,87 @@ def test_symbols_to_bytes_matches_reference(l, draw):
 def test_bytes_to_symbols_rejects_a_short_count(gf8):
     with pytest.raises(ValueError):
         bytes_to_symbols(b"\x01\x02", gf8, 1)
+
+
+# -- table-driven product and one-call draws against scalar references -------------
+
+
+def sparse_symbols(rng, field, shape, zero_share):
+    """Uniform symbols with roughly zero_share of them forced to 0."""
+    out = rng.integers(0, field.order, size=shape)
+    out[rng.random(shape) < zero_share] = 0
+    return out.astype(field.dtype)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    l=st.integers(2, 16),
+    f=st.integers(1, 8),
+    length=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_mat_vec_rows_matches_scalar_oracle(l, f, length, seed, zero_share):
+    field, rng = field_of_width(l), np.random.default_rng(seed)
+    rows = sparse_symbols(rng, field, (f, f), zero_share).tolist()
+    vectors = list(sparse_symbols(rng, field, (f, length), zero_share))
+    got = _mat_vec_rows(rows, vectors, field)
+    assert len(got) == f
+    for row, out in zip(rows, got):
+        assert out.dtype == field.dtype and out.shape == (length,)
+        expect = [0] * length
+        for coeff, vec in zip(row, vectors):
+            for t, sym in enumerate(vec):
+                expect[t] ^= field.mul(coeff, int(sym))
+        assert out.tolist() == expect
+
+
+def draw_ops():
+    """A mix of random_vector lengths and plain getrandbits widths."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("vector"), st.integers(0, 40)),
+            st.tuples(st.just("bits"), st.integers(1, 70)),
+        ),
+        max_size=8,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.integers(2, 16), seed=st.integers(0, 2**64 - 1), ops=draw_ops())
+def test_random_vector_keeps_the_per_symbol_stream(l, seed, ops):
+    field = field_of_width(l)
+    rng, ref = random.Random(seed), random.Random(seed)
+    for kind, n in ops:
+        if kind == "vector":
+            vec = random_vector(n, field, rng)
+            assert vec.dtype == field.dtype
+            assert vec.tolist() == [ref.getrandbits(l) for _ in range(n)]
+        else:
+            assert rng.getrandbits(n) == ref.getrandbits(n)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_random_vector_of_length_zero_draws_nothing(gf8):
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert random_vector(0, gf8, rng).shape == (0,)
+    assert rng.getstate() == state
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    num_files=st.integers(1, 6),
+    file_bytes=st.integers(1, 600),
+)
+def test_synthetic_library_matches_per_byte_randrange(seed, num_files, file_bytes):
+    config = SystemConfig(
+        num_caches=1, num_users=1, num_files=num_files, helper_memory=Fraction(0),
+        file_bytes=file_bytes, seed=seed,
+    )
+    rng = _stream(seed, "library")
+    expect = tuple(
+        bytes(rng.randrange(256) for _ in range(file_bytes)) for _ in range(num_files)
+    )
+    assert synthetic_library(config) == expect
