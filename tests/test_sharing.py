@@ -291,17 +291,18 @@ def sparse_symbols(rng, field, shape, zero_share):
 @settings(max_examples=120, deadline=None)
 @given(
     l=st.integers(2, 16),
-    f=st.integers(1, 8),
+    shape=shapes,
     length=st.integers(0, 300),
     seed=st.integers(0, 2**32 - 1),
     zero_share=st.sampled_from([0.0, 0.3, 1.0]),
 )
-def test_mat_vec_rows_matches_scalar_oracle(l, f, length, seed, zero_share):
-    field, rng = field_of_width(l), np.random.default_rng(seed)
-    rows = sparse_symbols(rng, field, (f, f), zero_share).tolist()
+def test_mat_vec_rows_matches_scalar_oracle(l, shape, length, seed, zero_share):
+    """F - Z rows of F coefficients, as reconstruct_file multiplies (Z = 0: encode)."""
+    (f, z), field, rng = shape, field_of_width(l), np.random.default_rng(seed)
+    rows = sparse_symbols(rng, field, (f - z, f), zero_share).tolist()
     vectors = list(sparse_symbols(rng, field, (f, length), zero_share))
     got = _mat_vec_rows(rows, vectors, field)
-    assert len(got) == f
+    assert len(got) == f - z
     for row, out in zip(rows, got):
         assert out.dtype == field.dtype and out.shape == (length,)
         expect = [0] * length
