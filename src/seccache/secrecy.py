@@ -33,17 +33,41 @@ Elimination on a full-width model then performs M1's elimination L times
 in lock step, and the first witness row it finds is M1's witness at
 position 0: the one-position and the full-width checks agree on every
 verdict and on every witness.
+
+`verify_session` decides each check on a smaller model that is exactly
+equivalent to M1, following the paper's own argument.  Write C_w and C_v
+for the first F - Z and the last Z columns of the share matrix `enc`, and
+C^lam for its rows at the shares cache lam stores.
+
+- Placement.  A cache's shares of file n touch only w_n and v_n, through
+  the same block C^lam for every file, and a user's key rows each have a
+  private key column.  So the cache check and the placement check of each
+  user at that cache equal one `share_subset_model` check of C^lam.
+- Delivery.  The Z x Z block C_v^lam is invertible, so a cached-share
+  combination cancels any v_n a broadcast combination carries, and what
+  remains of share j is R_lam[j] = C_w[j] + C_v[j] (C_v^lam)^-1 C_w^lam
+  over w_n alone (zero for a cached j).  A broadcast whose key the user
+  lacks has a private key column and drops out; a held key cancels; with
+  the pads stripped every broadcast stays.  The check holds exactly when
+  each remaining broadcast's R_lam rows, summed per demanded file, are
+  zero on every protected file, which is a model with no randomness
+  columns at all.
+
+The eavesdropper check runs on M1 as it is.  Witnesses still come from
+M1, and only for a check that fails: its elimination is the same as
+before, so every witness is the one M1 has always given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .field import BinaryField
 from .scheme import SessionState
-from .sharing import SymbolMatrix, bytes_to_subfiles
+from .sharing import SymbolMatrix, bytes_to_subfiles, invert_matrix
 
 RowLabel = tuple
 
@@ -94,11 +118,6 @@ class SecrecyVerdict:
     def __post_init__(self):
         if self.holds != (self.witness is None):
             raise ValueError("a verdict carries a witness exactly when it fails")
-
-    def witness_hex(self) -> str:
-        if self.witness is None:
-            return ""
-        return " ".join(f"{int(c):x}" for c in self.witness)
 
     def witness_summary(self) -> str:
         """The witness restricted to its nonzero coefficients, labeled."""
@@ -166,6 +185,17 @@ def _exposing_combination(
     pivots = _echelon(field, work, b.shape[1])
     if not work[pivots:, b.shape[1] :].any():
         return None
+    witness = _tracked_witness(field, b, a)
+    if witness is None:
+        raise RuntimeError("rank gap found but no witness row")
+    return witness
+
+
+def _tracked_witness(
+    field: BinaryField, b: np.ndarray, a: np.ndarray
+) -> np.ndarray | None:
+    """Eliminate [B | A | I] on B's columns and return the identity part of
+    the first row left with zero B and nonzero A, or None if no row is."""
     tracked = np.concatenate(
         [b, a, np.eye(b.shape[0], dtype=b.dtype)], axis=1
     )
@@ -174,7 +204,7 @@ def _exposing_combination(
     for row in tracked[pivots:]:
         if row[b.shape[1] : width].any():
             return row[width:].copy()
-    raise RuntimeError("rank gap found but no witness row")
+    return None
 
 
 def check_zero_information(
@@ -187,36 +217,6 @@ def check_zero_information(
         model.field, model.obs_rand, model.obs_files[:, cols]
     )
     return _verdict(model, witness)
-
-
-def evaluate_observations(
-    model: LinearObservationModel, w: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """A w + B v for a concrete assignment; used for model validation and
-    witness soundness checks."""
-    field = model.field
-    out = field.zeros(model.obs_dim)
-    stacked = np.concatenate([model.obs_files, model.obs_rand], axis=1)
-    x = np.concatenate([field.vector(w), field.vector(v)])
-    for r in range(model.obs_dim):
-        row = stacked[r]
-        acc = 0
-        for c in np.nonzero(row)[0]:
-            acc ^= field.mul(int(row[c]), int(x[c]))
-        out[r] = acc
-    return out
-
-
-def apply_combination(
-    model: LinearObservationModel, phi: np.ndarray, w: np.ndarray, v: np.ndarray
-) -> int:
-    """phi . (A w + B v): the value a witness functional extracts."""
-    field = model.field
-    obs = evaluate_observations(model, w, v)
-    acc = 0
-    for c, y in zip(phi, obs):
-        acc ^= field.mul(int(c), int(y))
-    return acc
 
 
 # -- model construction from a session ---------------------------------------
@@ -542,34 +542,121 @@ def strip_pads(session: SessionState) -> SessionState:
     return replace(session, transmissions=transmissions, pads_stripped=True)
 
 
+def _residual(session: SessionState, cache: int) -> np.ndarray:
+    """R_lam = C_w + C_v (C_v^lam)^-1 C_w^lam, F x (F - Z): each share as a
+    user at the given cache sees it once its cached shares have cancelled
+    the sharing randomness (see the module docstring)."""
+    field = session.config.field
+    z = session.meta.num_random
+    enc = np.asarray(session.enc.entries, dtype=field.dtype)
+    nsub = enc.shape[1] - z
+    c_w, c_v = enc[:, :nsub], enc[:, nsub:]
+    rows = [j - 1 for j in session.cached_rows[cache - 1]]
+    if len(rows) != z:
+        raise RuntimeError(
+            f"cache {cache} holds {len(rows)} share rows, not Z = {z}"
+        )
+    if z == 0:
+        return c_w
+    block = SymbolMatrix(z, z, tuple(session.enc.row(j)[nsub:] for j in rows))
+    try:
+        inverse = invert_matrix(block, field)
+    except ValueError:
+        raise RuntimeError(
+            f"cache {cache}: the randomness block of its shares is singular"
+        ) from None
+    return c_w ^ field.matmul(c_v, field.matmul(inverse.entries, c_w[rows]))
+
+
+def _delivery_model(
+    session: SessionState, user: int, residual: np.ndarray
+) -> LinearObservationModel:
+    """The user's delivery check with its cache and keys eliminated: one row
+    per broadcast it cannot discard, whose block for file n sums the
+    residual rows of the shares demanded of file n.  It has no randomness
+    columns."""
+    field = session.config.field
+    garray = session.garray
+    width = residual.shape[1]
+    keys = session.user_keys[user]
+    pairs = [p for p in session.transmissions if session.pads_stripped or p in keys]
+    a = field.zeros(len(pairs), session.config.num_files * width)
+    for r, pair in enumerate(pairs):
+        for row, col in garray.pair_occurrences[pair]:
+            d = session.demands[garray.column_users[col - 1] - 1]
+            a[r, (d - 1) * width : d * width] ^= residual[row - 1]
+    labels = tuple(("x", *pair, 0) for pair in pairs)
+    return LinearObservationModel(
+        field, session.config.num_files, width, a, field.zeros(len(pairs), 0), labels
+    )
+
+
+def _witnessed(verdict: SecrecyVerdict, model_of, protected) -> SecrecyVerdict:
+    """A reduced check's verdict, or, when it fails, the failing check's
+    witness from its one-position model `model_of()`."""
+    if verdict.holds:
+        return verdict
+    model = model_of()
+    witness = _tracked_witness(
+        model.field, model.obs_rand, model.obs_files[:, model.protected_columns(protected)]
+    )
+    if witness is None:
+        raise RuntimeError("a reduced check fails, but its one-position model holds")
+    return _verdict(model, witness)
+
+
 def verify_session(session: SessionState) -> SecrecyReport:
     """Run the full battery: per-cache placement secrecy, per-user
     placement secrecy, per-user delivery secrecy (all files but the
     demanded one), and the broadcast-only eavesdropper.
 
-    Every check runs on the one-position model, which decides it exactly
-    for the whole file (see the module docstring), so the cost does not
-    grow with the file size.
+    Each check is decided by one `check_zero_information` call on a model
+    exactly equivalent to its one-position model (see the module
+    docstring): a cache and the placement check of each of its users on
+    the cache's Z shares of one file, a delivery check on the broadcasts
+    the user cannot discard, reduced by R_lam, and the eavesdropper on the
+    one-position model itself.  A failing check takes its witness from the
+    one-position model, so witnesses are unchanged.  Raises RuntimeError,
+    naming the cache, when a cache does not hold Z shares whose randomness
+    block is invertible.
     """
-    analyzer = SessionAnalyzer(session, positions=1)
+    field = session.config.field
+    caches = range(1, session.config.num_caches + 1)
+    residuals = {lam: _residual(session, lam) for lam in caches}
+    placement = {
+        lam: share_subset_model(
+            session.enc, session.meta.num_random, session.cached_rows[lam - 1], field
+        )
+        for lam in caches
+    }
+    dense = SessionAnalyzer(session, positions=1)
     all_files = range(1, session.config.num_files + 1)
     users = session.garray.column_users
+    cache_of = session.association.user_to_cache
     cache_placement = {
-        lam: check_zero_information(analyzer.cache_model(lam), all_files)
-        for lam in range(1, session.config.num_caches + 1)
+        lam: _witnessed(
+            check_zero_information(placement[lam], {1}),
+            partial(dense.cache_model, lam),
+            all_files,
+        )
+        for lam in caches
     }
     user_placement = {
-        user: check_zero_information(
-            analyzer.user_model(user, include_delivery=False), all_files
+        user: _witnessed(
+            check_zero_information(placement[cache_of[user - 1]], {1}),
+            partial(dense.user_model, user, False),
+            all_files,
         )
         for user in users
     }
-    user_delivery = {
-        user: check_zero_information(
-            analyzer.user_model(user, include_delivery=True),
-            set(all_files) - {session.demands[user - 1]},
+    user_delivery = {}
+    for user in users:
+        protected = set(all_files) - {session.demands[user - 1]}
+        reduced = _delivery_model(session, user, residuals[cache_of[user - 1]])
+        user_delivery[user] = _witnessed(
+            check_zero_information(reduced, protected),
+            partial(dense.user_model, user, True),
+            protected,
         )
-        for user in users
-    }
-    eavesdropper = check_zero_information(analyzer.eavesdropper_model(), all_files)
+    eavesdropper = check_zero_information(dense.eavesdropper_model(), all_files)
     return SecrecyReport(cache_placement, user_placement, user_delivery, eavesdropper)

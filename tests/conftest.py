@@ -1,9 +1,11 @@
-"""Shared fixtures: the 6-cache/21-user worked example and small helpers."""
+"""Shared fixtures: the 6-cache/21-user worked example, small helpers, and
+a Hypothesis strategy for random valid PDAs that are not MN."""
 
 
 import pytest
+from hypothesis import strategies as st
 
-from seccache import BinaryField, Pda, SystemConfig, run_session, secrecy
+from seccache import BinaryField, Pda, SystemConfig, mn_pda, run_session, secrecy
 from seccache.scheme import helper_memory_for
 
 # The 4x6 reference array used throughout: (Lambda, F, Z, S) = (6, 4, 2, 4).
@@ -84,3 +86,91 @@ def make_worked_session(seed=7, file_bytes=4, field=None, strip_pads=False,
 @pytest.fixture
 def worked_session():
     return make_worked_session()
+
+
+# -- random valid PDAs ----------------------------------------------------------
+#
+# Built only from operations that keep C1-C3 (Yan, Cheng, Tang, Chen, IEEE
+# Trans. IT 2017): splitting an integer's occurrences under a fresh integer
+# leaves every same-integer pair one that was already valid; stacking two
+# PDAs with equal Lambda and disjoint integers adds their F and Z; and row
+# and column permutations and integer relabelings change no condition.
+
+
+def _split(grid, s, chosen, fresh):
+    """Give the chosen (row, column) occurrences of integer s the integer
+    fresh."""
+    return [
+        [fresh if (j, k) in chosen else e for k, e in enumerate(row)]
+        for j, row in enumerate(grid)
+    ]
+
+
+@st.composite
+def random_pdas(draw):
+    """A valid PDA from MN(Lambda, t) (Lambda = 2..4) or the worked grid,
+    with integers split, a second PDA of the same Lambda stacked below,
+    rows and columns permuted and the integers relabeled to 1..S."""
+    num_caches = draw(st.sampled_from((2, 3, 4, 6)))
+
+    def component():
+        if num_caches == 6:
+            return [list(row) for row in WORKED_GRID]
+        t = draw(st.integers(1, num_caches - 1))
+        return [list(row) for row in mn_pda(num_caches, t).entries]
+
+    grid = component()
+    if draw(st.booleans()):
+        offset = max(e for row in grid for e in row if e is not None)
+        grid += [
+            [None if e is None else e + offset for e in row] for row in component()
+        ]
+    for _ in range(draw(st.integers(0, 3))):
+        top = max(e for row in grid for e in row if e is not None)
+        shared = [s for s in range(1, top + 1)
+                  if sum(row.count(s) for row in grid) > 1]
+        if not shared:
+            break
+        s = draw(st.sampled_from(shared))
+        where = [(j, k) for j, row in enumerate(grid)
+                 for k, e in enumerate(row) if e == s]
+        chosen = draw(st.lists(st.sampled_from(where), min_size=1,
+                               max_size=len(where) - 1, unique=True))
+        grid = _split(grid, s, set(chosen), top + 1)
+    rows = draw(st.permutations(range(len(grid))))
+    cols = draw(st.permutations(range(num_caches)))
+    used = sorted({e for row in grid for e in row if e is not None})
+    relabel = dict(zip(used, draw(st.permutations(range(1, len(used) + 1)))))
+    return Pda.from_grid(
+        tuple(
+            tuple(None if grid[j][k] is None else relabel[grid[j][k]] for k in cols)
+            for j in rows
+        )
+    )
+
+
+def draw_users(draw, num_caches):
+    """A profile of Lambda to Lambda + 3 users over num_caches caches (empty
+    caches included), a file count N in 1..3, and demands that may repeat."""
+    caches = draw(st.lists(st.integers(1, num_caches), min_size=num_caches,
+                           max_size=num_caches + 3))
+    profile = tuple(caches.count(c) for c in range(1, num_caches + 1))
+    num_files = draw(st.integers(1, 3))
+    demands = tuple(draw(st.lists(st.integers(1, num_files), min_size=len(caches),
+                                  max_size=len(caches))))
+    return profile, num_files, demands
+
+
+@st.composite
+def random_pda_sessions(draw):
+    """A session of a random PDA with `draw_users`' profile and demands,
+    at any l with 2^l >= 2F."""
+    pda = draw(random_pdas())
+    profile, num_files, demands = draw_users(draw, pda.num_caches)
+    l = draw(st.integers((2 * pda.num_rows - 1).bit_length(), 16))
+    config = SystemConfig(
+        pda.num_caches, len(demands), num_files, helper_memory_for(pda, num_files),
+        draw(st.integers(1, 16)), field=BinaryField(l),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return run_session(pda, config, profile=profile, demands=demands)

@@ -5,6 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from seccache.pda import (
     C1Violation,
@@ -19,7 +20,7 @@ from seccache.pda import (
     tau,
     validate,
 )
-from tests.conftest import WORKED_GRID
+from tests.conftest import WORKED_GRID, random_pdas
 
 
 def oracle_mn_grid(num_caches, t):
@@ -245,3 +246,13 @@ def test_load_validates_grid():
     bad = "2 2 1 1\n* 1\n* 1\n"  # two 1s in one column
     with pytest.raises(PdaError):
         load_pda(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pda=random_pdas())
+def test_random_pdas_are_valid(pda):
+    params = validate(pda.entries)
+    assert params == pda.params
+    assert {e for row in pda.entries for e in row if e is not None} == set(
+        range(1, params.num_ints + 1)
+    )

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from seccache import BinaryField, Pda, mn_pda
+from seccache import BinaryField, Pda, mn_pda, validate, verify_session
 from seccache.scheme import (
     Association,
     SystemConfig,
@@ -24,6 +25,7 @@ from tests.conftest import (
     WORKED_GRID,
     WORKED_PROFILE,
     make_worked_session,
+    random_pda_sessions,
 )
 
 
@@ -508,3 +510,15 @@ def test_config_validation():
         SystemConfig(2, 2, 2, Fraction(-1), 4)
     with pytest.raises(ValueError):
         SystemConfig(2, 2, 2, Fraction(1), 0)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(session=random_pda_sessions())
+def test_random_pda_sessions_decode_at_the_rate_and_stay_secret(session):
+    assert validate(session.pda.entries) == session.pda.params
+    for user, data in decode_all(session).items():
+        assert data == session.library[session.demands[user - 1] - 1]
+    rate = rate_report(session.pda, session.association.profile)
+    assert len(session.transmissions) == rate.num_transmissions
+    assert verify_session(session).all_hold

@@ -1,6 +1,8 @@
 """Rank-criterion secrecy checks against enumeration and sabotage."""
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +10,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from seccache import BinaryField, mn_pda, secrecy
-from seccache.scheme import SystemConfig, helper_memory_for, run_session
+from seccache.scheme import (
+    SystemConfig,
+    helper_memory_for,
+    one_time_pad_session,
+    run_session,
+)
 from seccache.secrecy import (
     SecrecyVerdict,
     SessionAnalyzer,
@@ -18,12 +25,11 @@ from seccache.secrecy import (
     check_external_eavesdropper,
     check_zero_information,
     enumerate_independence,
-    evaluate_observations,
     share_subset_model,
     verify_session,
 )
-from seccache.sharing import cauchy_matrix
-from tests.conftest import make_worked_session
+from seccache.sharing import SymbolMatrix, cauchy_matrix
+from tests.conftest import draw_users, make_worked_session, random_pda_sessions
 
 
 def gf_vec_mat(field, phi, mat):
@@ -34,6 +40,20 @@ def gf_vec_mat(field, phi, mat):
             continue
         for c in np.nonzero(mat[r])[0]:
             out[c] ^= field.mul(int(c_phi), int(mat[r, c]))
+    return out
+
+
+def evaluate_observations(model, w, v):
+    """A w + B v for a concrete assignment (test-side, plain loops)."""
+    field = model.field
+    out = field.zeros(model.obs_dim)
+    stacked = np.concatenate([model.obs_files, model.obs_rand], axis=1)
+    x = np.concatenate([field.vector(w), field.vector(v)])
+    for r in range(model.obs_dim):
+        acc = 0
+        for c in np.nonzero(stacked[r])[0]:
+            acc ^= field.mul(int(stacked[r, c]), int(x[c]))
+        out[r] = acc
     return out
 
 
@@ -393,9 +413,10 @@ def report_checks(report):
     ]
 
 
-def full_width_report(session):
-    """verify_session's battery on the full-width model (every position)."""
-    analyzer = SessionAnalyzer(session)
+def dense_report(session, positions=None):
+    """verify_session's battery, every check run on the dense model of the
+    first `positions` symbol positions (all of them for None)."""
+    analyzer = SessionAnalyzer(session, positions)
     all_files = range(1, session.config.num_files + 1)
     users = session.garray.column_users
     return secrecy.SecrecyReport(
@@ -466,7 +487,7 @@ def test_full_width_model_is_identity_kron_one_position_model(session):
 @given(session=small_sessions())
 def test_verify_session_matches_the_full_width_report(session):
     got = report_checks(verify_session(session))
-    want = report_checks(full_width_report(session))
+    want = report_checks(dense_report(session))
     assert [name for name, _ in got] == [name for name, _ in want]
     for (name, one), (_, full) in zip(got, want):
         assert one.holds == full.holds, name
@@ -498,6 +519,62 @@ def test_one_position_witness_lifts_to_the_full_width_model(session):
             exposed = full.obs_files[:, full.protected_columns(protected)]
             assert any(gf_vec_mat(full.field, phi, exposed))
     assume(failing)  # some stripped sessions leak nothing (e.g. one file)
+
+
+def maybe_stripped(sessions):
+    return st.tuples(sessions, st.booleans()).map(
+        lambda drawn: secrecy.strip_pads(drawn[0]) if drawn[1] else drawn[0]
+    )
+
+
+@st.composite
+def zero_memory_sessions(draw):
+    num_caches = draw(st.integers(1, 4))
+    profile, num_files, demands = draw_users(draw, num_caches)
+    config = SystemConfig(
+        num_caches, len(demands), num_files, Fraction(0), draw(st.integers(1, 8)),
+        field=BinaryField(draw(st.integers(2, 16))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return one_time_pad_session(config, profile=profile, demands=demands)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(session=st.one_of(
+    small_sessions(),
+    maybe_stripped(zero_memory_sessions()),
+    maybe_stripped(random_pda_sessions()),
+))
+def test_verify_session_matches_the_dense_one_position_battery(session):
+    got = report_checks(verify_session(session))
+    want = report_checks(dense_report(session, positions=1))
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, reduced), (_, dense) in zip(got, want):
+        assert reduced.holds == dense.holds, name
+        assert reduced.witness_summary() == dense.witness_summary(), name
+        if not dense.holds:
+            assert np.array_equal(reduced.witness, dense.witness), name
+
+
+def test_a_cache_without_z_shares_is_an_error(worked_session):
+    rows = list(worked_session.cached_rows)
+    rows[2] = rows[2][:1]
+    broken = replace(worked_session, cached_rows=tuple(rows))
+    with pytest.raises(RuntimeError, match="cache 3 holds 1 share rows"):
+        verify_session(broken)
+
+
+def test_a_singular_cached_randomness_block_is_an_error(worked_session):
+    # cache 2 stores shares 1 and 3; give share 3 the randomness
+    # coefficients of share 1, so its Z x Z block is singular
+    enc = worked_session.enc
+    assert worked_session.cached_rows[1] == (1, 3)
+    entries = list(enc.entries)
+    entries[2] = entries[2][:2] + entries[0][2:]
+    broken = replace(worked_session, enc=SymbolMatrix(4, 4, tuple(entries)))
+    with pytest.raises(RuntimeError, match="cache 2: .* singular"):
+        verify_session(broken)
 
 
 def test_verification_cost_does_not_grow_with_file_size(monkeypatch):
