@@ -8,7 +8,13 @@ the elements.
 
 For vectorized work (share encoding, linear-algebra checks) the field
 exposes lazily built exp/log tables over a fixed generator, usable with
-numpy fancy indexing.
+numpy fancy indexing.  The scalar `mul`, `pow` and `inv` only build those
+tables and serve as test oracles; every array operation goes through the
+tables.
+
+`BinaryField.echelon` is the package's one elimination kernel.  It gives
+the sharing inverse (Gauss-Jordan on [A | I]), the secrecy module's
+residual (C_v^lam)^-1 C_w^lam, and every rank check.
 """
 
 from __future__ import annotations
@@ -228,6 +234,37 @@ class BinaryField:
             np.take(exp, column_logs[:, None] + symbol_logs, out=term)
             out ^= term
         return out
+
+    def echelon(self, mat: np.ndarray, pivot_cols: int) -> int:
+        """In-place Gauss-Jordan elimination taking pivots only from the
+        first pivot_cols columns; returns the pivot count.
+
+        Each pivot is scaled to 1 and is the only nonzero entry of its
+        column, and the rows below the pivots end with zeros throughout the
+        first pivot_cols columns.  Clearing a column above its pivot changes
+        only rows above it, so every row from the pivot down is exactly what
+        a row echelon elimination leaves.
+        """
+        exp, log = self.exp_table, self.log_table
+        pivots = 0
+        for col in range(pivot_cols):
+            if pivots == mat.shape[0]:
+                break
+            candidates = np.nonzero(mat[pivots:, col])[0]
+            if candidates.size == 0:
+                continue
+            r = pivots + int(candidates[0])
+            if r != pivots:
+                mat[[pivots, r]] = mat[[r, pivots]]
+            pv = int(mat[pivots, col])
+            if pv != 1:
+                mat[pivots] = exp[(self.order - 1 - log[pv]) + log[mat[pivots]]]
+            hits = np.nonzero(mat[:, col])[0]
+            hits = hits[hits != pivots]
+            if hits.size:
+                mat[hits] ^= self.scaled_outer(mat[hits, col], mat[pivots])
+            pivots += 1
+        return pivots
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,8 +10,9 @@ With v uniform and independent of w, the observations reveal nothing
 about a set of protected files exactly when every protected file column
 of A lies in the column space of B; equivalently rank([B | A_protected])
 equals rank(B).  That rank condition is decided here by Gaussian
-elimination, and backed by a brute-force distribution-enumeration oracle
-on instances small enough to enumerate.
+elimination (`BinaryField.echelon`, the package's one kernel), and backed
+by a brute-force distribution-enumeration oracle on instances small
+enough to enumerate.
 
 Rows are labeled with structured tuples: ("share", n, j, pos),
 ("key", s, i, pos), ("x", s, i, pos).
@@ -46,16 +47,19 @@ C^lam for its rows at the shares cache lam stores.
 - Delivery.  The Z x Z block C_v^lam is invertible, so a cached-share
   combination cancels any v_n a broadcast combination carries, and what
   remains of share j is R_lam[j] = C_w[j] + C_v[j] (C_v^lam)^-1 C_w^lam
-  over w_n alone (zero for a cached j).  A broadcast whose key the user
-  lacks has a private key column and drops out; a held key cancels; with
-  the pads stripped every broadcast stays.  The check holds exactly when
-  each remaining broadcast's R_lam rows, summed per demanded file, are
-  zero on every protected file, which is a model with no randomness
-  columns at all.
+  over w_n alone (zero for a cached j); one elimination of
+  [C_v^lam | C_w^lam] per cache gives (C_v^lam)^-1 C_w^lam.  A broadcast
+  whose key the user lacks has a private key column and drops out; a held
+  key cancels; with the pads stripped every broadcast stays.  The check
+  holds exactly when each remaining broadcast's R_lam rows, summed per
+  demanded file, are zero on every protected file, which is a model with
+  no randomness columns at all.
 
 The eavesdropper check runs on M1 as it is.  Witnesses still come from
-M1, and only for a check that fails: its elimination is the same as
-before, so every witness is the one M1 has always given.
+M1, and only for a check that fails.  The kernel is Gauss-Jordan, but
+clearing a column above its pivot changes only rows above it, so the rows
+from the pivots down, where witnesses are read, are those of a row echelon
+elimination: every witness is the one M1 has always given.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ import numpy as np
 
 from .field import BinaryField
 from .scheme import SessionState
-from .sharing import SymbolMatrix, bytes_to_subfiles, invert_matrix
+from .sharing import SymbolMatrix, bytes_to_subfiles
 
 RowLabel = tuple
 
@@ -142,36 +146,9 @@ def _verdict(model: "LinearObservationModel", witness: np.ndarray | None) -> Sec
 # -- elimination over GF(2^l) ----------------------------------------------
 
 
-def _echelon(field: BinaryField, mat: np.ndarray, pivot_cols: int) -> int:
-    """In-place row echelon using only the first pivot_cols columns for
-    pivots; returns the pivot count.  Rows below the pivots end with zeros
-    throughout those columns."""
-    exp, log = field.exp_table, field.log_table
-    rows = mat.shape[0]
-    pivots = 0
-    for col in range(pivot_cols):
-        if pivots == rows:
-            break
-        candidates = np.nonzero(mat[pivots:, col])[0]
-        if candidates.size == 0:
-            continue
-        r = pivots + int(candidates[0])
-        if r != pivots:
-            mat[[pivots, r]] = mat[[r, pivots]]
-        prow = mat[pivots]
-        pv = int(prow[col])
-        if pv != 1:
-            scaled = np.zeros_like(prow)
-            nz = prow != 0
-            scaled[nz] = exp[(field.order - 1 - log[pv]) + log[prow[nz]]]
-            mat[pivots] = scaled
-            prow = scaled
-        below = mat[pivots + 1 :, col]
-        hits = np.nonzero(below)[0]
-        if hits.size:
-            mat[pivots + 1 + hits] ^= field.scaled_outer(below[hits], prow)
-        pivots += 1
-    return pivots
+# The one elimination kernel, under a module-level name so that the secrecy
+# module's eliminations can be wrapped and counted in one place.
+_echelon = BinaryField.echelon
 
 
 def _exposing_combination(
@@ -443,7 +420,6 @@ def enumerate_independence(
             f"instance too large to enumerate ({dims} symbols over "
             f"GF(2^{field.l}))"
         )
-    exp, log = field.exp_table, field.log_table
 
     codes = np.arange(states, dtype=np.int64)
     inputs = np.empty((states, dims), dtype=field.dtype)
@@ -451,14 +427,7 @@ def enumerate_independence(
         inputs[:, d] = (codes // (field.order**d)) % field.order
 
     stacked = np.concatenate([model.obs_files, model.obs_rand], axis=1)
-    obs = np.zeros((states, model.obs_dim), dtype=field.dtype)
-    for r in range(model.obs_dim):
-        for c in np.nonzero(stacked[r])[0]:
-            col = inputs[:, c]
-            term = np.zeros(states, dtype=field.dtype)
-            nz = col != 0
-            term[nz] = exp[log[int(stacked[r, c])] + log[col[nz]]]
-            obs[:, r] ^= term
+    obs = field.matmul(stacked, inputs.T).T
 
     wp = inputs[:, model.protected_columns(protected)]
     joint = np.concatenate([wp, obs], axis=1)
@@ -545,7 +514,9 @@ def strip_pads(session: SessionState) -> SessionState:
 def _residual(session: SessionState, cache: int) -> np.ndarray:
     """R_lam = C_w + C_v (C_v^lam)^-1 C_w^lam, F x (F - Z): each share as a
     user at the given cache sees it once its cached shares have cancelled
-    the sharing randomness (see the module docstring)."""
+    the sharing randomness (see the module docstring).  Eliminating
+    [C_v^lam | C_w^lam] on its first Z columns leaves [I | (C_v^lam)^-1
+    C_w^lam], or fewer than Z pivots when the block is singular."""
     field = session.config.field
     z = session.meta.num_random
     enc = np.asarray(session.enc.entries, dtype=field.dtype)
@@ -556,16 +527,12 @@ def _residual(session: SessionState, cache: int) -> np.ndarray:
         raise RuntimeError(
             f"cache {cache} holds {len(rows)} share rows, not Z = {z}"
         )
-    if z == 0:
-        return c_w
-    block = SymbolMatrix(z, z, tuple(session.enc.row(j)[nsub:] for j in rows))
-    try:
-        inverse = invert_matrix(block, field)
-    except ValueError:
+    work = np.concatenate([c_v[rows], c_w[rows]], axis=1)
+    if _echelon(field, work, z) < z:
         raise RuntimeError(
             f"cache {cache}: the randomness block of its shares is singular"
-        ) from None
-    return c_w ^ field.matmul(c_v, field.matmul(inverse.entries, c_w[rows]))
+        )
+    return c_w ^ field.matmul(c_v, work[:, z:])
 
 
 def _delivery_model(

@@ -6,7 +6,10 @@ Any Z shares are statistically independent of the file (checked in the
 secrecy module); all F shares reconstruct it exactly.
 
 Symbols are field elements (see field.BinaryField); share vectors are
-numpy arrays of symbols.
+numpy arrays of symbols.  The Cauchy matrix is one exp/log table gather,
+and its inverse, which decoding uses, is a Gauss-Jordan elimination of
+[A | I] by `BinaryField.echelon`, the same kernel that serves the secrecy
+checks.  No scalar field product runs on this path.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def cauchy_matrix(n: int, field: BinaryField) -> SymbolMatrix:
     Evaluation points are fixed for reproducibility: x_i = i - 1 and
     y_j = n + j - 1 as bit patterns, so 2n distinct field elements are
     needed (2n <= 2^l).  Every square submatrix of the result is
-    invertible.
+    invertible.  All n^2 entries come from one table gather,
+    exp[(q - 1) - log(x_i + y_j)].
     """
     if n < 1:
         raise ValueError("matrix size must be positive")
@@ -78,35 +82,22 @@ def cauchy_matrix(n: int, field: BinaryField) -> SymbolMatrix:
             f"field GF(2^{field.l}) too small for a {n}x{n} Cauchy matrix "
             f"(need {2 * n} distinct elements)"
         )
-    entries = tuple(
-        tuple(field.inv(x ^ y) for y in range(n, 2 * n)) for x in range(n)
-    )
-    return SymbolMatrix(n, n, entries)
+    x, y = np.arange(n), np.arange(n, 2 * n)
+    entries = field.exp_table[(field.order - 1) - field.log_table[x[:, None] ^ y]]
+    return SymbolMatrix(n, n, tuple(map(tuple, entries.tolist())))
 
 
 def invert_matrix(mat: SymbolMatrix, field: BinaryField) -> SymbolMatrix:
-    """Gauss-Jordan inverse over the field; raises on a singular matrix."""
+    """Inverse over the field: `BinaryField.echelon` turns [A | I] into
+    [I | A^-1]; raises ValueError on a singular matrix."""
     if mat.rows != mat.cols:
         raise ValueError("only square matrices can be inverted")
     n = mat.rows
-    a = [list(row) for row in mat.entries]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = field.inv(a[col][col])
-        a[col] = [field.mul(scale, v) for v in a[col]]
-        inv[col] = [field.mul(scale, v) for v in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col]
-            a[r] = [v ^ field.mul(f, w) for v, w in zip(a[r], a[col])]
-            inv[r] = [v ^ field.mul(f, w) for v, w in zip(inv[r], inv[col])]
-    return SymbolMatrix(n, n, tuple(tuple(row) for row in inv))
+    eye = np.eye(n, dtype=field.dtype)
+    work = np.hstack([np.asarray(mat.entries, dtype=field.dtype), eye])
+    if field.echelon(work, n) < n:
+        raise ValueError("singular matrix")
+    return SymbolMatrix(n, n, tuple(map(tuple, work[:, n:].tolist())))
 
 
 def _mat_vec_rows(

@@ -1,5 +1,6 @@
-"""Shared fixtures: the 6-cache/21-user worked example, small helpers, and
-a Hypothesis strategy for random valid PDAs that are not MN."""
+"""Shared fixtures: the 6-cache/21-user worked example, small helpers, a
+scalar elimination oracle, and a Hypothesis strategy for random valid PDAs
+that are not MN."""
 
 
 import pytest
@@ -86,6 +87,33 @@ def make_worked_session(seed=7, file_bytes=4, field=None, strip_pads=False,
 @pytest.fixture
 def worked_session():
     return make_worked_session()
+
+
+def scalar_row_reduce(field, rows, pivot_cols):
+    """Test-side oracle: Gauss-Jordan elimination on plain lists of ints with
+    scalar field arithmetic, written independently of the package's numpy
+    kernel.  Pivots come from the first pivot_cols columns, each the first
+    nonzero entry at or below the pivot row.  Returns (reduced rows, pivot
+    count)."""
+    rows = [list(map(int, r)) for r in rows]
+    pivot_row = 0
+    for col in range(pivot_cols):
+        pivot = next(
+            (r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        inv = field.inv(rows[pivot_row][col])
+        rows[pivot_row] = [field.mul(inv, v) for v in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [
+                    v ^ field.mul(f, w) for v, w in zip(rows[r], rows[pivot_row])
+                ]
+        pivot_row += 1
+    return rows, pivot_row
 
 
 # -- random valid PDAs ----------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seccache.field import _DEFAULT_POLYS, BinaryField
+from seccache.field import _DEFAULT_POLYS, BinaryField, default_field
+from tests.conftest import scalar_row_reduce
 
 
 def oracle_mul(a, b, poly, l):
@@ -128,8 +131,6 @@ def test_scale_and_outer_match_scalar_mul(gf8):
     s = 0x53
     scaled = gf8.scale(s, vec)
     assert all(int(y) == gf8.mul(s, int(x)) for x, y in zip(vec, scaled))
-    import numpy as np
-
     factors = np.array([3, 200, 1], dtype=gf8.dtype)
     outer = gf8.scaled_outer(factors, vec)
     for r, f in enumerate(factors):
@@ -141,3 +142,42 @@ def test_scale_and_outer_match_scalar_mul(gf8):
 def test_vector_rejects_out_of_range(gf3):
     with pytest.raises(ValueError):
         gf3.vector([1, 9])
+
+
+# -- the elimination kernel against the scalar Gauss-Jordan oracle ----------------
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """(field, matrix, pivot_cols): random symbols, about half of them zero,
+    with some rows replaced by scalar combinations of two earlier
+    rows so that rank-deficient matrices are common at every l."""
+    field = default_field(draw(st.integers(2, 16)))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 10))
+    symbol = st.one_of(st.just(0), st.integers(1, field.order - 1))
+    grid = [draw(st.lists(symbol, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for r in range(2, rows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            fa, fb = draw(symbol), draw(symbol)
+            grid[r] = [field.mul(fa, x) ^ field.mul(fb, y)
+                       for x, y in zip(grid[a], grid[b])]
+    mat = np.array(grid, dtype=field.dtype).reshape(rows, cols)
+    return field, mat, draw(st.integers(0, cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=low_rank_matrices())
+def test_echelon_matches_the_scalar_gauss_jordan_oracle(case):
+    field, mat, pivot_cols = case
+    expect_rows, expect_rank = scalar_row_reduce(field, mat.tolist(), pivot_cols)
+    rank = field.echelon(mat, pivot_cols)
+    assert rank == expect_rank
+    assert mat.tolist() == expect_rows
+    lead = mat[:, :pivot_cols]
+    pivot_of = [int(np.nonzero(row)[0][0]) for row in lead[:rank]]
+    assert pivot_of == sorted(set(pivot_of))
+    for r, c in enumerate(pivot_of):
+        assert mat[r, c] == 1
+        assert np.count_nonzero(mat[:, c]) == 1
+    assert not lead[rank:].any()

@@ -1,4 +1,5 @@
-"""Source rules for the package: invariants raise real exceptions."""
+"""Source rules for the package: invariants raise real exceptions, and
+scalar field arithmetic stays inside the field module."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,14 @@ def test_package_raises_no_assertion_error():
     found = [f"{name}:{node.lineno}" for name, node in package_nodes()
              if raises_assertion_error(node)]
     assert not found, f"invariants raise RuntimeError, not AssertionError: {found}"
+
+
+SCALAR_FIELD_OPS = {"mul", "inv", "pow"}
+
+
+def test_scalar_field_ops_stay_in_field():
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if name != "field.py" and isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in SCALAR_FIELD_OPS]
+    assert not found, f"field arrays go through the exp/log tables: {found}"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from seccache import BinaryField, Pda, mn_pda, validate, verify_session
+from seccache.secrecy import strip_pads
 from seccache.scheme import (
     Association,
     SystemConfig,
@@ -399,6 +400,36 @@ def test_wide_subpacketization_instance():
     assert decode_user(session, 3) == session.library[2]
     p = pda.params
     assert session.rate.rate == Fraction(p.num_ints, p.num_rows - p.stars_per_column)
+
+
+def test_session_path_runs_no_scalar_field_arithmetic(monkeypatch):
+    """Encoding, decoding and verification use only the exp/log tables; the
+    scalar product builds them and nothing else.  The field's polynomial is
+    not the default one, so no cached Cauchy matrix or inverse skips the
+    path."""
+    field = BinaryField(16, poly=0x1002D)
+    field.exp_table  # built while scalar mul still works
+
+    def scalar_mul(self, a, b):
+        raise RuntimeError("scalar field product on the session path")
+
+    monkeypatch.setattr(BinaryField, "mul", scalar_mul)
+    pda = mn_pda(4, 2)
+    config = SystemConfig(
+        num_caches=4,
+        num_users=8,
+        num_files=8,
+        helper_memory=helper_memory_for(pda, 8),
+        file_bytes=64,
+        field=field,
+        seed=5,
+    )
+    session = run_session(pda, config, profile=(1, 3, 2, 2))
+    for user, data in decode_all(session).items():
+        assert data == session.library[session.demands[user - 1] - 1]
+    assert verify_session(session).all_hold
+    sabotaged = verify_session(strip_pads(session))
+    assert not all(v.holds for v in sabotaged.user_delivery.values())
 
 
 def test_single_file_library_placement():

@@ -29,7 +29,12 @@ from seccache.secrecy import (
     verify_session,
 )
 from seccache.sharing import SymbolMatrix, cauchy_matrix
-from tests.conftest import draw_users, make_worked_session, random_pda_sessions
+from tests.conftest import (
+    draw_users,
+    make_worked_session,
+    random_pda_sessions,
+    scalar_row_reduce,
+)
 
 
 def gf_vec_mat(field, phi, mat):
@@ -313,27 +318,10 @@ def test_enumeration_size_guard(gf2):
 
 
 def solvable(field, mat_b, target):
-    """Test-side oracle: is B x = target solvable?  Plain list-of-lists
-    elimination, written independently of the package's numpy routine."""
-    rows = [list(map(int, r)) + [int(t)] for r, t in zip(mat_b, target)]
-    ncols = mat_b.shape[1]
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = field.inv(rows[pivot_row][col])
-        rows[pivot_row] = [field.mul(inv, v) for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [
-                    v ^ field.mul(f, w) for v, w in zip(rows[r], rows[pivot_row])
-                ]
-        pivot_row += 1
+    """Test-side oracle: is B x = target solvable?  Eliminates [B | target]
+    with the plain-list `scalar_row_reduce`."""
+    augmented = [list(r) + [t] for r, t in zip(mat_b, target)]
+    rows, _ = scalar_row_reduce(field, augmented, mat_b.shape[1])
     # inconsistent iff some row is all-zero except the augmented entry
     return not any(
         all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in rows

@@ -27,6 +27,7 @@ from seccache.sharing import (
     symbols_to_bytes,
     unshare_file,
 )
+from tests.conftest import scalar_row_reduce
 
 
 def oracle_det(entries, field):
@@ -73,6 +74,17 @@ def test_cauchy_1x1_is_single_nonzero_symbol(gf3):
     mat = cauchy_matrix(1, gf3)
     assert mat.rows == mat.cols == 1
     assert mat.entries[0][0] != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.integers(2, 16), draw=st.data())
+def test_cauchy_entries_are_scalar_inverses(l, draw):
+    field = field_of_width(l)
+    n = draw.draw(st.integers(1, min(field.order // 2, 32)))
+    mat = cauchy_matrix(n, field)
+    assert mat.entries == tuple(
+        tuple(field.inv(x ^ y) for y in range(n, 2 * n)) for x in range(n)
+    )
 
 
 def test_cauchy_field_too_small():
@@ -187,14 +199,33 @@ def test_padding_strips_back(gf3):
     assert unshare_file(shares, enc, meta, gf3) == data
 
 
-def test_invert_matrix_roundtrip(gf8):
-    mat = cauchy_matrix(6, gf8)
-    inv = invert_matrix(mat, gf8)
-    for i in range(6):
-        for j in range(6):
+@settings(max_examples=150, deadline=None)
+@given(l=st.integers(2, 16), n=st.integers(1, 10), deficient=st.booleans(),
+       draw=st.data())
+def test_invert_matrix_roundtrip(l, n, deficient, draw):
+    """inverse * A = I under scalar mul when the plain-list oracle finds rank
+    n; ValueError otherwise (forced for `deficient`, where the last row is a
+    combination of the others)."""
+    field = field_of_width(l)
+    symbol = st.integers(0, field.order - 1)
+    rows = [draw.draw(st.lists(symbol, min_size=n, max_size=n)) for _ in range(n)]
+    if deficient:
+        coeffs = draw.draw(st.lists(symbol, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [0] * n
+        for c, row in zip(coeffs, rows):
+            rows[-1] = [acc ^ field.mul(c, x) for acc, x in zip(rows[-1], row)]
+    mat = SymbolMatrix(n, n, tuple(map(tuple, rows)))
+    if scalar_row_reduce(field, rows, n)[1] < n:
+        with pytest.raises(ValueError, match="singular"):
+            invert_matrix(mat, field)
+        return
+    assert not deficient
+    inv = invert_matrix(mat, field)
+    for i in range(n):
+        for j in range(n):
             acc = 0
-            for k in range(6):
-                acc ^= gf8.mul(mat.entries[i][k], inv.entries[k][j])
+            for k in range(n):
+                acc ^= field.mul(inv.entries[i][k], mat.entries[k][j])
             assert acc == (1 if i == j else 0)
 
 
