@@ -2,9 +2,12 @@
 verification, rate/bound queries, and CSV sweeps.
 
 A simulation writes a self-contained run directory (manifest.json,
-transmissions.log, decode.txt, rate.json); identical manifests give
-identical bytes, so `verify` re-derives the whole session from the manifest
-and checks that the other three files are exactly what it regenerates.
+transmissions.log, decode.txt, rate.json).  `simulate` derives its session
+from the manifest it writes, through the same function `verify` uses, so
+identical manifests give identical bytes: `verify` re-derives the whole
+session from the manifest and checks that the other three files are exactly
+what it regenerates, with payloads capped or in full as the manifest's
+`full_payloads` records.
 Exit codes: 0 only when every check the command performs passes.
 """
 
@@ -107,6 +110,7 @@ def _check_manifest(manifest) -> None:
          lambda v: isinstance(v, list) and all(map(_is_int, v))),
         (("num_files", "file_bytes", "field_bits", "field_poly", "seed"), "an integer", _is_int),
         (("library_dir",), "a string or null", lambda v: v is None or isinstance(v, str)),
+        (("full_payloads",), "a boolean", lambda v: isinstance(v, bool)),
     ):
         for key in keys:
             if key not in manifest:
@@ -116,6 +120,8 @@ def _check_manifest(manifest) -> None:
 
 
 def _session_from_manifest(manifest):
+    """The session a manifest's inputs give; simulate and verify both derive
+    their session here."""
     _check_manifest(manifest)
     field = BinaryField(manifest["field_bits"], manifest["field_poly"])
     pda = load_pda(manifest["pda_text"])
@@ -180,17 +186,13 @@ def _run_artifacts(session, decoded: dict[int, bool], full_payloads: bool) -> di
     }
 
 
-def _check_artifacts(run_dir: Path, session, decoded: dict[int, bool]) -> None:
+def _check_artifacts(run_dir: Path, session, decoded: dict[int, bool], full_payloads: bool) -> None:
     """Raise ValueError unless the run directory holds exactly the outputs
-    the session renders; a logged payload may be capped or in full, since
-    --full-payloads is not recorded in the manifest."""
-    full = _run_artifacts(session, decoded, full_payloads=True)
-    capped = _run_artifacts(session, decoded, full_payloads=False)
-    for name, text in full.items():
+    the session renders with the manifest's full_payloads flag."""
+    for name, text in _run_artifacts(session, decoded, full_payloads).items():
         written = (run_dir / name).read_bytes().decode("utf-8", "replace").split("\n")
-        lines = zip_longest(written, text.split("\n"), capped[name].split("\n"))
-        for n, (got, *wants) in enumerate(lines, start=1):
-            if got not in wants:
+        for n, (got, want) in enumerate(zip_longest(written, text.split("\n")), start=1):
+            if got != want:
                 raise ValueError(f"{name} line {n} differs from the regenerated run: {got!r:.80}")
 
 
@@ -238,27 +240,12 @@ def cmd_simulate(args) -> int:
     profile = _parse_profile(args.profile)
     if len(profile) != pda.num_caches:
         raise ValueError("profile length must equal the PDA's column count")
-    num_users = sum(profile)
-    demands = _parse_demands(args.demands, num_users, args.files)
+    demands = _parse_demands(args.demands, sum(profile), args.files)
     field = _field_from_args(args)
-    config = SystemConfig(
-        num_caches=pda.num_caches,
-        num_users=num_users,
-        num_files=args.files,
-        helper_memory=helper_memory_for(pda, args.files),
-        file_bytes=args.bytes,
-        field=field,
-        seed=args.seed,
-    )
-    library = _load_library(args.library, args.files) if args.library else None
-    session = run_session(pda, config, library=library, profile=profile, demands=demands)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # The manifest records the run's raw inputs; the sorted profile and the
-    # cache relabeling are derived data, reported for reference only.
-    # --out is deliberately not recorded: the run directory's location is
-    # not an input, and identical inputs must give byte-identical manifests.
+    # The manifest records the run's raw inputs, and the session is derived
+    # from them exactly as verify derives it.  --out is deliberately not
+    # recorded: the run directory's location is not an input, and identical
+    # inputs must give byte-identical manifests.
     command_line = [
         "seccache", "simulate",
         "--pda", args.pda,
@@ -268,7 +255,9 @@ def cmd_simulate(args) -> int:
         "--field", str(args.field),
         "--seed", str(args.seed),
         "--demands", args.demands,
-    ] + (["--library", args.library] if args.library else [])
+    ] + (["--library", args.library] if args.library else []) + (
+        ["--full-payloads"] if args.full_payloads else []
+    )
     manifest = {
         "tool": "seccache",
         "version": __version__,
@@ -277,8 +266,6 @@ def cmd_simulate(args) -> int:
         "pda_source": pda_id,
         "pda_text": save_pda(pda),
         "profile": list(profile),
-        "sorted_profile": list(session.association.profile),
-        "cache_order": list(session.association.cache_order),
         "num_files": args.files,
         "file_bytes": args.bytes,
         "field_bits": field.l,
@@ -287,13 +274,21 @@ def cmd_simulate(args) -> int:
         "demands_arg": args.demands,
         "demands": list(demands),
         "library_dir": args.library,
-        "helper_memory": str(config.helper_memory),
+        "full_payloads": args.full_payloads,
         "outputs": {
             "transmissions": "transmissions.log",
             "decode": "decode.txt",
             "rate": "rate.json",
         },
     }
+    session = _session_from_manifest(manifest)
+    # Derived data, reported for reference only.
+    manifest["sorted_profile"] = list(session.association.profile)
+    manifest["cache_order"] = list(session.association.cache_order)
+    manifest["helper_memory"] = str(session.config.helper_memory)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     decoded = _decode_checks(session)
@@ -315,9 +310,10 @@ def cmd_verify(args) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"no manifest.json in {run_dir}")
-    session = _session_from_manifest(json.loads(manifest_path.read_text()))
+    manifest = json.loads(manifest_path.read_text())
+    session = _session_from_manifest(manifest)
     decoded = _decode_checks(session)
-    _check_artifacts(run_dir, session, decoded)
+    _check_artifacts(run_dir, session, decoded, manifest["full_payloads"])
     if args.strip_pads:
         session = strip_pads(session)
         decoded = _decode_checks(session)

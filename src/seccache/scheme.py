@@ -19,6 +19,10 @@ Phases, in order:
                           pair's key; each participant strips the key and
                           its cached shares to recover one new share.
 
+The M = 0 one-time-pad scheme (`one_time_pad_session`) is the same
+procedure with F = 1 and Z = 0: it has its own placement and one-row G-array,
+and shares phases 3 and 4 with `run_session`.
+
 Relabeling caches after placement is pure bookkeeping: the share-to-cache
 map never depends on the association, so sorting labels by load first and
 placing second yields the identical system.
@@ -417,6 +421,29 @@ def _session_inputs(
     return association, demands, library
 
 
+def _keys_and_delivery(
+    garray: GArray, rate: RateReport, *, config: SystemConfig, meta: ShareMeta,
+    shares, demands, **placed
+) -> SessionState:
+    """Phases 3 and 4, shared by every scheme: one key per pair of garray
+    from the seed's "keys" stream, then delivery, checked against the rate.
+    `placed` holds the other SessionState fields, set by the placement."""
+    key_pool, user_keys = user_key_placement(
+        garray, meta.symbols_per_share, config.field, _stream(config.seed, "keys")
+    )
+    transmissions = deliver(garray, shares, demands, key_pool)
+    if len(transmissions) != rate.num_transmissions:
+        raise RuntimeError(
+            f"{len(transmissions)} transmissions sent, the rate formula gives "
+            f"{rate.num_transmissions}"
+        )
+    return SessionState(
+        config=config, meta=meta, shares=shares, demands=demands, garray=garray,
+        rate=rate, key_pool=key_pool, user_keys=user_keys,
+        transmissions=transmissions, **placed,
+    )
+
+
 def run_session(
     pda: Pda, config: SystemConfig, library=None, *, profile, demands=None
 ) -> SessionState:
@@ -429,33 +456,12 @@ def run_session(
     shares, randomness, meta, cached_rows = helper_placement(
         canonical, config, library, enc, _stream(config.seed, "sharing")
     )
-    garray = build_g_array(canonical, association)
-    key_pool, user_keys = user_key_placement(
-        garray, meta.symbols_per_share, config.field, _stream(config.seed, "keys")
-    )
-    transmissions = deliver(garray, shares, demands, key_pool)
-    rate = rate_report(canonical, association.profile)
-    if len(transmissions) != rate.num_transmissions:
-        raise RuntimeError(
-            f"{len(transmissions)} transmissions sent, the rate formula gives "
-            f"{rate.num_transmissions}"
-        )
-    return SessionState(
-        config=config,
-        pda=canonical,
-        association=association,
-        enc=enc,
-        meta=meta,
-        library=library,
-        shares=shares,
-        randomness=randomness,
-        cached_rows=cached_rows,
-        garray=garray,
-        key_pool=key_pool,
-        user_keys=user_keys,
-        demands=demands,
-        transmissions=transmissions,
-        rate=rate,
+    return _keys_and_delivery(
+        build_g_array(canonical, association),
+        rate_report(canonical, association.profile),
+        config=config, pda=canonical, association=association, enc=enc, meta=meta,
+        library=library, shares=shares, randomness=randomness,
+        cached_rows=cached_rows, demands=demands,
     )
 
 
@@ -510,9 +516,11 @@ def one_time_pad_session(
 ) -> SessionState:
     """The M = 0 scheme: no helper content, one whole-file pad per user.
 
-    Files are kept whole (one share, no sharing randomness); each user's
-    unit cache holds one uniform key, and the server broadcasts demanded
-    file XOR key, once per user.  The rate is exactly K.
+    Files are kept whole (F = 1 share, Z = 0, no sharing randomness) and the
+    G-array has one row, giving user i of cache lam the pair (lam, i).  Key
+    placement and delivery are run_session's: each user's unit cache holds
+    one uniform key, and the server broadcasts demanded file XOR key, once
+    per user.  The rate is exactly K.
     """
     if config.helper_memory != 0:
         raise ValueError("the one-time-pad baseline is the M = 0 scheme")
@@ -523,39 +531,23 @@ def one_time_pad_session(
     )
 
     field = config.field
-    enc = SymbolMatrix(1, 1, ((1,),))
     meta = _share_meta(8 * config.file_bytes, 1, 0, field)
-    shares = [
-        [bytes_to_symbols(data, field, meta.symbols_per_share)] for data in library
-    ]
-
     columns, users = [], []
     for lam in range(1, association.num_caches + 1):
         for i, user in enumerate(association.groups[lam - 1], start=1):
             columns.append(((lam, i),))
             users.append(user)
-    garray = GArray(tuple(zip(*columns)), tuple(users))
-
-    key_pool, user_keys = user_key_placement(
-        garray, meta.symbols_per_share, field, _stream(config.seed, "keys")
-    )
-    transmissions = deliver(garray, shares, demands, key_pool)
     per_s = tuple(load for load in association.profile if load > 0)
-    rate = RateReport(config.num_users, Fraction(config.num_users), per_s)
-    return SessionState(
-        config=config,
-        pda=None,
-        association=association,
-        enc=enc,
-        meta=meta,
-        library=library,
-        shares=shares,
+    return _keys_and_delivery(
+        GArray(tuple(zip(*columns)), tuple(users)),
+        RateReport(config.num_users, Fraction(config.num_users), per_s),
+        config=config, pda=None, association=association,
+        enc=SymbolMatrix(1, 1, ((1,),)),  # equals cauchy_matrix(1, field)
+        meta=meta, library=library,
+        shares=[
+            [bytes_to_symbols(data, field, meta.symbols_per_share)] for data in library
+        ],
         randomness=[[] for _ in library],
         cached_rows=tuple(() for _ in range(config.num_caches)),
-        garray=garray,
-        key_pool=key_pool,
-        user_keys=user_keys,
         demands=demands,
-        transmissions=transmissions,
-        rate=rate,
     )

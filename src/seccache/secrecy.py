@@ -155,24 +155,12 @@ def _exposing_combination(
     field: BinaryField, b: np.ndarray, a: np.ndarray
 ) -> np.ndarray | None:
     """A row combination phi with phi.B = 0 but phi.A != 0, or None when
-    every column of A already lies in the column space of B."""
+    every column of A already lies in the column space of B.  [B | A | I]
+    is eliminated on B's columns, and phi is the identity part of the first
+    row left with zero B and nonzero A; the I columns never give a pivot,
+    so the verdict is that of [B | A] alone."""
     if a.shape[0] == 0 or not a.any():
         return None
-    work = np.concatenate([b, a], axis=1).copy()
-    pivots = _echelon(field, work, b.shape[1])
-    if not work[pivots:, b.shape[1] :].any():
-        return None
-    witness = _tracked_witness(field, b, a)
-    if witness is None:
-        raise RuntimeError("rank gap found but no witness row")
-    return witness
-
-
-def _tracked_witness(
-    field: BinaryField, b: np.ndarray, a: np.ndarray
-) -> np.ndarray | None:
-    """Eliminate [B | A | I] on B's columns and return the identity part of
-    the first row left with zero B and nonzero A, or None if no row is."""
     tracked = np.concatenate(
         [b, a, np.eye(b.shape[0], dtype=b.dtype)], axis=1
     )
@@ -564,7 +552,7 @@ def _witnessed(verdict: SecrecyVerdict, model_of, protected) -> SecrecyVerdict:
     if verdict.holds:
         return verdict
     model = model_of()
-    witness = _tracked_witness(
+    witness = _exposing_combination(
         model.field, model.obs_rand, model.obs_files[:, model.protected_columns(protected)]
     )
     if witness is None:

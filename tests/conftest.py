@@ -1,13 +1,14 @@
 """Shared fixtures: the 6-cache/21-user worked example, small helpers, a
-scalar elimination oracle, and a Hypothesis strategy for random valid PDAs
-that are not MN."""
+scalar elimination oracle, and Hypothesis strategies for random valid PDAs
+that are not MN and for sessions of those PDAs and of the M = 0 scheme."""
 
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from seccache import BinaryField, Pda, SystemConfig, mn_pda, run_session, secrecy
-from seccache.scheme import helper_memory_for
+from seccache.scheme import helper_memory_for, one_time_pad_session
 
 # The 4x6 reference array used throughout: (Lambda, F, Z, S) = (6, 4, 2, 4).
 WORKED_GRID = (
@@ -202,3 +203,17 @@ def random_pda_sessions(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     return run_session(pda, config, profile=profile, demands=demands)
+
+
+@st.composite
+def zero_memory_sessions(draw):
+    """An M = 0 one-time-pad session with `draw_users`' profile and demands
+    over 1..4 caches, at any l in 2..16."""
+    num_caches = draw(st.integers(1, 4))
+    profile, num_files, demands = draw_users(draw, num_caches)
+    config = SystemConfig(
+        num_caches, len(demands), num_files, Fraction(0), draw(st.integers(1, 8)),
+        field=BinaryField(draw(st.integers(2, 16))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return one_time_pad_session(config, profile=profile, demands=demands)

@@ -194,11 +194,28 @@ def test_verify_accepts_capped_and_full_payloads(tmp_path, capsys):
     assert run([*args, "--out", full, "--full-payloads"]) == 0
     log = (capped / "transmissions.log").read_text().splitlines()
     assert all(line.endswith(" (+6 bytes)") for line in log)
-    mixed = (full / "transmissions.log").read_text().splitlines()[:1] + log[1:]
-    (capped / "transmissions.log").write_text("\n".join(mixed) + "\n")
     for run_dir in (capped, full):
         assert run(["verify", run_dir]) == 0
         assert capsys.readouterr().out.endswith("RESULT: PASS\n")
+    # the manifest records --full-payloads, so a log must use one rendering
+    mixed = (full / "transmissions.log").read_text().splitlines()[:1] + log[1:]
+    (capped / "transmissions.log").write_text("\n".join(mixed) + "\n")
+    assert run(["verify", capped]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: transmissions.log line 1 differs")
+
+
+@pytest.mark.parametrize("extra", [[], ["--full-payloads"]])
+def test_recorded_command_line_reruns_byte_identically(tmp_path, extra):
+    args = ["--pda", "mn:2,1", "--profile", "1,1", "--files", "2", "--bytes", "70"]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["simulate", *args, *extra, "--out", first]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["full_payloads"] is bool(extra)
+    assert run([*manifest["command_line"][1:], "--out", again]) == 0
+    for name in ("manifest.json", "transmissions.log", "decode.txt", "rate.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -211,6 +228,7 @@ def test_verify_accepts_capped_and_full_payloads(tmp_path, capsys):
         (lambda m: m.update(file_bytes="5"), "'file_bytes' must be an integer"),
         (lambda m: m.update(seed=True), "'seed' must be an integer"),
         (lambda m: m.update(library_dir=7), "'library_dir' must be a string or null"),
+        (lambda m: m.update(full_payloads="yes"), "'full_payloads' must be a boolean"),
         (lambda m: m.clear(), "missing 'pda_text'"),
     ],
 )

@@ -1,5 +1,6 @@
-"""Source rules for the package: invariants raise real exceptions, and
-scalar field arithmetic stays inside the field module."""
+"""Source rules for the package: invariants raise real exceptions, scalar
+field arithmetic stays inside the field module, and sessions are built in
+one place."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,18 @@ def test_scalar_field_ops_stay_in_field():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr in SCALAR_FIELD_OPS]
     assert not found, f"field arrays go through the exp/log tables: {found}"
+
+
+def calls_named(nodes, name):
+    """Locations of calls of a plain name or an attribute with that name."""
+    return [f"{file}:{node.lineno}" for file, node in nodes
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_sessions_are_built_in_one_place():
+    nodes = package_nodes()
+    built = calls_named(nodes, "SessionState")
+    assert len(built) == 1, f"every scheme shares one session constructor: {built}"
+    derived = calls_named([(f, n) for f, n in nodes if f == "cli.py"], "run_session")
+    assert len(derived) == 1, f"simulate and verify derive sessions alike: {derived}"

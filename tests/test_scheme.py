@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from seccache import BinaryField, Pda, mn_pda, validate, verify_session
 from seccache.secrecy import strip_pads
+from seccache.sharing import bytes_to_symbols
 from seccache.scheme import (
     Association,
     SystemConfig,
@@ -27,6 +29,7 @@ from tests.conftest import (
     WORKED_PROFILE,
     make_worked_session,
     random_pda_sessions,
+    zero_memory_sessions,
 )
 
 
@@ -510,6 +513,23 @@ def test_baseline_requires_zero_memory(worked_pda):
 def test_baseline_checks_inputs_like_run_session(num_users, kwargs, message):
     with pytest.raises(ValueError, match=message):
         one_time_pad_session(baseline_config(num_users, 4), **kwargs)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(session=zero_memory_sessions())
+def test_zero_memory_sessions_decode_at_rate_k_with_one_pad_per_user(session):
+    config, association = session.config, session.association
+    for user, data in decode_all(session).items():
+        assert data == session.library[session.demands[user - 1] - 1]
+    assert len(session.transmissions) == session.rate.num_transmissions == config.num_users
+    assert session.rate.rate == Fraction(config.num_users)
+    assert session.rate.per_s_multiplicity == tuple(n for n in association.profile if n)
+    for (lam, i), payload in session.transmissions.items():
+        user = association.groups[lam - 1][i - 1]
+        demanded = session.library[session.demands[user - 1] - 1]
+        plain = bytes_to_symbols(demanded, config.field, session.meta.symbols_per_share)
+        assert np.array_equal(payload, plain ^ session.user_keys[user][(lam, i)])
 
 
 # -- determinism -------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import random
 from dataclasses import replace
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -13,7 +12,6 @@ from seccache import BinaryField, mn_pda, secrecy
 from seccache.scheme import (
     SystemConfig,
     helper_memory_for,
-    one_time_pad_session,
     run_session,
 )
 from seccache.secrecy import (
@@ -30,10 +28,10 @@ from seccache.secrecy import (
 )
 from seccache.sharing import SymbolMatrix, cauchy_matrix
 from tests.conftest import (
-    draw_users,
     make_worked_session,
     random_pda_sessions,
     scalar_row_reduce,
+    zero_memory_sessions,
 )
 
 
@@ -513,18 +511,6 @@ def maybe_stripped(sessions):
     return st.tuples(sessions, st.booleans()).map(
         lambda drawn: secrecy.strip_pads(drawn[0]) if drawn[1] else drawn[0]
     )
-
-
-@st.composite
-def zero_memory_sessions(draw):
-    num_caches = draw(st.integers(1, 4))
-    profile, num_files, demands = draw_users(draw, num_caches)
-    config = SystemConfig(
-        num_caches, len(demands), num_files, Fraction(0), draw(st.integers(1, 8)),
-        field=BinaryField(draw(st.integers(2, 16))),
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
-    return one_time_pad_session(config, profile=profile, demands=demands)
 
 
 @settings(max_examples=60, deadline=None,
