@@ -44,11 +44,15 @@ def cutset_terms(
     num_files: int, num_users: int, helper_memory, profile, user_memory=1
 ) -> list[tuple[int, Fraction]]:
     """The (s, value) bound terms, each clamped at zero."""
+    if num_files < 1:
+        raise ValueError("need at least one file")
+    m = Fraction(helper_memory)
+    if m < 0:
+        raise ValueError("helper memory cannot be negative")
     if user_memory < 1:
         raise ValueError("the setting requires unit-or-larger user caches")
     if sum(profile) != num_users:
         raise ValueError("profile must sum to the user count")
-    m = Fraction(helper_memory)
     mu = Fraction(user_memory)
     terms = []
     for s in range(1, min(num_files // 2, num_users) + 1):

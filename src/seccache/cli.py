@@ -37,6 +37,7 @@ from .scheme import (
     one_time_pad_session,
     rate_report,
     run_session,
+    worst_case_demands,
 )
 from .secrecy import strip_pads, verify_session
 from .sharing import symbols_to_bytes
@@ -56,9 +57,7 @@ def _parse_profile(text: str) -> tuple[int, ...]:
 
 def _parse_demands(text: str, num_users: int, num_files: int) -> tuple[int, ...]:
     if text == "worst-case":
-        if num_files < num_users:
-            raise ValueError("worst-case demands need N >= K")
-        return tuple(range(1, num_users + 1))
+        return worst_case_demands(num_users, num_files)
     try:
         demands = tuple(int(tok) for tok in text.split(","))
     except ValueError:
@@ -353,13 +352,16 @@ def cmd_rate(args) -> int:
 
 def cmd_bound(args) -> int:
     profile = tuple(sorted(_parse_profile(args.profile), reverse=True))
-    memory = Fraction(args.memory)
-    if args.files < 2:
-        print("bound 0 (fewer than two files leaves no valid cut)")
-        return 0
+    try:
+        memory = Fraction(args.memory)
+    except ZeroDivisionError:
+        raise ValueError(f"bad memory {args.memory!r}: zero denominator")
     value = cutset_bound(
         args.files, sum(profile), memory, profile, user_memory=args.user_memory
     )
+    if args.files < 2:
+        print("bound 0 (fewer than two files leaves no valid cut)")
+        return 0
     print(f"bound {value} ({fraction_to_decimal(value)})")
     return 0
 

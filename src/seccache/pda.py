@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 # A star entry; integer entries are ints >= 1.
@@ -165,6 +166,16 @@ class Pda:
             j + 1 for j in range(self.num_rows) if self.entries[j][col - 1] is STAR
         )
 
+    @cached_property
+    def taus(self) -> tuple[int, ...]:
+        """tau(s) for s = 1, ..., S, from one column-major pass over the grid."""
+        first: dict[int, int] = {}
+        for k in range(self.num_caches):
+            for row in self.entries:
+                if row[k] is not STAR:
+                    first.setdefault(row[k], k + 1)
+        return tuple(first[s] for s in range(1, self.params.num_ints + 1))
+
     def occurrences(self, s: int) -> tuple[tuple[int, int], ...]:
         """1-based (row, col) positions of integer s."""
         return tuple(
@@ -188,10 +199,7 @@ def tau(pda: Pda, s: int) -> int:
     """Minimum 1-based column index whose column contains integer s."""
     if not 1 <= s <= pda.params.num_ints:
         raise ValueError(f"integer {s} out of range [1, {pda.params.num_ints}]")
-    for k in range(1, pda.num_caches + 1):
-        if any(pda.entries[j][k - 1] == s for j in range(pda.num_rows)):
-            return k
-    raise RuntimeError("C2 guarantees every integer occurs")
+    return pda.taus[s - 1]
 
 
 def mn_pda(num_caches: int, t: int) -> Pda:

@@ -2,9 +2,10 @@
 
 Phases, in order:
 
-  1. helper placement   - every file is encoded into F shares by a (Z, F)
-                          non-perfect secret sharing; cache lam stores the
-                          shares whose PDA rows are stars in column lam.
+  1. helper placement   - every file is encoded into F shares, an (F, L)
+                          array, by the (Z, F) non-perfect secret sharing
+                          that F fixes; cache lam stores the shares whose
+                          PDA rows are stars in column lam.
   2. association        - users attach to caches; caches are relabeled so
                           the per-cache user counts (the profile) are
                           nonincreasing, and the PDA columns are permuted
@@ -21,7 +22,8 @@ Phases, in order:
 
 The M = 0 one-time-pad scheme (`one_time_pad_session`) is the same
 procedure with F = 1 and Z = 0: it has its own placement and one-row G-array,
-and shares phases 3 and 4 with `run_session`.
+and shares phases 3 and 4 with `run_session`.  Both record the share matrix,
+cauchy_matrix(F, field), as `SessionState.enc` for the verifier.
 
 Relabeling caches after placement is pure bookkeeping: the share-to-cache
 map never depends on the association, so sorting labels by load first and
@@ -41,10 +43,9 @@ from functools import cached_property
 import numpy as np
 
 from .field import BinaryField, default_field
-from .pda import Pda, tau
+from .pda import Pda
 from .sharing import (
     ShareMeta,
-    SymbolMatrix,
     _share_meta,
     bytes_to_symbols,
     cauchy_matrix,
@@ -90,8 +91,10 @@ def helper_memory_for(pda: Pda, num_files: int) -> Fraction:
     )
 
 
-def worst_case_demands(num_users: int) -> tuple[int, ...]:
+def worst_case_demands(num_users: int, num_files: int) -> tuple[int, ...]:
     """All-distinct demand vector (1, 2, ..., K); needs N >= K."""
+    if num_files < num_users:
+        raise ValueError("worst-case demands need N >= K")
     return tuple(range(1, num_users + 1))
 
 
@@ -256,7 +259,7 @@ def rate_report(pda: Pda, profile) -> RateReport:
     if any(a < b for a, b in zip(profile, profile[1:])):
         raise ValueError("profile must be nonincreasing")
     p = pda.params
-    per_s = tuple(profile[tau(pda, s) - 1] for s in range(1, p.num_ints + 1))
+    per_s = tuple(profile[k - 1] for k in pda.taus)
     total = sum(per_s)
     return RateReport(total, Fraction(total, p.num_rows - p.stars_per_column), per_s)
 
@@ -264,14 +267,13 @@ def rate_report(pda: Pda, profile) -> RateReport:
 # -- phase implementations -----------------------------------------------------
 
 
-def helper_placement(
-    pda: Pda, config: SystemConfig, library, enc: SymbolMatrix, rng
-):
+def helper_placement(pda: Pda, config: SystemConfig, library, rng):
     """Share every file and map star rows to cache contents.
 
-    Returns (shares, randomness, meta, cached_rows): shares[n][j] is share
-    j+1 of file n+1; cached_rows[lam-1] lists the 1-based share rows every
-    cache lam stores (for all files, per PDA column lam).
+    Returns (shares, randomness, meta, cached_rows): shares[n] is the
+    (F, L) share array of file n+1, row j its share j+1; cached_rows[lam-1]
+    lists the 1-based share rows every cache lam stores (for all files, per
+    PDA column lam).
     """
     p = pda.params
     m, n = config.helper_memory, config.num_files
@@ -283,7 +285,7 @@ def helper_placement(
     shares, randomness = [], []
     meta: ShareMeta | None = None
     for data in library:
-        s, r, meta = share_file(data, enc, p.stars_per_column, config.field, rng)
+        s, r, meta = share_file(data, p.num_rows, p.stars_per_column, config.field, rng)
         shares.append(s)
         randomness.append(r)
     cached_rows = tuple(pda.star_rows(lam) for lam in range(1, p.num_caches + 1))
@@ -342,7 +344,7 @@ class SessionState:
     config: SystemConfig
     pda: Pda | None  # canonical (column-permuted); None for the M=0 baseline
     association: Association
-    enc: SymbolMatrix
+    enc: np.ndarray  # cauchy_matrix(F, field), the share matrix
     meta: ShareMeta
     library: tuple[bytes, ...]
     shares: list
@@ -402,9 +404,7 @@ def _session_inputs(
         raise ValueError("cache counts disagree")
 
     if demands is None:
-        if config.num_files < config.num_users:
-            raise ValueError("worst-case demands need N >= K")
-        demands = worst_case_demands(config.num_users)
+        demands = worst_case_demands(config.num_users, config.num_files)
     demands = tuple(demands)
     if len(demands) != config.num_users:
         raise ValueError("demand vector length must be K")
@@ -452,14 +452,14 @@ def run_session(
         config, pda.num_caches, library, profile, demands
     )
     canonical = pda.permute_columns(association.cache_order)
-    enc = cauchy_matrix(canonical.num_rows, config.field)
     shares, randomness, meta, cached_rows = helper_placement(
-        canonical, config, library, enc, _stream(config.seed, "sharing")
+        canonical, config, library, _stream(config.seed, "sharing")
     )
     return _keys_and_delivery(
         build_g_array(canonical, association),
         rate_report(canonical, association.profile),
-        config=config, pda=canonical, association=association, enc=enc, meta=meta,
+        config=config, pda=canonical, association=association,
+        enc=cauchy_matrix(canonical.num_rows, config.field), meta=meta,
         library=library, shares=shares, randomness=randomness,
         cached_rows=cached_rows, demands=demands,
     )
@@ -502,7 +502,7 @@ def decode_user(session: SessionState, user: int) -> bytes:
         recovered[j] = acc
 
     ordered = [recovered[j] for j in range(1, session.meta.num_shares + 1)]
-    return unshare_file(ordered, session.enc, session.meta, session.config.field)
+    return unshare_file(ordered, session.meta, session.config.field)
 
 
 def decode_all(session: SessionState) -> dict[int, bytes]:
@@ -542,12 +542,11 @@ def one_time_pad_session(
         GArray(tuple(zip(*columns)), tuple(users)),
         RateReport(config.num_users, Fraction(config.num_users), per_s),
         config=config, pda=None, association=association,
-        enc=SymbolMatrix(1, 1, ((1,),)),  # equals cauchy_matrix(1, field)
-        meta=meta, library=library,
+        enc=cauchy_matrix(1, field), meta=meta, library=library,
         shares=[
-            [bytes_to_symbols(data, field, meta.symbols_per_share)] for data in library
+            bytes_to_symbols(data, field, meta.symbols_per_share)[None] for data in library
         ],
-        randomness=[[] for _ in library],
+        randomness=[field.zeros(0, meta.symbols_per_share) for _ in library],
         cached_rows=tuple(() for _ in range(config.num_caches)),
         demands=demands,
     )

@@ -37,8 +37,9 @@ verdict and on every witness.
 
 `verify_session` decides each check on a smaller model that is exactly
 equivalent to M1, following the paper's own argument.  Write C_w and C_v
-for the first F - Z and the last Z columns of the share matrix `enc`, and
-C^lam for its rows at the shares cache lam stores.
+for the first F - Z and the last Z columns of the share matrix
+`session.enc`, which is cauchy_matrix(F, field), and C^lam for its rows at
+the shares cache lam stores.
 
 - Placement.  A cache's shares of file n touch only w_n and v_n, through
   the same block C^lam for every file, and a user's key rows each have a
@@ -71,7 +72,7 @@ import numpy as np
 
 from .field import BinaryField
 from .scheme import SessionState
-from .sharing import SymbolMatrix, bytes_to_subfiles
+from .sharing import bytes_to_subfiles
 
 RowLabel = tuple
 
@@ -234,11 +235,11 @@ class SessionAnalyzer:
         return (n - 1) * self.nrand * self.fsym + z * self.fsym + pos
 
     def _add_share(self, a_row, b_row, n: int, j: int, pos: int) -> None:
-        coeffs = self._enc.row(j - 1)
-        for m in range(self.nsub):
-            a_row[self._file_col(n, m, pos)] ^= coeffs[m]
-        for z in range(self.nrand):
-            b_row[self._v_col(n, z, pos)] ^= coeffs[self.nsub + z]
+        """XOR share j of file n at symbol pos into a row: the columns of its
+        subfiles, then of its randomness, lie fsym apart."""
+        coeffs = self._enc[j - 1]
+        a_row[self._file_col(n, 0, pos) :: self.fsym][: self.nsub] ^= coeffs[: self.nsub]
+        b_row[self._v_col(n, 0, pos) :: self.fsym][: self.nrand] ^= coeffs[self.nsub :]
 
     def _rows(self, count: int):
         field = self.session.config.field
@@ -324,27 +325,21 @@ class SessionAnalyzer:
         return self._assemble([self.delivery_block()])
 
     def variable_assignment(self) -> tuple[np.ndarray, np.ndarray]:
-        """The session's actual (w, v) values, for model validation."""
-        session = self.session
+        """The session's actual (w, v) values, for model validation: w is
+        every file's subfiles, v every file's randomness and then every
+        pair's key, each vector cut to the model's symbols per share."""
+        session, meta = self.session, self.session.meta
         field = session.config.field
-        w = field.zeros(self.file_dim)
-        for n, data in enumerate(session.library, start=1):
-            subfiles, _ = bytes_to_subfiles(
-                data, session.meta.num_shares, session.meta.num_random, field
-            )
-            for m, sub in enumerate(subfiles):
-                for pos, sym in enumerate(sub[: self.fsym]):
-                    w[self._file_col(n, m, pos)] = sym
-        v = field.zeros(self.rand_dim)
-        for n, vecs in enumerate(session.randomness, start=1):
-            for z, vec in enumerate(vecs):
-                for pos, sym in enumerate(vec[: self.fsym]):
-                    v[self._v_col(n, z, pos)] = sym
-        for pair, key in session.key_pool.items():
-            base = self._key_col[pair]
-            for pos, sym in enumerate(key[: self.fsym]):
-                v[base + pos] = sym
-        return w, v
+        subfiles = [
+            bytes_to_subfiles(data, meta.num_shares, meta.num_random, field)[0]
+            for data in session.library
+        ]
+        keys = [session.key_pool[pair][None] for pair in self.pairs]
+
+        def flat(blocks):
+            return np.concatenate([blk[:, : self.fsym].ravel() for blk in blocks])
+
+        return flat(subfiles), flat([*session.randomness, *keys])
 
 
 def build_observation_model(
@@ -369,20 +364,14 @@ def check_external_eavesdropper(session: SessionState) -> SecrecyVerdict:
 
 
 def share_subset_model(
-    enc: SymbolMatrix, num_random: int, rows, field: BinaryField
+    enc: np.ndarray, num_random: int, rows, field: BinaryField
 ) -> LinearObservationModel:
     """Observation of selected shares (1-based rows) of a single shared
     file with one symbol per subfile; used for sharing-level checks."""
-    nsub = enc.rows - num_random
-    a = field.zeros(len(rows), nsub)
-    b = field.zeros(len(rows), num_random)
-    labels = []
-    for r, j in enumerate(rows):
-        coeffs = enc.row(j - 1)
-        a[r, :] = coeffs[:nsub]
-        b[r, :] = coeffs[nsub:]
-        labels.append(("share", 1, j, 0))
-    return LinearObservationModel(field, 1, nsub, a, b, tuple(labels))
+    nsub = len(enc) - num_random
+    picked = enc[[j - 1 for j in rows]]
+    labels = tuple(("share", 1, j, 0) for j in rows)
+    return LinearObservationModel(field, 1, nsub, picked[:, :nsub], picked[:, nsub:], labels)
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -507,9 +496,8 @@ def _residual(session: SessionState, cache: int) -> np.ndarray:
     C_w^lam], or fewer than Z pivots when the block is singular."""
     field = session.config.field
     z = session.meta.num_random
-    enc = np.asarray(session.enc.entries, dtype=field.dtype)
-    nsub = enc.shape[1] - z
-    c_w, c_v = enc[:, :nsub], enc[:, nsub:]
+    nsub = session.meta.num_subfiles
+    c_w, c_v = session.enc[:, :nsub], session.enc[:, nsub:]
     rows = [j - 1 for j in session.cached_rows[cache - 1]]
     if len(rows) != z:
         raise RuntimeError(

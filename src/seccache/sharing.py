@@ -5,11 +5,14 @@ vectors, and multiplied by an F x F Cauchy matrix to produce F shares.
 Any Z shares are statistically independent of the file (checked in the
 secrecy module); all F shares reconstruct it exactly.
 
-Symbols are field elements (see field.BinaryField); share vectors are
-numpy arrays of symbols.  The Cauchy matrix is one exp/log table gather,
-and its inverse, which decoding uses, is a Gauss-Jordan elimination of
-[A | I] by `BinaryField.echelon`, the same kernel that serves the secrecy
-checks.  No scalar field product runs on this path.
+Symbols are field elements (see field.BinaryField).  Subfiles and shares
+are 2-D numpy arrays, one row of L symbols per vector.  The share matrix
+is not an argument: F and the field fix it as cauchy_matrix(F, field), a
+cached read-only array built by one exp/log table gather.  Its inverse,
+which decoding uses, is a Gauss-Jordan elimination of [A | I] by
+`BinaryField.echelon`, the same kernel that serves the secrecy checks,
+and is cached read-only as well.  No scalar field product runs on this
+path.
 """
 
 from __future__ import annotations
@@ -20,30 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from .field import BinaryField
-
-
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """Dense matrix of field symbols, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
-        ):
-            raise ValueError("entry grid does not match declared shape")
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def hex_str(self) -> str:
-        """Whitespace-separated hex symbols, one matrix row per line."""
-        return "\n".join(" ".join(f"{e:x}" for e in row) for row in self.entries)
 
 
 @dataclass(frozen=True)
@@ -66,8 +45,8 @@ class ShareMeta:
 
 
 @lru_cache(maxsize=64)
-def cauchy_matrix(n: int, field: BinaryField) -> SymbolMatrix:
-    """n x n Cauchy matrix with entry (i, j) = 1 / (x_i + y_j).
+def cauchy_matrix(n: int, field: BinaryField) -> np.ndarray:
+    """The n x n share matrix, read-only: entry (i, j) = 1 / (x_i + y_j).
 
     Evaluation points are fixed for reproducibility: x_i = i - 1 and
     y_j = n + j - 1 as bit patterns, so 2n distinct field elements are
@@ -83,71 +62,52 @@ def cauchy_matrix(n: int, field: BinaryField) -> SymbolMatrix:
             f"(need {2 * n} distinct elements)"
         )
     x, y = np.arange(n), np.arange(n, 2 * n)
-    entries = field.exp_table[(field.order - 1) - field.log_table[x[:, None] ^ y]]
-    return SymbolMatrix(n, n, tuple(map(tuple, entries.tolist())))
+    mat = field.exp_table[(field.order - 1) - field.log_table[x[:, None] ^ y]]
+    mat.setflags(write=False)
+    return mat
 
 
-def invert_matrix(mat: SymbolMatrix, field: BinaryField) -> SymbolMatrix:
+def invert_matrix(mat: np.ndarray, field: BinaryField) -> np.ndarray:
     """Inverse over the field: `BinaryField.echelon` turns [A | I] into
     [I | A^-1]; raises ValueError on a singular matrix."""
-    if mat.rows != mat.cols:
+    mat = np.asarray(mat, dtype=field.dtype)
+    n = len(mat)
+    if mat.shape != (n, n):
         raise ValueError("only square matrices can be inverted")
-    n = mat.rows
-    eye = np.eye(n, dtype=field.dtype)
-    work = np.hstack([np.asarray(mat.entries, dtype=field.dtype), eye])
+    work = np.hstack([mat, np.eye(n, dtype=field.dtype)])
     if field.echelon(work, n) < n:
         raise ValueError("singular matrix")
-    return SymbolMatrix(n, n, tuple(map(tuple, work[:, n:].tolist())))
-
-
-def _mat_vec_rows(
-    rows, vectors: list[np.ndarray], field: BinaryField
-) -> list[np.ndarray]:
-    """Row i of the result = XOR_j rows[i][j] * vectors[j], elementwise."""
-    return list(field.matmul(rows, np.stack(vectors)))
-
-
-def encode_shares(
-    subfiles: list[np.ndarray],
-    randomness: list[np.ndarray],
-    enc: SymbolMatrix,
-    field: BinaryField,
-) -> list[np.ndarray]:
-    """Produce F shares from F-Z subfiles and Z randomness vectors.
-
-    The input column stacks the subfiles above the randomness; share j is
-    the j-th row of enc applied symbol-wise to that column.
-    """
-    inputs = list(subfiles) + list(randomness)
-    if enc.rows != enc.cols or enc.rows != len(inputs):
-        raise ValueError(
-            f"encoding matrix is {enc.rows}x{enc.cols} but got "
-            f"{len(subfiles)} subfiles + {len(randomness)} randomness vectors"
-        )
-    lengths = {len(v) for v in inputs}
-    if len(lengths) != 1:
-        raise ValueError("subfile and randomness symbol-lengths differ")
-    return _mat_vec_rows(enc.entries, inputs, field)
+    return work[:, n:]
 
 
 @lru_cache(maxsize=64)
-def _cached_inverse(enc: SymbolMatrix, field: BinaryField) -> SymbolMatrix:
-    return invert_matrix(enc, field)
+def _cached_inverse(n: int, field: BinaryField) -> np.ndarray:
+    """The inverse of cauchy_matrix(n, field), read-only."""
+    inv = invert_matrix(cauchy_matrix(n, field), field)
+    inv.setflags(write=False)
+    return inv
 
 
-def reconstruct_file(
-    shares: list[np.ndarray],
-    enc: SymbolMatrix,
-    field: BinaryField,
-    num_random: int,
-) -> list[np.ndarray]:
-    """Solve enc * inputs = shares and return the F - Z subfile vectors."""
-    if len(shares) != enc.rows:
-        raise ValueError(f"need all {enc.rows} shares, got {len(shares)}")
-    if not 0 <= num_random < enc.rows:
-        raise ValueError("randomness count out of range")
-    rows = _cached_inverse(enc, field).entries[: enc.rows - num_random]
-    return _mat_vec_rows(rows, list(shares), field)
+def encode_shares(subfiles, randomness, field: BinaryField) -> np.ndarray:
+    """Produce the F shares of F-Z subfiles and Z randomness vectors, as an
+    (F, L) array.
+
+    The input column stacks the subfiles above the randomness; share j is
+    row j of cauchy_matrix(F, field) applied symbol-wise to that column.
+    """
+    inputs = [*subfiles, *randomness]
+    if len({len(v) for v in inputs}) != 1:
+        raise ValueError("subfile and randomness symbol-lengths differ")
+    return field.matmul(cauchy_matrix(len(inputs), field), np.stack(inputs))
+
+
+def reconstruct_file(shares, meta: ShareMeta, field: BinaryField) -> np.ndarray:
+    """Solve the sharing for its inputs and return the F - Z subfiles, as
+    an (F - Z, L) array; needs all F shares."""
+    if len(shares) != meta.num_shares:
+        raise ValueError(f"need all {meta.num_shares} shares, got {len(shares)}")
+    rows = _cached_inverse(meta.num_shares, field)[: meta.num_subfiles]
+    return field.matmul(rows, np.stack(shares))
 
 
 # -- byte <-> symbol codec --------------------------------------------------
@@ -183,22 +143,20 @@ def symbols_to_bytes(symbols, field: BinaryField) -> bytes:
 
 def bytes_to_subfiles(
     data: bytes, f: int, z: int, field: BinaryField
-) -> tuple[list[np.ndarray], ShareMeta]:
-    """Split a byte string into F-Z equal subfile symbol vectors.
+) -> tuple[np.ndarray, ShareMeta]:
+    """Split a byte string into F-Z equal subfiles, as an (F-Z, L) array.
 
     The padded length is divisible by (F-Z) * l; the original length is kept
     in the returned metadata and restored on reassembly.
     """
     meta = _share_meta(8 * len(data), f, z, field)
     symbols = bytes_to_symbols(data, field, meta.padded_bits // field.l)
-    return list(symbols.reshape(meta.num_subfiles, meta.symbols_per_share)), meta
+    return symbols.reshape(meta.num_subfiles, meta.symbols_per_share), meta
 
 
-def subfiles_to_bytes(
-    subfiles: list[np.ndarray], meta: ShareMeta, field: BinaryField
-) -> bytes:
+def subfiles_to_bytes(subfiles, meta: ShareMeta, field: BinaryField) -> bytes:
     """Inverse of bytes_to_subfiles: reassemble bits and strip the padding."""
-    return symbols_to_bytes(np.concatenate(subfiles), field)[: meta.data_bits // 8]
+    return symbols_to_bytes(np.ravel(subfiles), field)[: meta.data_bits // 8]
 
 
 def random_words(count: int, rng) -> np.ndarray:
@@ -220,20 +178,17 @@ def random_vector(length: int, field: BinaryField, rng) -> np.ndarray:
 
 
 def share_file(
-    data: bytes, enc: SymbolMatrix, num_random: int, field: BinaryField, rng
-) -> tuple[list[np.ndarray], list[np.ndarray], ShareMeta]:
-    """Encode one file into F shares; returns (shares, randomness, meta)."""
-    f = enc.rows
-    subfiles, meta = bytes_to_subfiles(data, f, num_random, field)
-    randomness = [
-        random_vector(meta.symbols_per_share, field, rng) for _ in range(num_random)
-    ]
-    return encode_shares(subfiles, randomness, enc, field), randomness, meta
+    data: bytes, num_shares: int, num_random: int, field: BinaryField, rng
+) -> tuple[np.ndarray, np.ndarray, ShareMeta]:
+    """Encode one file into F shares; returns (shares, randomness, meta),
+    with the shares an (F, L) and the randomness a (Z, L) array.  The Z
+    randomness vectors are drawn one after the other, in one call."""
+    subfiles, meta = bytes_to_subfiles(data, num_shares, num_random, field)
+    length = meta.symbols_per_share
+    randomness = random_vector(num_random * length, field, rng).reshape(num_random, length)
+    return encode_shares(subfiles, randomness, field), randomness, meta
 
 
-def unshare_file(
-    shares: list[np.ndarray], enc: SymbolMatrix, meta: ShareMeta, field: BinaryField
-) -> bytes:
+def unshare_file(shares, meta: ShareMeta, field: BinaryField) -> bytes:
     """Recover the original bytes from all F shares."""
-    subfiles = reconstruct_file(shares, enc, field, meta.num_random)
-    return subfiles_to_bytes(subfiles, meta, field)
+    return subfiles_to_bytes(reconstruct_file(shares, meta, field), meta, field)

@@ -269,8 +269,8 @@ def test_criterion_06_secret_sharing_property():
         assert not check_zero_information(full, {1}).holds
         # and all F shares really do reconstruct
         data = bytes(rng.randrange(256) for _ in range(3))
-        shares, _, meta = share_file(data, enc, z, field, rng)
-        assert unshare_file(shares, enc, meta, field) == data
+        shares, _, meta = share_file(data, f, z, field, rng)
+        assert unshare_file(shares, meta, field) == data
     report(6, "Z-subsets reveal nothing, full share sets reconstruct")
 
 

@@ -275,6 +275,21 @@ def test_bound_command_tiny_library(capsys):
     assert "no valid cut" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args,message", [
+    (["bound", "--profile", "2,1", "--files", 4, "--memory", "-1"],
+     "helper memory cannot be negative"),
+    (["bound", "--profile", "2,1", "--files", 4, "--memory", "1/0"],
+     "bad memory '1/0': zero denominator"),
+    (["bound", "--profile", "2,1", "--files", 0, "--memory", "0"], "need at least one file"),
+    (["sweep", "--profile", "2,1", "--files", -3], "need at least one file"),
+    (["baseline", "--profile", "3,2", "--files", 4], "worst-case demands need N >= K"),
+])
+def test_bad_query_inputs_are_errors(args, message, capsys):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_sweep_command(worked_pda_file, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run(

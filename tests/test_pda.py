@@ -158,6 +158,19 @@ def test_tau_on_worked_grid(worked_pda):
         tau(worked_pda, 5)
 
 
+@settings(max_examples=60, deadline=None)
+@given(pda=random_pdas())
+def test_tau_table_matches_the_per_integer_scan(pda):
+    """The one-pass table equals, for every s, the first column whose scan
+    finds s."""
+    scan = tuple(
+        next(k for k in range(1, pda.num_caches + 1) if s in pda.column(k))
+        for s in range(1, pda.params.num_ints + 1)
+    )
+    assert pda.taus == scan
+    assert tuple(tau(pda, s) for s in range(1, len(scan) + 1)) == scan
+
+
 def test_tau_invariant_under_row_permutation(worked_pda):
     rng = random.Random(0)
     rows = list(WORKED_GRID)

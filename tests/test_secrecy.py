@@ -26,7 +26,7 @@ from seccache.secrecy import (
     share_subset_model,
     verify_session,
 )
-from seccache.sharing import SymbolMatrix, cauchy_matrix
+from seccache.sharing import cauchy_matrix
 from tests.conftest import (
     make_worked_session,
     random_pda_sessions,
@@ -542,11 +542,10 @@ def test_a_cache_without_z_shares_is_an_error(worked_session):
 def test_a_singular_cached_randomness_block_is_an_error(worked_session):
     # cache 2 stores shares 1 and 3; give share 3 the randomness
     # coefficients of share 1, so its Z x Z block is singular
-    enc = worked_session.enc
+    enc = worked_session.enc.copy()
     assert worked_session.cached_rows[1] == (1, 3)
-    entries = list(enc.entries)
-    entries[2] = entries[2][:2] + entries[0][2:]
-    broken = replace(worked_session, enc=SymbolMatrix(4, 4, tuple(entries)))
+    enc[2, 2:] = enc[0, 2:]
+    broken = replace(worked_session, enc=enc)
     with pytest.raises(RuntimeError, match="cache 2: .* singular"):
         verify_session(broken)
 

@@ -13,8 +13,7 @@ from seccache.field import BinaryField
 from seccache.scheme import SystemConfig, _stream, synthetic_library
 from seccache.sharing import (
     ShareMeta,
-    SymbolMatrix,
-    _mat_vec_rows,
+    _cached_inverse,
     bytes_to_subfiles,
     bytes_to_symbols,
     cauchy_matrix,
@@ -45,11 +44,11 @@ def oracle_det(entries, field):
 
 
 def submatrix(mat, rows, cols):
-    return [[mat.entries[r][c] for c in cols] for r in rows]
+    return [[int(mat[r, c]) for c in cols] for r in rows]
 
 
 def all_square_submatrices_nonsingular(mat, field):
-    n = mat.rows
+    n = len(mat)
     for k in range(1, n + 1):
         for rows in combinations(range(n), k):
             for cols in combinations(range(n), k):
@@ -60,7 +59,7 @@ def all_square_submatrices_nonsingular(mat, field):
 
 def test_cauchy_4x4_gf3_every_submatrix_invertible(gf3):
     mat = cauchy_matrix(4, gf3)
-    assert mat.rows == mat.cols == 4
+    assert mat.shape == (4, 4) and mat.dtype == gf3.dtype
     assert all_square_submatrices_nonsingular(mat, gf3)
 
 
@@ -72,8 +71,7 @@ def test_cauchy_submatrix_property(n, l):
 
 def test_cauchy_1x1_is_single_nonzero_symbol(gf3):
     mat = cauchy_matrix(1, gf3)
-    assert mat.rows == mat.cols == 1
-    assert mat.entries[0][0] != 0
+    assert mat.tolist() == [[1]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,9 +80,9 @@ def test_cauchy_entries_are_scalar_inverses(l, draw):
     field = field_of_width(l)
     n = draw.draw(st.integers(1, min(field.order // 2, 32)))
     mat = cauchy_matrix(n, field)
-    assert mat.entries == tuple(
-        tuple(field.inv(x ^ y) for y in range(n, 2 * n)) for x in range(n)
-    )
+    assert mat.tolist() == [
+        [field.inv(x ^ y) for y in range(n, 2 * n)] for x in range(n)
+    ]
 
 
 def test_cauchy_field_too_small():
@@ -93,78 +91,89 @@ def test_cauchy_field_too_small():
 
 
 def test_cauchy_deterministic(gf8):
-    assert cauchy_matrix(5, gf8).entries == cauchy_matrix(5, gf8).entries
+    assert (cauchy_matrix(5, gf8) == cauchy_matrix(5, BinaryField(8))).all()
+
+
+@pytest.mark.parametrize("matrix", [cauchy_matrix, _cached_inverse])
+def test_shared_matrices_are_read_only(matrix, gf8):
+    """Every session shares these cached arrays, so none may write to them."""
+    mat = matrix(5, gf8)
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0
+    with pytest.raises(ValueError):
+        mat[1:3] ^= 1
+    assert matrix(5, gf8) is mat
+
+
+def test_cached_inverse_inverts_the_share_matrix(gf8):
+    product = gf8.matmul(_cached_inverse(6, gf8), cauchy_matrix(6, gf8))
+    assert (product == np.eye(6, dtype=gf8.dtype)).all()
 
 
 def test_encode_all_zero_inputs(gf3):
-    enc = cauchy_matrix(4, gf3)
     zero = gf3.vector([0, 0, 0])
-    shares = encode_shares([zero, zero], [zero, zero], enc, gf3)
-    assert all(not share.any() for share in shares)
+    shares = encode_shares([zero, zero], [zero, zero], gf3)
+    assert shares.shape == (4, 3) and not shares.any()
 
 
 def test_encode_matches_naive_matvec(gf3):
     enc = cauchy_matrix(4, gf3)
     rng = random.Random(1)
     inputs = [gf3.vector([rng.randrange(8) for _ in range(5)]) for _ in range(4)]
-    shares = encode_shares(inputs[:2], inputs[2:], enc, gf3)
+    shares = encode_shares(inputs[:2], inputs[2:], gf3)
     for j in range(4):
         for pos in range(5):
             expect = 0
             for i in range(4):
-                expect ^= gf3.mul(enc.entries[j][i], int(inputs[i][pos]))
+                expect ^= gf3.mul(int(enc[j, i]), int(inputs[i][pos]))
             assert int(shares[j][pos]) == expect
 
 
 def test_encode_dimension_mismatch(gf3):
-    enc = cauchy_matrix(4, gf3)
     vec = gf3.vector([1, 2])
     with pytest.raises(ValueError):
-        encode_shares([vec], [vec], enc, gf3)
-    with pytest.raises(ValueError):
-        encode_shares([vec, vec], [vec, gf3.vector([1])], enc, gf3)
+        encode_shares([vec, vec], [vec, gf3.vector([1])], gf3)
 
 
 def test_roundtrip_all_shapes_up_to_16():
     field = BinaryField(8)
     rng = random.Random(42)
     for f in range(2, 17):
-        enc = cauchy_matrix(f, field)
         for z in range(1, f):
             subs = [
                 field.vector([rng.randrange(256) for _ in range(2)])
                 for _ in range(f - z)
             ]
             rand = [random_vector(2, field, rng) for _ in range(z)]
-            shares = encode_shares(subs, rand, enc, field)
-            back = reconstruct_file(shares, enc, field, z)
-            assert all((a == b).all() for a, b in zip(subs, back))
+            shares = encode_shares(subs, rand, field)
+            back = reconstruct_file(shares, ShareMeta(f, z, 0, 0, 2), field)
+            assert back.shape == (f - z, 2) and (back == np.stack(subs)).all()
 
 
 def test_roundtrip_random_inputs_repeated(gf3):
-    enc = cauchy_matrix(4, gf3)
+    meta = ShareMeta(4, 2, 0, 0, 3)
     rng = random.Random(9)
     for _ in range(100):
         subs = [gf3.vector([rng.randrange(8) for _ in range(3)]) for _ in range(2)]
         rand = [random_vector(3, gf3, rng) for _ in range(2)]
-        back = reconstruct_file(encode_shares(subs, rand, enc, gf3), enc, gf3, 2)
+        back = reconstruct_file(encode_shares(subs, rand, gf3), meta, gf3)
         assert all((a == b).all() for a, b in zip(subs, back))
 
 
 def test_reconstruct_needs_all_shares(gf3):
-    enc = cauchy_matrix(4, gf3)
     rng = random.Random(3)
-    shares, _, _ = share_file(b"abc", enc, 2, gf3, rng)
-    with pytest.raises(ValueError):
-        reconstruct_file(shares[:3], enc, gf3, 2)
+    shares, _, meta = share_file(b"abc", 4, 2, gf3, rng)
+    with pytest.raises(ValueError, match="need all 4 shares, got 3"):
+        reconstruct_file(shares[:3], meta, gf3)
 
 
 def test_file_roundtrip_bit_exact(gf8):
-    enc = cauchy_matrix(4, gf8)
     rng = random.Random(5)
     data = b"abcdefghijklm"
-    shares, _, meta = share_file(data, enc, 2, gf8, rng)
-    assert unshare_file(shares, enc, meta, gf8) == data
+    shares, randomness, meta = share_file(data, 4, 2, gf8, rng)
+    assert shares.shape == (4, meta.symbols_per_share)
+    assert randomness.shape == (2, meta.symbols_per_share)
+    assert unshare_file(shares, meta, gf8) == data
 
 
 def test_share_geometry_two_subfiles_of_half_size(gf3):
@@ -191,12 +200,11 @@ def test_share_size_bound(gf8):
 
 def test_padding_strips_back(gf3):
     # 8 bits padded up to (F-Z)*l multiples and restored exactly.
-    enc = cauchy_matrix(4, gf3)
     rng = random.Random(8)
     data = b"\x42"
-    shares, _, meta = share_file(data, enc, 2, gf3, rng)
+    shares, _, meta = share_file(data, 4, 2, gf3, rng)
     assert meta.padded_bits == 12 and meta.data_bits == 8
-    assert unshare_file(shares, enc, meta, gf3) == data
+    assert unshare_file(shares, meta, gf3) == data
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,7 +222,7 @@ def test_invert_matrix_roundtrip(l, n, deficient, draw):
         rows[-1] = [0] * n
         for c, row in zip(coeffs, rows):
             rows[-1] = [acc ^ field.mul(c, x) for acc, x in zip(rows[-1], row)]
-    mat = SymbolMatrix(n, n, tuple(map(tuple, rows)))
+    mat = np.array(rows, dtype=field.dtype)
     if scalar_row_reduce(field, rows, n)[1] < n:
         with pytest.raises(ValueError, match="singular"):
             invert_matrix(mat, field)
@@ -225,22 +233,13 @@ def test_invert_matrix_roundtrip(l, n, deficient, draw):
         for j in range(n):
             acc = 0
             for k in range(n):
-                acc ^= field.mul(inv.entries[i][k], mat.entries[k][j])
+                acc ^= field.mul(int(inv[i, k]), rows[k][j])
             assert acc == (1 if i == j else 0)
 
 
 def test_invert_singular_matrix_rejected(gf3):
     with pytest.raises(ValueError):
-        invert_matrix(SymbolMatrix(2, 2, ((1, 1), (1, 1))), gf3)
-
-
-def test_symbol_matrix_shape_checked():
-    with pytest.raises(ValueError):
-        SymbolMatrix(2, 2, ((1, 2, 3), (1, 2)))
-
-
-def test_symbol_matrix_hex_str(gf3):
-    assert SymbolMatrix(2, 2, ((10, 1), (0, 15))).hex_str() == "a 1\n0 f"
+        invert_matrix(np.array([[1, 1], [1, 1]]), gf3)
 
 
 # -- codec against a Python-integer reference --------------------------------------
@@ -327,14 +326,14 @@ def sparse_symbols(rng, field, shape, zero_share):
     seed=st.integers(0, 2**32 - 1),
     zero_share=st.sampled_from([0.0, 0.3, 1.0]),
 )
-def test_mat_vec_rows_matches_scalar_oracle(l, shape, length, seed, zero_share):
+def test_matmul_matches_scalar_oracle(l, shape, length, seed, zero_share):
     """F - Z rows of F coefficients, as reconstruct_file multiplies (Z = 0: encode)."""
     (f, z), field, rng = shape, field_of_width(l), np.random.default_rng(seed)
-    rows = sparse_symbols(rng, field, (f - z, f), zero_share).tolist()
-    vectors = list(sparse_symbols(rng, field, (f, length), zero_share))
-    got = _mat_vec_rows(rows, vectors, field)
-    assert len(got) == f - z
-    for row, out in zip(rows, got):
+    rows = sparse_symbols(rng, field, (f - z, f), zero_share)
+    vectors = sparse_symbols(rng, field, (f, length), zero_share)
+    got = field.matmul(rows, vectors)
+    assert got.shape == (f - z, length)
+    for row, out in zip(rows.tolist(), got):
         assert out.dtype == field.dtype and out.shape == (length,)
         expect = [0] * length
         for coeff, vec in zip(row, vectors):
