@@ -46,6 +46,8 @@ def cutset_terms(
     """The (s, value) bound terms, each clamped at zero."""
     if num_files < 1:
         raise ValueError("need at least one file")
+    if num_users < 1:
+        raise ValueError("need at least one user")
     m = Fraction(helper_memory)
     if m < 0:
         raise ValueError("helper memory cannot be negative")

@@ -52,6 +52,8 @@ def _parse_profile(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad profile {text!r}: expected comma-separated integers")
     if not profile or any(n < 0 for n in profile):
         raise ValueError("profile entries must be nonnegative integers")
+    if sum(profile) == 0:
+        raise ValueError("profile must attach at least one user")
     return profile
 
 

@@ -7,10 +7,11 @@ degree l.  No wrapper objects: the field instance is passed around with
 the elements.
 
 For vectorized work (share encoding, linear-algebra checks) the field
-exposes lazily built exp/log tables over a fixed generator, usable with
-numpy fancy indexing.  The scalar `mul`, `pow` and `inv` only build those
-tables and serve as test oracles; every array operation goes through the
-tables.
+exposes exp/log tables over a fixed generator, usable with numpy fancy
+indexing.  They are built on first use, once per (l, poly) in a process,
+and every instance of that field shares the same read-only arrays.  The
+scalar `mul`, `pow` and `inv` only build those tables and serve as test
+oracles; every array operation goes through the tables.
 
 `BinaryField.echelon` is the package's one elimination kernel.  It gives
 the sharing inverse (Gauss-Jordan on [A | I]), the secrecy module's
@@ -144,30 +145,8 @@ class BinaryField:
 
     # -- vectorized support --------------------------------------------------
 
-    def _find_generator(self) -> int:
-        n = self.order - 1
-        factors = _prime_factors(n)
-        for g in range(2, self.order):
-            if all(self.pow(g, n // p) != 1 for p in factors):
-                return g
-        raise RuntimeError("multiplicative group of a field is cyclic")
-
     def _build_tables(self) -> None:
-        q = self.order
-        g = self._find_generator()
-        # Logs of nonzero elements lie in [0, q - 2], so log a + log b <= 2q - 4.
-        # log 0 = 2q - 3 sends every sum that involves a zero into a zero tail.
-        zero_log = 2 * q - 3
-        exp = np.zeros(2 * zero_log + 1, dtype=self.dtype)
-        log = np.full(q, zero_log, dtype=np.int32)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self.mul(x, g)
-        exp[q - 1 : zero_log] = exp[: q - 2]
-        self._exp = exp
-        self._log = log
+        self._exp, self._log = _tables(self)
 
     @property
     def exp_table(self) -> np.ndarray:
@@ -284,3 +263,30 @@ class BinaryField:
 def default_field(l: int = 8) -> BinaryField:
     """Shared instance with the default polynomial for width l."""
     return BinaryField(l)
+
+
+@lru_cache(maxsize=None)
+def _tables(field: BinaryField) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only exp and log tables of a field, built once per (l, poly)
+    (the key that field equality and hashing use) by repeated scalar
+    multiplication with the least generator of the multiplicative group."""
+    q = field.order
+    n = q - 1
+    factors = _prime_factors(n)
+    g = next(
+        g for g in range(2, q) if all(field.pow(g, n // p) != 1 for p in factors)
+    )
+    # Logs of nonzero elements lie in [0, q - 2], so log a + log b <= 2q - 4.
+    # log 0 = 2q - 3 sends every sum that involves a zero into a zero tail.
+    zero_log = 2 * q - 3
+    exp = np.zeros(2 * zero_log + 1, dtype=field.dtype)
+    log = np.full(q, zero_log, dtype=np.int32)
+    x = 1
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x = field.mul(x, g)
+    exp[n:zero_log] = exp[: q - 2]
+    exp.setflags(write=False)
+    log.setflags(write=False)
+    return exp, log

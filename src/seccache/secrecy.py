@@ -60,7 +60,10 @@ The eavesdropper check runs on M1 as it is.  Witnesses still come from
 M1, and only for a check that fails.  The kernel is Gauss-Jordan, but
 clearing a column above its pivot changes only rows above it, so the rows
 from the pivots down, where witnesses are read, are those of a row echelon
-elimination: every witness is the one M1 has always given.
+elimination: every witness is the one M1 has always given.  The row
+operations that eliminate B depend on B alone, so a witness is read from
+[B | I] and the product of its I part with A, and one session's checks
+reuse that elimination wherever B, without its zero columns, repeats.
 """
 
 from __future__ import annotations
@@ -153,23 +156,34 @@ _echelon = BinaryField.echelon
 
 
 def _exposing_combination(
-    field: BinaryField, b: np.ndarray, a: np.ndarray
+    field: BinaryField, b: np.ndarray, a: np.ndarray, eliminated: dict | None = None
 ) -> np.ndarray | None:
     """A row combination phi with phi.B = 0 but phi.A != 0, or None when
-    every column of A already lies in the column space of B.  [B | A | I]
-    is eliminated on B's columns, and phi is the identity part of the first
-    row left with zero B and nonzero A; the I columns never give a pivot,
-    so the verdict is that of [B | A] alone."""
+    every column of A already lies in the column space of B.
+
+    Eliminating [B | I] on B's columns leaves E, the I part, with E.B in
+    row echelon form.  phi is the first row of E past the pivots with
+    phi.A != 0 (one table gather per row tried), which is the row an
+    elimination of [B | A | I] would give.  The kernel picks, scales and
+    clears using the pivot columns alone, and a zero column never pivots,
+    so E depends only on B with its zero columns dropped.  `eliminated`,
+    when given, keeps E for each such B, so observers whose B agree share
+    one elimination.
+    """
     if a.shape[0] == 0 or not a.any():
         return None
-    tracked = np.concatenate(
-        [b, a, np.eye(b.shape[0], dtype=b.dtype)], axis=1
-    )
-    pivots = _echelon(field, tracked, b.shape[1])
-    width = b.shape[1] + a.shape[1]
-    for row in tracked[pivots:]:
-        if row[b.shape[1] : width].any():
-            return row[width:].copy()
+    b = b[:, b.any(axis=0)]
+    memo = {} if eliminated is None else eliminated
+    key = (b.shape, b.tobytes())
+    if key not in memo:
+        work = np.concatenate([b, np.eye(b.shape[0], dtype=b.dtype)], axis=1)
+        memo[key] = (_echelon(field, work, b.shape[1]), work[:, b.shape[1] :])
+    pivots, ops = memo[key]
+    exp, log = field.exp_table, field.log_table
+    a_logs = log[a]
+    for phi in ops[pivots:]:
+        if np.bitwise_xor.reduce(exp[log[phi][:, None] + a_logs], axis=0).any():
+            return phi.copy()
     return None
 
 
@@ -534,14 +548,20 @@ def _delivery_model(
     )
 
 
-def _witnessed(verdict: SecrecyVerdict, model_of, protected) -> SecrecyVerdict:
+def _witnessed(
+    verdict: SecrecyVerdict, model_of, protected, eliminated: dict
+) -> SecrecyVerdict:
     """A reduced check's verdict, or, when it fails, the failing check's
-    witness from its one-position model `model_of()`."""
+    witness from its one-position model `model_of()`; `eliminated` is the
+    `_exposing_combination` memo the checks of one session share."""
     if verdict.holds:
         return verdict
     model = model_of()
     witness = _exposing_combination(
-        model.field, model.obs_rand, model.obs_files[:, model.protected_columns(protected)]
+        model.field,
+        model.obs_rand,
+        model.obs_files[:, model.protected_columns(protected)],
+        eliminated,
     )
     if witness is None:
         raise RuntimeError("a reduced check fails, but its one-position model holds")
@@ -559,9 +579,11 @@ def verify_session(session: SessionState) -> SecrecyReport:
     the cache's Z shares of one file, a delivery check on the broadcasts
     the user cannot discard, reduced by R_lam, and the eavesdropper on the
     one-position model itself.  A failing check takes its witness from the
-    one-position model, so witnesses are unchanged.  Raises RuntimeError,
-    naming the cache, when a cache does not hold Z shares whose randomness
-    block is invertible.
+    one-position model, so witnesses are unchanged; failing checks whose
+    randomness blocks agree once zero columns are dropped (users at one
+    cache, with the pads stripped) share one elimination.  Raises
+    RuntimeError, naming the cache, when a cache does not hold Z shares
+    whose randomness block is invertible.
     """
     field = session.config.field
     caches = range(1, session.config.num_caches + 1)
@@ -573,6 +595,7 @@ def verify_session(session: SessionState) -> SecrecyReport:
         for lam in caches
     }
     dense = SessionAnalyzer(session, positions=1)
+    eliminated: dict = {}
     all_files = range(1, session.config.num_files + 1)
     users = session.garray.column_users
     cache_of = session.association.user_to_cache
@@ -581,6 +604,7 @@ def verify_session(session: SessionState) -> SecrecyReport:
             check_zero_information(placement[lam], {1}),
             partial(dense.cache_model, lam),
             all_files,
+            eliminated,
         )
         for lam in caches
     }
@@ -589,6 +613,7 @@ def verify_session(session: SessionState) -> SecrecyReport:
             check_zero_information(placement[cache_of[user - 1]], {1}),
             partial(dense.user_model, user, False),
             all_files,
+            eliminated,
         )
         for user in users
     }
@@ -600,6 +625,7 @@ def verify_session(session: SessionState) -> SecrecyReport:
             check_zero_information(reduced, protected),
             partial(dense.user_model, user, True),
             protected,
+            eliminated,
         )
     eavesdropper = check_zero_information(dense.eavesdropper_model(), all_files)
     return SecrecyReport(cache_placement, user_placement, user_delivery, eavesdropper)

@@ -6,13 +6,18 @@ Any Z shares are statistically independent of the file (checked in the
 secrecy module); all F shares reconstruct it exactly.
 
 Symbols are field elements (see field.BinaryField).  Subfiles and shares
-are 2-D numpy arrays, one row of L symbols per vector.  The share matrix
-is not an argument: F and the field fix it as cauchy_matrix(F, field), a
-cached read-only array built by one exp/log table gather.  Its inverse,
-which decoding uses, is a Gauss-Jordan elimination of [A | I] by
-`BinaryField.echelon`, the same kernel that serves the secrecy checks,
-and is cached read-only as well.  No scalar field product runs on this
-path.
+are 2-D numpy arrays, one row of L symbols per vector.  Bytes become
+symbols in one codec, `bytes_to_symbols`/`symbols_to_bytes`: when l is a
+multiple of 8 a symbol is l/8 whole bytes, so the codec is a big-endian
+numpy view of them (copied into a fresh, writable array); other widths
+cut symbols across byte boundaries and keep a bit-level unpack/pack path.
+
+The share matrix is not an argument: F and the field fix it as
+cauchy_matrix(F, field), a cached read-only array built by one exp/log
+table gather.  Its inverse, which decoding uses, is a Gauss-Jordan
+elimination of [A | I] by `BinaryField.echelon`, the same kernel that
+serves the secrecy checks, and is cached read-only as well.  No scalar
+field product runs on this path.
 """
 
 from __future__ import annotations
@@ -114,6 +119,10 @@ def reconstruct_file(shares, meta: ShareMeta, field: BinaryField) -> np.ndarray:
 #
 # The one place that knows the layout: a byte string is read MSB-first as a
 # single bit stream, cut into l-bit symbols, and zero-padded at the end.
+# When l is a multiple of 8 a symbol is l/8 whole bytes, most significant
+# first, so the codec is a big-endian numpy view of the bytes.  Every other
+# width cuts symbols across byte boundaries, and only there do the bytes go
+# through unpackbits/packbits.
 
 
 def _share_meta(data_bits: int, f: int, z: int, field: BinaryField) -> ShareMeta:
@@ -125,9 +134,18 @@ def _share_meta(data_bits: int, f: int, z: int, field: BinaryField) -> ShareMeta
 
 
 def bytes_to_symbols(data: bytes, field: BinaryField, count: int) -> np.ndarray:
-    """The bit stream of data as `count` l-bit symbols, zero-padded at the end."""
+    """The bit stream of data as `count` l-bit symbols, zero-padded at the
+    end, in a fresh writable array."""
     if count * field.l < 8 * len(data):
         raise ValueError(f"{count} symbols of {field.l} bits cannot hold {len(data)} bytes")
+    if field.l % 8 == 0:
+        width = field.l // 8
+        whole = -(-len(data) // width)
+        symbols = field.zeros(count)
+        symbols[:whole] = np.frombuffer(
+            bytes(data).ljust(whole * width, b"\0"), dtype=f">u{width}"
+        )
+        return symbols
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count * field.l)
     weights = (1 << np.arange(field.l - 1, -1, -1)).astype(field.dtype)
     return bits.reshape(count, field.l) @ weights
@@ -135,6 +153,8 @@ def bytes_to_symbols(data: bytes, field: BinaryField, count: int) -> np.ndarray:
 
 def symbols_to_bytes(symbols, field: BinaryField) -> bytes:
     """The bit stream of l-bit symbols as bytes, zero-padded at the end."""
+    if field.l % 8 == 0:
+        return np.asarray(symbols, field.dtype).astype(f">u{field.l // 8}").tobytes()
     shifts = np.arange(field.l - 1, -1, -1, dtype=field.dtype)
     bits = np.asarray(symbols, dtype=field.dtype)[:, None] >> shifts
     bits &= 1

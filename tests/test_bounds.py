@@ -246,3 +246,8 @@ def test_csv_format():
     # every data row: 5 fields, decimal memory ascending
     memories = [float(line.split(",")[0]) for line in lines[1:]]
     assert memories == sorted(memories)
+
+
+def test_cutset_terms_need_a_user():
+    with pytest.raises(ValueError, match="at least one user"):
+        cutset_terms(4, 0, 1, (0, 0))

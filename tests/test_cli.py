@@ -283,6 +283,10 @@ def test_bound_command_tiny_library(capsys):
     (["bound", "--profile", "2,1", "--files", 0, "--memory", "0"], "need at least one file"),
     (["sweep", "--profile", "2,1", "--files", -3], "need at least one file"),
     (["baseline", "--profile", "3,2", "--files", 4], "worst-case demands need N >= K"),
+    (["sweep", "--profile", "0,0", "--files", 4], "profile must attach at least one user"),
+    (["bound", "--profile", "0", "--files", 4, "--memory", "1"],
+     "profile must attach at least one user"),
+    (["rate", "--pda", "mn:3,1", "--profile", "0,0,0"], "profile must attach at least one user"),
 ])
 def test_bad_query_inputs_are_errors(args, message, capsys):
     assert run(args) == 1

@@ -125,6 +125,23 @@ def test_exp_log_tables_consistent(l):
         assert exp[log[0] + log[a]] == exp[log[a] + log[0]] == 0
 
 
+def test_tables_are_shared_read_only_per_polynomial():
+    first, second = BinaryField(16), BinaryField(16)
+    assert first.exp_table is second.exp_table
+    assert first.log_table is second.log_table
+    for table in (first.exp_table, first.log_table):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
+    other = BinaryField(16, poly=0x1002D)
+    assert other.exp_table is not first.exp_table
+    assert other.log_table is not first.log_table
+    rng = random.Random(16)
+    for _ in range(50):
+        a, b = rng.randrange(other.order), rng.randrange(other.order)
+        assert other.exp_table[other.log_table[a] + other.log_table[b]] == other.mul(a, b)
+
+
 def test_scale_and_outer_match_scalar_mul(gf8):
     rng = random.Random(0)
     vec = gf8.vector([rng.randrange(256) for _ in range(40)])

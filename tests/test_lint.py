@@ -1,6 +1,6 @@
 """Source rules for the package: invariants raise real exceptions, scalar
-field arithmetic stays inside the field module, and sessions are built in
-one place."""
+field arithmetic stays inside the field module, the byte <-> symbol codec
+lives in the sharing module, and sessions are built in one place."""
 
 import ast
 from pathlib import Path
@@ -62,3 +62,9 @@ def test_sessions_are_built_in_one_place():
     assert len(built) == 1, f"every scheme shares one session constructor: {built}"
     derived = calls_named([(f, n) for f, n in nodes if f == "cli.py"], "run_session")
     assert len(derived) == 1, f"simulate and verify derive sessions alike: {derived}"
+
+
+def test_bit_packing_stays_in_the_codec():
+    nodes = [(f, n) for f, n in package_nodes() if f != "sharing.py"]
+    found = calls_named(nodes, "packbits") + calls_named(nodes, "unpackbits")
+    assert not found, f"bytes become symbols only in sharing's codec: {found}"

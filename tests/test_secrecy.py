@@ -565,3 +565,32 @@ def test_verification_cost_does_not_grow_with_file_size(monkeypatch):
         verify_session(make_worked_session(file_bytes=file_bytes))
         by_size[file_bytes] = list(shapes)
     assert by_size[4] and by_size[4] == by_size[2048]
+
+
+def test_strip_pads_witnesses_share_one_elimination_per_cache(monkeypatch):
+    # a check's verdict is decided before `_witnessed` is called, so every
+    # elimination made inside it is the witness path's
+    inside, witness_calls = [], []
+    echelon, witnessed = secrecy._echelon, secrecy._witnessed
+
+    def recording(field, mat, pivot_cols):
+        if inside:
+            witness_calls.append(mat.shape)
+        return echelon(field, mat, pivot_cols)
+
+    def tagged(*args):
+        inside.append(True)
+        try:
+            return witnessed(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(secrecy, "_echelon", recording)
+    monkeypatch.setattr(secrecy, "_witnessed", tagged)
+    session = make_worked_session()
+    assert verify_session(session).all_hold and not witness_calls
+    stripped = verify_session(secrecy.strip_pads(session))
+    failing = [u for u, v in stripped.user_delivery.items() if not v.holds]
+    nonempty = sum(1 for load in session.association.profile if load)
+    assert len(failing) == 21 and nonempty == 6
+    assert 0 < len(witness_calls) <= nonempty

@@ -2,12 +2,11 @@
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seccache.field import BinaryField
 from seccache.scheme import SystemConfig, _stream, synthetic_library
@@ -77,7 +76,7 @@ def test_cauchy_1x1_is_single_nonzero_symbol(gf3):
 @settings(max_examples=60, deadline=None)
 @given(l=st.integers(2, 16), draw=st.data())
 def test_cauchy_entries_are_scalar_inverses(l, draw):
-    field = field_of_width(l)
+    field = BinaryField(l)
     n = draw.draw(st.integers(1, min(field.order // 2, 32)))
     mat = cauchy_matrix(n, field)
     assert mat.tolist() == [
@@ -214,7 +213,7 @@ def test_invert_matrix_roundtrip(l, n, deficient, draw):
     """inverse * A = I under scalar mul when the plain-list oracle finds rank
     n; ValueError otherwise (forced for `deficient`, where the last row is a
     combination of the others)."""
-    field = field_of_width(l)
+    field = BinaryField(l)
     symbol = st.integers(0, field.order - 1)
     rows = [draw.draw(st.lists(symbol, min_size=n, max_size=n)) for _ in range(n)]
     if deficient:
@@ -272,18 +271,24 @@ def ref_symbols_to_bytes(vec, field):
     return (value << (padded - bits)).to_bytes(padded // 8, "big")
 
 
-@lru_cache(maxsize=None)
-def field_of_width(l):
-    return BinaryField(l)
-
-
 shapes = st.integers(1, 8).flatmap(lambda f: st.tuples(st.just(f), st.integers(0, f - 1)))
+
+
+# At l = 8 and l = 16 symbols are whole bytes and the codec is a big-endian
+# view; these examples pin both widths, odd byte counts, and padding.
+ODD_BYTES = bytes(range(7, 256)) + bytes(range(52))  # 301 bytes
 
 
 @settings(max_examples=150, deadline=None)
 @given(l=st.integers(2, 16), data=st.binary(min_size=1, max_size=300), shape=shapes)
+@example(l=8, data=b"\xa5", shape=(1, 0))
+@example(l=8, data=b"\x01\x80\xff", shape=(3, 1))
+@example(l=8, data=ODD_BYTES, shape=(8, 3))
+@example(l=16, data=b"\xa5", shape=(1, 0))
+@example(l=16, data=b"\x01\x80\xff", shape=(2, 0))
+@example(l=16, data=ODD_BYTES, shape=(7, 2))
 def test_codec_matches_reference(l, data, shape):
-    field, (f, z) = field_of_width(l), shape
+    field, (f, z) = BinaryField(l), shape
     subs, meta = bytes_to_subfiles(data, f, z, field)
     ref_subs, ref_meta = ref_bytes_to_subfiles(data, f, z, field)
     assert meta == ref_meta
@@ -295,12 +300,33 @@ def test_codec_matches_reference(l, data, shape):
 
 
 @settings(max_examples=150, deadline=None)
-@given(l=st.integers(2, 16), draw=st.data())
-def test_symbols_to_bytes_matches_reference(l, draw):
-    field = field_of_width(l)
-    symbols = draw.draw(st.lists(st.integers(0, field.order - 1), max_size=40))
-    vec = field.vector(symbols)
+@given(l=st.integers(2, 16), symbols=st.lists(st.integers(0, 2**16 - 1), max_size=40))
+@example(l=8, symbols=[0xA5])
+@example(l=8, symbols=[1, 0x80, 0xFF])
+@example(l=8, symbols=list(ODD_BYTES))
+@example(l=16, symbols=[0xA5C3])
+@example(l=16, symbols=[1, 0x8000, 0xFFFF])
+@example(l=16, symbols=[0xFFFF - 3 * t for t in range(301)])
+def test_symbols_to_bytes_matches_reference(l, symbols):
+    field = BinaryField(l)
+    vec = field.vector([sym % field.order for sym in symbols])
     assert symbols_to_bytes(vec, field) == ref_symbols_to_bytes(vec, field)
+
+
+@pytest.mark.parametrize("l", [3, 8, 12, 16])
+@pytest.mark.parametrize("length", [1, 3, 301])
+def test_bytes_to_symbols_is_a_fresh_writable_array(l, length):
+    field = BinaryField(l)
+    data = ODD_BYTES[:length]
+    count = -(-8 * length // l) + 2  # two symbols of padding past the data
+    symbols = bytes_to_symbols(data, field, count)
+    assert symbols.dtype == field.dtype and symbols.shape == (count,)
+    assert symbols.flags.writeable
+    assert not np.shares_memory(symbols, np.frombuffer(data, dtype=np.uint8))
+    assert symbols_to_bytes(symbols, field)[:length] == data
+    assert not symbols[-2:].any()
+    symbols[:] = 0
+    assert data == ODD_BYTES[:length]
 
 
 def test_bytes_to_symbols_rejects_a_short_count(gf8):
@@ -328,7 +354,7 @@ def sparse_symbols(rng, field, shape, zero_share):
 )
 def test_matmul_matches_scalar_oracle(l, shape, length, seed, zero_share):
     """F - Z rows of F coefficients, as reconstruct_file multiplies (Z = 0: encode)."""
-    (f, z), field, rng = shape, field_of_width(l), np.random.default_rng(seed)
+    (f, z), field, rng = shape, BinaryField(l), np.random.default_rng(seed)
     rows = sparse_symbols(rng, field, (f - z, f), zero_share)
     vectors = sparse_symbols(rng, field, (f, length), zero_share)
     got = field.matmul(rows, vectors)
@@ -356,7 +382,7 @@ def draw_ops():
 @settings(max_examples=100, deadline=None)
 @given(l=st.integers(2, 16), seed=st.integers(0, 2**64 - 1), ops=draw_ops())
 def test_random_vector_keeps_the_per_symbol_stream(l, seed, ops):
-    field = field_of_width(l)
+    field = BinaryField(l)
     rng, ref = random.Random(seed), random.Random(seed)
     for kind, n in ops:
         if kind == "vector":
