@@ -11,7 +11,11 @@ exposes exp/log tables over a fixed generator, usable with numpy fancy
 indexing.  They are built on first use, once per (l, poly) in a process,
 and every instance of that field shares the same read-only arrays.  The
 scalar `mul`, `pow` and `inv` only build those tables and serve as test
-oracles; every array operation goes through the tables.
+oracles; every array operation goes through tables.  At l <= 8,
+`BinaryField.matmul` multiplies through product tables of its
+coefficient matrix, built from the exp/log tables and cached per matrix
+(`_product_tables`); everything else, and matmul at l > 8, gathers
+exp[log a + log b].
 
 `BinaryField.echelon` is the package's one elimination kernel.  It gives
 the sharing inverse (Gauss-Jordan on [A | I]), the secrecy module's
@@ -201,10 +205,26 @@ class BinaryField:
         """Matrix product over the field: (R, C) coefficients times a (C, L)
         symbol array, as an (R, L) array.
 
-        Each term is one table gather, exp[log a + log b], which needs no
-        zero mask.  The C terms of a row are XORed in one coefficient column
-        at a time, so no temporary is larger than R x L.
+        The C terms of a row are XORed in one coefficient column at a time,
+        so no temporary is larger than R x L.  At l <= 8 a symbol's R
+        products with a column are one contiguous row of that column's
+        product table (see `_product_tables`), so the column's terms are
+        one np.take indexed by the symbols themselves, accumulated as an
+        (L, R) array and transposed at the end.  At l > 8, where a table
+        per coefficient would not pay for itself, each term is one gather
+        exp[log a + log b], which needs no zero mask.
         """
+        if self.l <= 8:
+            coeffs = np.asarray(coeffs)
+            tables = _product_tables(
+                self, coeffs.shape, coeffs.dtype.str, coeffs.tobytes()
+            )
+            out = self.zeros(symbols.shape[1], coeffs.shape[0])
+            term = np.empty_like(out)
+            for column_tables, row in zip(tables, symbols):
+                np.take(column_tables, row, axis=0, out=term)
+                out ^= term
+            return np.ascontiguousarray(out.T)
         exp, log = self.exp_table, self.log_table
         coeff_logs = log[np.asarray(coeffs)]
         out = self.zeros(len(coeff_logs), symbols.shape[1])
@@ -290,3 +310,32 @@ def _tables(field: BinaryField) -> tuple[np.ndarray, np.ndarray]:
     exp.setflags(write=False)
     log.setflags(write=False)
     return exp, log
+
+
+@lru_cache(maxsize=16)
+def _product_tables(
+    field: BinaryField, shape: tuple[int, ...], dtype: str, coeff_bytes: bytes
+) -> np.ndarray:
+    """Read-only product tables of an (R, C) coefficient matrix at l <= 8,
+    shape (C, 2^l, R): tables[j, s, r] = coeffs[r, j] * s, so row s of
+    column j's table is s times that column.
+
+    The key is the matrix's shape, dtype and bytes, so equal matrices share
+    one entry however they were built.  All C * R * 2^l products come from
+    one exp/log gather.  The coefficients' logs are read before any cast,
+    so a coefficient outside the field raises IndexError, as a symbol
+    outside it does in `matmul`'s take.
+
+    An entry holds C * R * 2^l bytes.  Sessions multiply only by blocks of
+    an F x F share matrix, and 2F <= 2^l, so there an entry is at most
+    128 * 128 * 256 bytes (4 MiB) and the 16 entries at most 64 MiB.  The
+    oracle `enumerate_independence` multiplies by its observation model,
+    of at most 12 columns.
+    """
+    coeffs = np.frombuffer(coeff_bytes, dtype=dtype).reshape(shape)
+    log = field.log_table
+    tables = np.ascontiguousarray(
+        field.exp_table[log[coeffs].T[:, None, :] + log[:, None]]
+    )
+    tables.setflags(write=False)
+    return tables

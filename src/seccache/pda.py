@@ -19,9 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 # A star entry; integer entries are ints >= 1.
 STAR = None
+
+# Largest subset-family grid mn_pda builds.  mn:18,9 (875,160 cells) takes
+# about 1.7 s and 110 MiB; mn:20,10 (3,695,120) would take 10 s and 320 MiB.
+MN_MAX_CELLS = 1 << 21
 
 Entry = int | None
 Grid = tuple[tuple[Entry, ...], ...]
@@ -209,12 +214,19 @@ def mn_pda(num_caches: int, t: int) -> Pda:
     (T, lam) is a star when lam is in T, else the lexicographic rank of
     T u {lam} among the (t+1)-subsets.  Parameters come out as
     F = C(Lambda, t), Z = C(Lambda-1, t-1), S = C(Lambda, t+1), and each
-    integer appears exactly t + 1 times.
+    integer appears exactly t + 1 times.  A grid of more than MN_MAX_CELLS
+    cells is refused with ValueError before anything is built.
     """
     if num_caches < 2:
         raise ValueError("need at least 2 caches")
     if not 1 <= t <= num_caches - 1:
         raise ValueError(f"t must be in [1, {num_caches - 1}], got {t}")
+    cells = comb(num_caches, t) * num_caches
+    if cells > MN_MAX_CELLS:
+        raise ValueError(
+            f"mn:{num_caches},{t} has {cells} cells (C({num_caches},{t}) rows x "
+            f"{num_caches} columns); at most {MN_MAX_CELLS} can be built"
+        )
     labels = range(1, num_caches + 1)
     rank = {
         subset: i for i, subset in enumerate(combinations(labels, t + 1), start=1)

@@ -16,8 +16,12 @@ The share matrix is not an argument: F and the field fix it as
 cauchy_matrix(F, field), a cached read-only array built by one exp/log
 table gather.  Its inverse, which decoding uses, is a Gauss-Jordan
 elimination of [A | I] by `BinaryField.echelon`, the same kernel that
-serves the secrecy checks, and is cached read-only as well.  No scalar
-field product runs on this path.
+serves the secrecy checks, and is cached read-only as well.  Sharing and
+unsharing are one `BinaryField.matmul` each: at l <= 8 it multiplies
+through product tables that are cached per coefficient matrix, so the
+share matrix and the inverse's rows are tabulated once per process; at
+l > 8 every product is a gather exp[log a + log b].  No scalar field
+product runs on this path.
 """
 
 from __future__ import annotations
@@ -146,7 +150,10 @@ def bytes_to_symbols(data: bytes, field: BinaryField, count: int) -> np.ndarray:
             bytes(data).ljust(whole * width, b"\0"), dtype=f">u{width}"
         )
         return symbols
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count * field.l)
+    # unpackbits leaves the bits past an empty input uninitialised, so the
+    # data is zero-padded to whole bytes first, as on the word path.
+    padded = bytes(data).ljust(-(-count * field.l // 8), b"\0")
+    bits = np.unpackbits(np.frombuffer(padded, dtype=np.uint8), count=count * field.l)
     weights = (1 << np.arange(field.l - 1, -1, -1)).astype(field.dtype)
     return bits.reshape(count, field.l) @ weights
 

@@ -287,6 +287,11 @@ def test_bound_command_tiny_library(capsys):
     (["bound", "--profile", "0", "--files", 4, "--memory", "1"],
      "profile must attach at least one user"),
     (["rate", "--pda", "mn:3,1", "--profile", "0,0,0"], "profile must attach at least one user"),
+    (["rate", "--pda", "mn:30,15", "--profile", 1],
+     "mn:30,15 has 4653525600 cells (C(30,15) rows x 30 columns); at most 2097152 can be built"),
+    (["pda", "mn", 40, 20],
+     "mn:40,20 has 5513861152800 cells (C(40,20) rows x 40 columns); "
+     "at most 2097152 can be built"),
 ])
 def test_bad_query_inputs_are_errors(args, message, capsys):
     assert run(args) == 1

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
+from seccache import pda as pda_module
 from seccache.pda import (
     C1Violation,
     C2Violation,
@@ -140,6 +141,20 @@ def test_mn_range_errors():
         mn_pda(4, 4)
     with pytest.raises(ValueError):
         mn_pda(1, 1)
+
+
+def test_mn_refuses_a_grid_too_large_before_building_it(monkeypatch):
+    def no_subsets(*args):
+        raise AssertionError("a grid too large was enumerated")
+
+    monkeypatch.setattr(pda_module, "combinations", no_subsets)
+    with pytest.raises(ValueError, match=r"mn:30,15 has 4653525600 cells"):
+        mn_pda(30, 15)
+    monkeypatch.undo()
+    monkeypatch.setattr(pda_module, "MN_MAX_CELLS", 24)
+    assert mn_pda(4, 2).params.num_rows == 6  # 6 x 4 = 24 cells
+    with pytest.raises(ValueError, match="at most 24 can be built"):
+        mn_pda(5, 2)
 
 
 def test_s_at_most_lambda_times_f_minus_z():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from seccache import BinaryField, Pda, mn_pda, validate, verify_session
+from seccache.field import _product_tables
 from seccache.secrecy import strip_pads
 from seccache.sharing import bytes_to_symbols
 from seccache.scheme import (
@@ -269,6 +270,20 @@ def test_randomized_end_to_end_decode():
         for user in session.garray.column_users:
             want = session.library[session.demands[user - 1] - 1]
             assert decode_user(session, user) == want
+
+
+def test_session_builds_each_product_table_once():
+    """On GF(2^8) run_session multiplies by one share matrix and decode_all
+    by its inverse's F - Z rows, once per file and once per user; each
+    matrix's product tables are built on first use only."""
+    pda = mn_pda(6, 2)
+    config = small_config(pda, 18, 18, file_bytes=64)
+    _product_tables.cache_clear()
+    session = run_session(pda, config, profile=(3,) * 6)
+    decoded = decode_all(session)
+    assert _product_tables.cache_info().misses == 2
+    for user, data in decoded.items():
+        assert data == session.library[session.demands[user - 1] - 1]
 
 
 def duplicate_payloads(session):

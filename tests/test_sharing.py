@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seccache.field import BinaryField
+from seccache.field import BinaryField, _product_tables
 from seccache.scheme import SystemConfig, _stream, synthetic_library
 from seccache.sharing import (
     ShareMeta,
@@ -102,6 +102,30 @@ def test_shared_matrices_are_read_only(matrix, gf8):
     with pytest.raises(ValueError):
         mat[1:3] ^= 1
     assert matrix(5, gf8) is mat
+
+
+@pytest.mark.parametrize("matrix", [cauchy_matrix, _cached_inverse])
+def test_product_tables_are_shared_read_only(matrix, gf8):
+    """matmul multiplies at l <= 8 through cached tables: one read-only
+    array per distinct coefficient matrix, whatever object holds it."""
+    mat = matrix(5, gf8)
+    key = (gf8, mat.shape, mat.dtype.str, mat.tobytes())
+    gf8.matmul(mat, gf8.zeros(5, 3))
+    tables = _product_tables(*key)
+    assert tables.shape == (5, gf8.order, 5) and tables.dtype == gf8.dtype
+    assert tables.flags.c_contiguous  # each symbol gathers one contiguous row
+    with pytest.raises(ValueError):
+        tables[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        tables[1:3] ^= 1
+    assert [int(tables[j, 7, r]) for r in range(5) for j in range(5)] == [
+        gf8.mul(int(mat[r, j]), 7) for r in range(5) for j in range(5)
+    ]
+    before = _product_tables.cache_info()
+    gf8.matmul(mat.copy(), gf8.zeros(5, 3))
+    after = _product_tables.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert _product_tables(*key) is tables
 
 
 def test_cached_inverse_inverts_the_share_matrix(gf8):
@@ -329,6 +353,19 @@ def test_bytes_to_symbols_is_a_fresh_writable_array(l, length):
     assert data == ODD_BYTES[:length]
 
 
+@settings(max_examples=100, deadline=None)
+@given(l=st.integers(2, 16), data=st.binary(max_size=40), extra=st.integers(0, 4))
+@example(l=3, data=b"", extra=4)
+@example(l=12, data=b"", extra=4)
+def test_bytes_to_symbols_pads_with_zero_symbols(l, data, extra):
+    """Symbols past the data are zero, at every width and for empty data."""
+    field = BinaryField(l)
+    count = -(-8 * len(data) // l) + extra
+    value = int.from_bytes(data, "big") << (count * l - 8 * len(data))
+    expect = [(value >> (count - 1 - t) * l) & (field.order - 1) for t in range(count)]
+    assert bytes_to_symbols(data, field, count).tolist() == expect
+
+
 def test_bytes_to_symbols_rejects_a_short_count(gf8):
     with pytest.raises(ValueError):
         bytes_to_symbols(b"\x01\x02", gf8, 1)
@@ -344,6 +381,24 @@ def sparse_symbols(rng, field, shape, zero_share):
     return out.astype(field.dtype)
 
 
+def matmul_examples(test):
+    """Pin both kernels, l <= 8 (product tables) and l > 8 (exp/log)."""
+    cases = [
+        dict(shape=(8, 3), length=300, seed=1, zero_share=0.3),
+        # a zero coefficient against nonzero symbols
+        dict(shape=(2, 0), length=7, seed=2, zero_share=0.0, coeffs=[[0, 3], [5, 0]]),
+        # all-zero symbols against nonzero coefficients
+        dict(shape=(2, 0), length=7, seed=3, zero_share=1.0, coeffs=[[2, 3], [5, 7]]),
+        dict(shape=(4, 1), length=0, seed=4, zero_share=0.3),
+        # the 1 x 1 share matrix of the M = 0 scheme
+        dict(shape=(1, 0), length=9, seed=5, zero_share=0.0, coeffs=[[1]]),
+    ]
+    for l in (8, 16):
+        for case in cases:
+            test = example(l=l, **{"coeffs": None, **case})(test)
+    return test
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     l=st.integers(2, 16),
@@ -351,11 +406,19 @@ def sparse_symbols(rng, field, shape, zero_share):
     length=st.integers(0, 300),
     seed=st.integers(0, 2**32 - 1),
     zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    coeffs=st.none(),
 )
-def test_matmul_matches_scalar_oracle(l, shape, length, seed, zero_share):
-    """F - Z rows of F coefficients, as reconstruct_file multiplies (Z = 0: encode)."""
+@matmul_examples
+def test_matmul_matches_scalar_oracle(l, shape, length, seed, zero_share, coeffs):
+    """F - Z rows of F coefficients, as reconstruct_file multiplies (Z = 0: encode).
+
+    The coefficients are drawn from the seed, like the symbols, unless an
+    example pins them."""
     (f, z), field, rng = shape, BinaryField(l), np.random.default_rng(seed)
-    rows = sparse_symbols(rng, field, (f - z, f), zero_share)
+    if coeffs is None:
+        rows = sparse_symbols(rng, field, (f - z, f), zero_share)
+    else:
+        rows = np.array(coeffs, dtype=field.dtype)
     vectors = sparse_symbols(rng, field, (f, length), zero_share)
     got = field.matmul(rows, vectors)
     assert got.shape == (f - z, length)
@@ -366,6 +429,17 @@ def test_matmul_matches_scalar_oracle(l, shape, length, seed, zero_share):
             for t, sym in enumerate(vec):
                 expect[t] ^= field.mul(coeff, int(sym))
         assert out.tolist() == expect
+
+
+@pytest.mark.parametrize("l", [3, 8, 16])
+def test_matmul_rejects_elements_outside_the_field(l):
+    """Neither kernel wraps an out-of-field input into the field."""
+    field = BinaryField(l)
+    with pytest.raises(IndexError):
+        field.matmul(np.array([[1, field.order]]), field.zeros(2, 3))
+    if l < 8:
+        with pytest.raises(IndexError):
+            field.matmul([[1]], np.full((1, 3), field.order, dtype=field.dtype))
 
 
 def draw_ops():
