@@ -14,8 +14,8 @@ scalar `mul`, `pow` and `inv` only build those tables and serve as test
 oracles; every array operation goes through tables.  At l <= 8,
 `BinaryField.matmul` multiplies through product tables of its
 coefficient matrix, built from the exp/log tables and cached per matrix
-(`_product_tables`); everything else, and matmul at l > 8, gathers
-exp[log a + log b].
+(`_product_tables`); the other array operations, and matmul at l > 8,
+gather from the exp/log tables directly, exp[log a + log b] for a product.
 
 `BinaryField.echelon` is the package's one elimination kernel.  It gives
 the sharing inverse (Gauss-Jordan on [A | I]), the secrecy module's
