@@ -163,9 +163,12 @@ def sweep(num_files: int, profile, pdas: dict[str, Pda]) -> list[SweepPoint]:
 
 
 def mn_sweep_pdas(num_caches: int) -> dict[str, Pda]:
-    """The subset-family PDAs available for a sweep, one per t."""
-    from .pda import mn_pda
+    """The subset-family PDAs available for a sweep, one per t.  The
+    largest grid, at t = Lambda // 2, is checked before any is built, so a
+    sweep over too many caches fails at once with `mn_pda`'s error."""
+    from .pda import check_mn_size, mn_pda
 
+    check_mn_size(num_caches, num_caches // 2)
     return {f"mn:{num_caches},{t}": mn_pda(num_caches, t) for t in range(1, num_caches)}
 
 

@@ -12,10 +12,15 @@ indexing.  They are built on first use, once per (l, poly) in a process,
 and every instance of that field shares the same read-only arrays.  The
 scalar `mul`, `pow` and `inv` only build those tables and serve as test
 oracles; every array operation goes through tables.  At l <= 8,
-`BinaryField.matmul` multiplies through product tables of its
-coefficient matrix, built from the exp/log tables and cached per matrix
-(`_product_tables`); the other array operations, and matmul at l > 8,
-gather from the exp/log tables directly, exp[log a + log b] for a product.
+`BinaryField.matmul` multiplies through product rows of its coefficient
+matrix, built from the exp/log tables and cached per matrix
+(`_product_tables`): row j * 2^l + s holds the R products of s with
+coefficient column j, zero-padded to a 1, 2, 4 or 8k-byte word row, so
+an entry holds C * 2^l * padded R bytes (at most 4 MiB at F <= 128).
+One gather of those rows and one XOR reduce multiply a whole chunk of
+symbols, holding at most about 1 MiB at a time.  The other array
+operations, and matmul at l > 8, gather from the exp/log tables
+directly, exp[log a + log b] for a product.
 
 `BinaryField.echelon` is the package's one elimination kernel.  It gives
 the sharing inverse (Gauss-Jordan on [A | I]), the secrecy module's
@@ -47,6 +52,11 @@ _DEFAULT_POLYS = {
     15: 0x8003,
     16: 0x1002B,
 }
+
+# Bytes that one gather of `BinaryField.matmul` at l <= 8 may hold: the
+# products and their int64 row indices, C * (padded R + 8) per symbol.
+# Longer symbol arrays are multiplied in chunks of columns.
+_GATHER_BUDGET_BYTES = 1 << 20
 
 
 def _poly_mod(a: int, b: int) -> int:
@@ -205,26 +215,41 @@ class BinaryField:
         """Matrix product over the field: (R, C) coefficients times a (C, L)
         symbol array, as an (R, L) array.
 
-        The C terms of a row are XORed in one coefficient column at a time,
-        so no temporary is larger than R x L.  At l <= 8 a symbol's R
-        products with a column are one contiguous row of that column's
-        product table (see `_product_tables`), so the column's terms are
-        one np.take indexed by the symbols themselves, accumulated as an
-        (L, R) array and transposed at the end.  At l > 8, where a table
-        per coefficient would not pay for itself, each term is one gather
-        exp[log a + log b], which needs no zero mask.
+        At l <= 8 a symbol s of column j has its R products with that
+        column in one word-padded row, j * 2^l + s, of the matrix's cached
+        product rows (see `_product_tables`).  So all C * L terms are one
+        take of rows symbols + offsets, XORed together over the C axis by
+        one reduce, then viewed as bytes, cut to R columns and transposed
+        into the (R, L) result.  The symbols are taken in chunks of
+        columns so that the gathered words and their int64 indices, C *
+        (padded R + 8) bytes per symbol, stay within _GATHER_BUDGET_BYTES
+        (1 MiB).  The symbols are bound-checked before the gather.
+
+        At l > 8, where a table per coefficient would not pay for itself,
+        the C terms of a row are XORed in one coefficient column at a time,
+        each one gather exp[log a + log b], which needs no zero mask, so no
+        temporary is larger than R x L.
         """
         if self.l <= 8:
             coeffs = np.asarray(coeffs)
-            tables = _product_tables(
+            rows, offsets = _product_tables(
                 self, coeffs.shape, coeffs.dtype.str, coeffs.tobytes()
             )
-            out = self.zeros(symbols.shape[1], coeffs.shape[0])
-            term = np.empty_like(out)
-            for column_tables, row in zip(tables, symbols):
-                np.take(column_tables, row, axis=0, out=term)
-                out ^= term
-            return np.ascontiguousarray(out.T)
+            # A flat index would read an out-of-field symbol of column j
+            # from column j + 1's rows, so the gather cannot bound-check.
+            if symbols.size and not (symbols.dtype == np.uint8 and self.l == 8):
+                if symbols.min() < 0 or symbols.max() >= self.order:
+                    raise IndexError(f"symbol outside GF(2^{self.l})")
+            width, length = coeffs.shape[0], symbols.shape[1]
+            per_symbol = len(offsets) * (rows.strides[0] + 8)  # words + index
+            chunk = max(1, _GATHER_BUDGET_BYTES // max(1, per_symbol))
+            out = np.empty((width, length), dtype=self.dtype)
+            for start in range(0, length, chunk):
+                stop = start + chunk
+                terms = rows.take(symbols[:, start:stop] + offsets, axis=0)
+                products = np.bitwise_xor.reduce(terms, axis=0).view(np.uint8)
+                out[:, start:stop] = products[:, :width].T
+            return out
         exp, log = self.exp_table, self.log_table
         coeff_logs = log[np.asarray(coeffs)]
         out = self.zeros(len(coeff_logs), symbols.shape[1])
@@ -312,30 +337,49 @@ def _tables(field: BinaryField) -> tuple[np.ndarray, np.ndarray]:
     return exp, log
 
 
+def _padded_width(width: int) -> int:
+    """Bytes of a product row of `width` products padded to whole words:
+    1, 2 or 4 bytes, or a multiple of 8."""
+    for word in (1, 2, 4):
+        if width <= word:
+            return word
+    return -(-width // 8) * 8
+
+
 @lru_cache(maxsize=16)
 def _product_tables(
     field: BinaryField, shape: tuple[int, ...], dtype: str, coeff_bytes: bytes
-) -> np.ndarray:
-    """Read-only product tables of an (R, C) coefficient matrix at l <= 8,
-    shape (C, 2^l, R): tables[j, s, r] = coeffs[r, j] * s, so row s of
-    column j's table is s times that column.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only product rows of an (R, C) coefficient matrix at l <= 8,
+    with the row offset of each coefficient column.
+
+    Row j * 2^l + s holds s times column j: its byte r is coeffs[r, j] * s,
+    for r < R, and zero in the padding bytes up to `_padded_width(R)`.  The
+    rows are read as unsigned words (u1, u2, u4, or u8 from 5 bytes on), so
+    the array has shape (C * 2^l, words) and one gather copies whole words.
+    The offsets are j * 2^l, shape (C, 1), so symbols + offsets indexes
+    each column's rows.
 
     The key is the matrix's shape, dtype and bytes, so equal matrices share
     one entry however they were built.  All C * R * 2^l products come from
     one exp/log gather.  The coefficients' logs are read before any cast,
     so a coefficient outside the field raises IndexError, as a symbol
-    outside it does in `matmul`'s take.
+    outside it does in `matmul`.
 
-    An entry holds C * R * 2^l bytes.  Sessions multiply only by blocks of
-    an F x F share matrix, and 2F <= 2^l, so there an entry is at most
-    128 * 128 * 256 bytes (4 MiB) and the 16 entries at most 64 MiB.  The
-    oracle `enumerate_independence` multiplies by its observation model,
-    of at most 12 columns.
+    An entry holds C * 2^l * _padded_width(R) bytes.  Sessions multiply
+    only by blocks of an F x F share matrix, and 2F <= 2^l, so there an
+    entry is at most 128 * 256 * 128 bytes (4 MiB) and the 16 entries at
+    most 64 MiB.  The oracle `enumerate_independence` multiplies by its
+    observation model, of at most 12 columns.
     """
+    width, columns = shape
     coeffs = np.frombuffer(coeff_bytes, dtype=dtype).reshape(shape)
     log = field.log_table
-    tables = np.ascontiguousarray(
-        field.exp_table[log[coeffs].T[:, None, :] + log[:, None]]
-    )
-    tables.setflags(write=False)
-    return tables
+    table = np.zeros((columns, field.order, _padded_width(width)), dtype=np.uint8)
+    table[:, :, :width] = field.exp_table[log[coeffs].T[:, None, :] + log[:, None]]
+    word = np.dtype(f"u{min(table.shape[2], 8)}")
+    rows = table.view(word).reshape(-1, table.shape[2] // word.itemsize)
+    offsets = (np.arange(columns) * field.order)[:, None]
+    rows.setflags(write=False)
+    offsets.setflags(write=False)
+    return rows, offsets

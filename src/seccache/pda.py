@@ -207,6 +207,17 @@ def tau(pda: Pda, s: int) -> int:
     return pda.taus[s - 1]
 
 
+def check_mn_size(num_caches: int, t: int) -> None:
+    """ValueError if the grid of mn:num_caches,t, C(Lambda, t) x Lambda
+    cells, is larger than MN_MAX_CELLS."""
+    cells = comb(num_caches, t) * num_caches
+    if cells > MN_MAX_CELLS:
+        raise ValueError(
+            f"mn:{num_caches},{t} has {cells} cells (C({num_caches},{t}) rows x "
+            f"{num_caches} columns); at most {MN_MAX_CELLS} can be built"
+        )
+
+
 def mn_pda(num_caches: int, t: int) -> Pda:
     """Subset-indexed PDA family: one row per t-subset of the caches.
 
@@ -221,12 +232,7 @@ def mn_pda(num_caches: int, t: int) -> Pda:
         raise ValueError("need at least 2 caches")
     if not 1 <= t <= num_caches - 1:
         raise ValueError(f"t must be in [1, {num_caches - 1}], got {t}")
-    cells = comb(num_caches, t) * num_caches
-    if cells > MN_MAX_CELLS:
-        raise ValueError(
-            f"mn:{num_caches},{t} has {cells} cells (C({num_caches},{t}) rows x "
-            f"{num_caches} columns); at most {MN_MAX_CELLS} can be built"
-        )
+    check_mn_size(num_caches, t)
     labels = range(1, num_caches + 1)
     rank = {
         subset: i for i, subset in enumerate(combinations(labels, t + 1), start=1)

@@ -18,10 +18,10 @@ table gather.  Its inverse, which decoding uses, is a Gauss-Jordan
 elimination of [A | I] by `BinaryField.echelon`, the same kernel that
 serves the secrecy checks, and is cached read-only as well.  Sharing and
 unsharing are one `BinaryField.matmul` each: at l <= 8 it multiplies
-through product tables that are cached per coefficient matrix, so the
-share matrix and the inverse's rows are tabulated once per process; at
-l > 8 every product is a gather exp[log a + log b].  No scalar field
-product runs on this path.
+in one gather of word-padded product rows that are cached per
+coefficient matrix, so the share matrix and the inverse's rows are
+tabulated once per process; at l > 8 every product is a gather
+exp[log a + log b].  No scalar field product runs on this path.
 """
 
 from __future__ import annotations

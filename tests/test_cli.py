@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from seccache import pda as pda_module
 from seccache.cli import main
 from seccache.pda import Pda, save_pda
 from tests.conftest import WORKED_GRID, WORKED_PROFILE
@@ -297,6 +298,20 @@ def test_bad_query_inputs_are_errors(args, message, capsys):
     assert run(args) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_sweep_refuses_too_many_caches_before_building_a_grid(monkeypatch, capsys):
+    """The largest grid, C(25,12) x 25 cells, is refused before mn:25,1 is built."""
+    def no_subsets(*args):
+        raise AssertionError("a sweep too large enumerated a grid")
+
+    monkeypatch.setattr(pda_module, "combinations", no_subsets)
+    assert run(["sweep", "--profile", ",".join(["1"] * 25), "--files", 25]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: mn:25,12 has 130007500 cells (C(25,12) rows x 25 columns); "
+        "at most 2097152 can be built\n"
+    )
 
 
 def test_sweep_command(worked_pda_file, tmp_path, capsys):

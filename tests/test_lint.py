@@ -68,3 +68,23 @@ def test_bit_packing_stays_in_the_codec():
     nodes = [(f, n) for f, n in package_nodes() if f != "sharing.py"]
     found = calls_named(nodes, "packbits") + calls_named(nodes, "unpackbits")
     assert not found, f"bytes become symbols only in sharing's codec: {found}"
+
+
+def test_small_field_matmul_gathers_all_columns_at_once():
+    """At l <= 8 matmul multiplies every coefficient column in one gather;
+    its only loop steps through chunks of symbols, range(start, stop, step)."""
+    tree = ast.parse((PACKAGE / "field.py").read_text())
+    matmul = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "matmul")
+    branch = next(node for node in ast.walk(matmul)
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "self.l <= 8")
+    loops = [node for stmt in branch.body for node in ast.walk(stmt)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    column_loops = [f"field.py:{getattr(loop, 'lineno', None) or loop.iter.lineno}"
+                    for loop in loops
+                    if not (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                            and getattr(loop.iter.func, "id", None) == "range"
+                            and len(loop.iter.args) == 3)]
+    assert len(loops) <= 1 and not column_loops, (
+        f"one chunk loop over the symbols, none over the columns: {column_loops}"
+    )

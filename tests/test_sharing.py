@@ -2,13 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seccache.field import BinaryField, _product_tables
+from seccache.field import (
+    _GATHER_BUDGET_BYTES,
+    BinaryField,
+    _padded_width,
+    _product_tables,
+)
 from seccache.scheme import SystemConfig, _stream, synthetic_library
 from seccache.sharing import (
     ShareMeta,
@@ -106,26 +112,32 @@ def test_shared_matrices_are_read_only(matrix, gf8):
 
 @pytest.mark.parametrize("matrix", [cauchy_matrix, _cached_inverse])
 def test_product_tables_are_shared_read_only(matrix, gf8):
-    """matmul multiplies at l <= 8 through cached tables: one read-only
-    array per distinct coefficient matrix, whatever object holds it."""
+    """matmul multiplies at l <= 8 through cached product rows: one read-only
+    pair of arrays per distinct coefficient matrix, whatever object holds it."""
     mat = matrix(5, gf8)
     key = (gf8, mat.shape, mat.dtype.str, mat.tobytes())
     gf8.matmul(mat, gf8.zeros(5, 3))
-    tables = _product_tables(*key)
-    assert tables.shape == (5, gf8.order, 5) and tables.dtype == gf8.dtype
-    assert tables.flags.c_contiguous  # each symbol gathers one contiguous row
-    with pytest.raises(ValueError):
-        tables[0, 0, 0] = 1
-    with pytest.raises(ValueError):
-        tables[1:3] ^= 1
-    assert [int(tables[j, 7, r]) for r in range(5) for j in range(5)] == [
-        gf8.mul(int(mat[r, j]), 7) for r in range(5) for j in range(5)
+    rows, offsets = _product_tables(*key)
+    # five products pad to one 8-byte word per row
+    assert rows.shape == (5 * gf8.order, 1) and rows.dtype == np.uint64
+    assert offsets.tolist() == [[j * gf8.order] for j in range(5)]
+    for table in (rows, offsets):
+        assert table.flags.c_contiguous  # each symbol gathers one contiguous row
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        with pytest.raises(ValueError):
+            table[1:3] ^= 1
+    products = rows.view(np.uint8).reshape(5, gf8.order, 8)
+    assert not products[:, :, 5:].any()  # the padding lanes
+    assert products[:, :, :5].tolist() == [
+        [[gf8.mul(int(mat[r, j]), s) for r in range(5)] for s in range(gf8.order)]
+        for j in range(5)
     ]
     before = _product_tables.cache_info()
     gf8.matmul(mat.copy(), gf8.zeros(5, 3))
     after = _product_tables.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert _product_tables(*key) is tables
+    assert _product_tables(*key)[0] is rows
 
 
 def test_cached_inverse_inverts_the_share_matrix(gf8):
@@ -382,7 +394,7 @@ def sparse_symbols(rng, field, shape, zero_share):
 
 
 def matmul_examples(test):
-    """Pin both kernels, l <= 8 (product tables) and l > 8 (exp/log)."""
+    """Pin both kernels, l <= 8 (product rows) and l > 8 (exp/log)."""
     cases = [
         dict(shape=(8, 3), length=300, seed=1, zero_share=0.3),
         # a zero coefficient against nonzero symbols
@@ -399,6 +411,31 @@ def matmul_examples(test):
     return test
 
 
+def gather_examples(test):
+    """Pin the l <= 8 gather at every padded row width (R products pad to
+    1, 2, 4 or 8k bytes), with no coefficient columns, with no symbols,
+    and across the chunks that keep a gather within its byte budget."""
+    def chunk(rows, columns):
+        return _GATHER_BUDGET_BYTES // (columns * (_padded_width(rows) + 8))
+
+    cases = [
+        dict(shape=(r + 1, 1), length=7, seed=10 + r, zero_share=0.3)
+        for r in (1, 2, 3, 4, 5, 8, 9, 16, 17)
+    ] + [
+        # three rows of no coefficient columns
+        dict(shape=(3, 0), length=5, seed=30, zero_share=0.0, coeffs=[[], [], []]),
+        dict(shape=(9, 4), length=0, seed=31, zero_share=0.3),
+        dict(shape=(4, 3), length=2 * chunk(1, 4) + 5, seed=32, zero_share=0.3),
+        dict(shape=(2, 0), length=chunk(9, 2) + 3, seed=33, zero_share=0.3,
+             coeffs=[[3, 1], [0, 5], [7, 2], [1, 1], [6, 4], [2, 0], [5, 5],
+                     [4, 7], [1, 6]]),
+    ]
+    for l in (3, 8):
+        for case in cases:
+            test = example(l=l, **{"coeffs": None, **case})(test)
+    return test
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     l=st.integers(2, 16),
@@ -409,37 +446,44 @@ def matmul_examples(test):
     coeffs=st.none(),
 )
 @matmul_examples
+@gather_examples
 def test_matmul_matches_scalar_oracle(l, shape, length, seed, zero_share, coeffs):
     """F - Z rows of F coefficients, as reconstruct_file multiplies (Z = 0: encode).
 
     The coefficients are drawn from the seed, like the symbols, unless an
-    example pins them."""
+    example pins them; then their matrix gives the shape."""
     (f, z), field, rng = shape, BinaryField(l), np.random.default_rng(seed)
     if coeffs is None:
         rows = sparse_symbols(rng, field, (f - z, f), zero_share)
     else:
         rows = np.array(coeffs, dtype=field.dtype)
-    vectors = sparse_symbols(rng, field, (f, length), zero_share)
+    vectors = sparse_symbols(rng, field, (rows.shape[1], length), zero_share)
     got = field.matmul(rows, vectors)
-    assert got.shape == (f - z, length)
+    assert got.shape == (len(rows), length)
+    mul = lru_cache(maxsize=None)(field.mul)
     for row, out in zip(rows.tolist(), got):
         assert out.dtype == field.dtype and out.shape == (length,)
         expect = [0] * length
-        for coeff, vec in zip(row, vectors):
+        for coeff, vec in zip(row, vectors.tolist()):
             for t, sym in enumerate(vec):
-                expect[t] ^= field.mul(coeff, int(sym))
+                expect[t] ^= mul(coeff, sym)
         assert out.tolist() == expect
 
 
 @pytest.mark.parametrize("l", [3, 8, 16])
 def test_matmul_rejects_elements_outside_the_field(l):
-    """Neither kernel wraps an out-of-field input into the field."""
+    """Neither kernel wraps an out-of-field input into the field, and a
+    symbol 2^l of one column is not read from the next column's products."""
     field = BinaryField(l)
     with pytest.raises(IndexError):
         field.matmul(np.array([[1, field.order]]), field.zeros(2, 3))
     if l < 8:
         with pytest.raises(IndexError):
             field.matmul([[1]], np.full((1, 3), field.order, dtype=field.dtype))
+    symbols = np.zeros((3, 4), dtype=np.int64)
+    symbols[0, 2] = field.order
+    with pytest.raises(IndexError):
+        field.matmul([[1, 2, 3], [4, 5, 6]], symbols)
 
 
 def draw_ops():
