@@ -48,28 +48,29 @@ the shares cache lam stores.
 - Delivery.  The Z x Z block C_v^lam is invertible, so a cached-share
   combination cancels any v_n a broadcast combination carries, and what
   remains of share j is R_lam[j] = C_w[j] + C_v[j] (C_v^lam)^-1 C_w^lam
-  over w_n alone (zero for a cached j); one elimination of
-  [C_v^lam | C_w^lam] per cache gives (C_v^lam)^-1 C_w^lam.  A broadcast
-  whose key the user lacks has a private key column and drops out; a held
-  key cancels; with the pads stripped every broadcast stays.  The check
-  holds exactly when each remaining broadcast's R_lam rows, summed per
-  demanded file, are zero on every protected file, which is a model with
-  no randomness columns at all.
+  over w_n alone (zero for a cached j); one elimination of [C_v^lam |
+  C_w^lam | I] per cache gives (C_v^lam)^-1 C_w^lam and (C_v^lam)^-1.  A
+  broadcast whose key the user lacks has a private key column and drops
+  out; a held key cancels; with the pads stripped every broadcast stays.
+  The check holds exactly when each remaining broadcast's R_lam rows,
+  summed per demanded file, are zero on every protected file, which is a
+  model with no randomness columns at all.
 
-The eavesdropper check runs on M1 as it is.  Witnesses still come from
-M1, and only for a check that fails.  The kernel is Gauss-Jordan, but
-clearing a column above its pivot changes only rows above it, so the rows
-from the pivots down, where witnesses are read, are those of a row echelon
-elimination: every witness is the one M1 has always given.  The row
-operations that eliminate B depend on B alone, so a witness is read from
-[B | I] and the product of its I part with A, and one session's checks
-reuse that elimination wherever B, without its zero columns, repeats.
+The eavesdropper check runs on M1 as it is.  A failing delivery check's
+reduced witness is one kept broadcast, the first that exposes a protected
+file, and it lifts to M1 in closed form: the broadcast, its key unless the
+pads are stripped, and C_v[j] (C_v^lam)^-1 on the cached shares of file n
+for each share j of file n it carries, which cancels v_n.  With the pads
+stripped this is the witness an elimination of M1 gives: every cache and
+key row pivots (C_v^lam is invertible and each key has its own column),
+so no broadcast row is swapped up past the pivots.  With the pads on, a
+key the user lacks makes its broadcast a pivot, and such an elimination
+may name another valid broadcast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -156,7 +157,7 @@ _echelon = BinaryField.echelon
 
 
 def _exposing_combination(
-    field: BinaryField, b: np.ndarray, a: np.ndarray, eliminated: dict | None = None
+    field: BinaryField, b: np.ndarray, a: np.ndarray
 ) -> np.ndarray | None:
     """A row combination phi with phi.B = 0 but phi.A != 0, or None when
     every column of A already lies in the column space of B.
@@ -164,24 +165,16 @@ def _exposing_combination(
     Eliminating [B | I] on B's columns leaves E, the I part, with E.B in
     row echelon form.  phi is the first row of E past the pivots with
     phi.A != 0 (one table gather per row tried), which is the row an
-    elimination of [B | A | I] would give.  The kernel picks, scales and
-    clears using the pivot columns alone, and a zero column never pivots,
-    so E depends only on B with its zero columns dropped.  `eliminated`,
-    when given, keeps E for each such B, so observers whose B agree share
-    one elimination.
+    elimination of [B | A | I] would give.
     """
     if a.shape[0] == 0 or not a.any():
         return None
-    b = b[:, b.any(axis=0)]
-    memo = {} if eliminated is None else eliminated
-    key = (b.shape, b.tobytes())
-    if key not in memo:
-        work = np.concatenate([b, np.eye(b.shape[0], dtype=b.dtype)], axis=1)
-        memo[key] = (_echelon(field, work, b.shape[1]), work[:, b.shape[1] :])
-    pivots, ops = memo[key]
+    b = b[:, b.any(axis=0)]  # a zero column never pivots
+    work = np.concatenate([b, np.eye(b.shape[0], dtype=b.dtype)], axis=1)
+    pivots = _echelon(field, work, b.shape[1])
     exp, log = field.exp_table, field.log_table
     a_logs = log[a]
-    for phi in ops[pivots:]:
+    for phi in work[pivots:, b.shape[1] :]:
         if np.bitwise_xor.reduce(exp[log[phi][:, None] + a_logs], axis=0).any():
             return phi.copy()
     return None
@@ -462,12 +455,10 @@ def brute_force_secrecy(
     model = build_observation_model(session, observer, scope, positions)
     if enumerate_independence(model, protected, max_symbols, max_states):
         return SecrecyVerdict(True)
-    witness = _exposing_combination(
-        model.field, model.obs_rand, model.obs_files[:, model.protected_columns(protected)]
-    )
-    if witness is None:
+    verdict = check_zero_information(model, protected)
+    if verdict.holds:
         raise RuntimeError("enumeration found a dependence the linear model lacks")
-    return _verdict(model, witness)
+    return verdict
 
 
 # -- whole-session verification ------------------------------------------------
@@ -502,12 +493,13 @@ def strip_pads(session: SessionState) -> SessionState:
     return replace(session, transmissions=transmissions, pads_stripped=True)
 
 
-def _residual(session: SessionState, cache: int) -> np.ndarray:
+def _residual(session: SessionState, cache: int) -> tuple[np.ndarray, np.ndarray]:
     """R_lam = C_w + C_v (C_v^lam)^-1 C_w^lam, F x (F - Z): each share as a
     user at the given cache sees it once its cached shares have cancelled
-    the sharing randomness (see the module docstring).  Eliminating
-    [C_v^lam | C_w^lam] on its first Z columns leaves [I | (C_v^lam)^-1
-    C_w^lam], or fewer than Z pivots when the block is singular."""
+    the sharing randomness (see the module docstring), and (C_v^lam)^-1.
+    Eliminating [C_v^lam | C_w^lam | I] on its first Z columns leaves [I |
+    (C_v^lam)^-1 C_w^lam | (C_v^lam)^-1], or fewer than Z pivots when the
+    block is singular."""
     field = session.config.field
     z = session.meta.num_random
     nsub = session.meta.num_subfiles
@@ -517,12 +509,12 @@ def _residual(session: SessionState, cache: int) -> np.ndarray:
         raise RuntimeError(
             f"cache {cache} holds {len(rows)} share rows, not Z = {z}"
         )
-    work = np.concatenate([c_v[rows], c_w[rows]], axis=1)
+    work = np.concatenate([c_v[rows], c_w[rows], np.eye(z, dtype=c_v.dtype)], axis=1)
     if _echelon(field, work, z) < z:
         raise RuntimeError(
             f"cache {cache}: the randomness block of its shares is singular"
         )
-    return c_w ^ field.matmul(c_v, work[:, z:])
+    return c_w ^ field.matmul(c_v, work[:, z : z + nsub]), work[:, z + nsub :]
 
 
 def _delivery_model(
@@ -548,23 +540,22 @@ def _delivery_model(
     )
 
 
-def _witnessed(
-    verdict: SecrecyVerdict, model_of, protected, eliminated: dict
-) -> SecrecyVerdict:
-    """A reduced check's verdict, or, when it fails, the failing check's
-    witness from its one-position model `model_of()`; `eliminated` is the
-    `_exposing_combination` memo the checks of one session share."""
-    if verdict.holds:
-        return verdict
-    model = model_of()
-    witness = _exposing_combination(
-        model.field,
-        model.obs_rand,
-        model.obs_files[:, model.protected_columns(protected)],
-        eliminated,
-    )
-    if witness is None:
-        raise RuntimeError("a reduced check fails, but its one-position model holds")
+def _lifted(dense: SessionAnalyzer, user: int, pair, inverse) -> SecrecyVerdict:
+    """The failing delivery witness of broadcast `pair` on the user's
+    one-position model (see the module docstring)."""
+    session = dense.session
+    model = dense.user_model(user, True)
+    index = {label: r for r, label in enumerate(model.row_labels)}
+    witness = model.field.zeros(model.obs_dim)
+    witness[index[("x", *pair, 0)]] = 1
+    if not session.pads_stripped:
+        witness[index[("key", *pair, 0)]] = 1
+    cancel = model.field.matmul(session.enc[:, session.meta.num_subfiles :], inverse)
+    cached = session.cached_rows[session.association.user_to_cache[user - 1] - 1]
+    for row, col in session.garray.pair_occurrences[pair]:
+        n = session.demands[session.garray.column_users[col - 1] - 1]
+        for j, coeff in zip(cached, cancel[row - 1]):
+            witness[index[("share", n, j, 0)]] ^= coeff
     return _verdict(model, witness)
 
 
@@ -578,12 +569,10 @@ def verify_session(session: SessionState) -> SecrecyReport:
     docstring): a cache and the placement check of each of its users on
     the cache's Z shares of one file, a delivery check on the broadcasts
     the user cannot discard, reduced by R_lam, and the eavesdropper on the
-    one-position model itself.  A failing check takes its witness from the
-    one-position model, so witnesses are unchanged; failing checks whose
-    randomness blocks agree once zero columns are dropped (users at one
-    cache, with the pads stripped) share one elimination.  Raises
-    RuntimeError, naming the cache, when a cache does not hold Z shares
-    whose randomness block is invertible.
+    one-position model itself.  A failing delivery check's witness is
+    lifted to the one-position model in closed form, unchanged with the
+    pads stripped.  Raises RuntimeError, naming the cache, when a cache
+    does not hold Z shares whose randomness block is invertible.
     """
     field = session.config.field
     caches = range(1, session.config.num_caches + 1)
@@ -595,37 +584,23 @@ def verify_session(session: SessionState) -> SecrecyReport:
         for lam in caches
     }
     dense = SessionAnalyzer(session, positions=1)
-    eliminated: dict = {}
     all_files = range(1, session.config.num_files + 1)
     users = session.garray.column_users
     cache_of = session.association.user_to_cache
-    cache_placement = {
-        lam: _witnessed(
-            check_zero_information(placement[lam], {1}),
-            partial(dense.cache_model, lam),
-            all_files,
-            eliminated,
-        )
-        for lam in caches
-    }
+    cache_placement = {lam: check_zero_information(placement[lam], {1}) for lam in caches}
     user_placement = {
-        user: _witnessed(
-            check_zero_information(placement[cache_of[user - 1]], {1}),
-            partial(dense.user_model, user, False),
-            all_files,
-            eliminated,
-        )
+        user: check_zero_information(placement[cache_of[user - 1]], {1})
         for user in users
     }
     user_delivery = {}
     for user in users:
+        residual, inverse = residuals[cache_of[user - 1]]
         protected = set(all_files) - {session.demands[user - 1]}
-        reduced = _delivery_model(session, user, residuals[cache_of[user - 1]])
-        user_delivery[user] = _witnessed(
-            check_zero_information(reduced, protected),
-            partial(dense.user_model, user, True),
-            protected,
-            eliminated,
-        )
+        reduced = _delivery_model(session, user, residual)
+        verdict = check_zero_information(reduced, protected)
+        if not verdict.holds:  # one broadcast ("x", s, i, 0), coefficient 1
+            (label, _), = verdict.witness_rows
+            verdict = _lifted(dense, user, label[1:-1], inverse)
+        user_delivery[user] = verdict
     eavesdropper = check_zero_information(dense.eavesdropper_model(), all_files)
     return SecrecyReport(cache_placement, user_placement, user_delivery, eavesdropper)

@@ -1,9 +1,11 @@
-"""Shared fixtures: the 6-cache/21-user worked example, small helpers, a
-scalar elimination oracle, and Hypothesis strategies for random valid PDAs
-that are not MN and for sessions of those PDAs and of the M = 0 scheme."""
+"""Shared fixtures: the 6-cache/21-user worked example, small helpers,
+scalar elimination and vector-matrix product oracles, and Hypothesis
+strategies for random valid PDAs that are not MN and for sessions of those
+PDAs and of the M = 0 scheme."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -115,6 +117,17 @@ def scalar_row_reduce(field, rows, pivot_cols):
                 ]
         pivot_row += 1
     return rows, pivot_row
+
+
+def gf_vec_mat(field, phi, mat):
+    """phi @ mat over the field (test-side, plain loops)."""
+    out = [0] * mat.shape[1]
+    for r, c_phi in enumerate(phi):
+        if c_phi == 0:
+            continue
+        for c in np.nonzero(mat[r])[0]:
+            out[c] ^= field.mul(int(c_phi), int(mat[r, c]))
+    return out
 
 
 # -- random valid PDAs ----------------------------------------------------------

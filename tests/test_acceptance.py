@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-import numpy as np
 import pytest
 
 from seccache import (
@@ -46,7 +45,12 @@ from seccache.secrecy import (
     verify_session,
 )
 from seccache.sharing import cauchy_matrix, share_file, unshare_file
-from tests.conftest import WORKED_G_COLUMNS, WORKED_GRID, make_worked_session
+from tests.conftest import (
+    WORKED_G_COLUMNS,
+    WORKED_GRID,
+    gf_vec_mat,
+    make_worked_session,
+)
 
 BATTERY_SIZE = 200
 
@@ -80,16 +84,6 @@ def battery():
         )
         sessions.append(run_session(pda, config, profile=tuple(buckets)))
     return sessions
-
-
-def gf_vec_mat(field, phi, mat):
-    out = [0] * mat.shape[1]
-    for r, c_phi in enumerate(phi):
-        if c_phi == 0:
-            continue
-        for c in np.nonzero(mat[r])[0]:
-            out[c] ^= field.mul(int(c_phi), int(mat[r, c]))
-    return out
 
 
 def eq7_oracle(pda, profile):

@@ -28,22 +28,12 @@ from seccache.secrecy import (
 )
 from seccache.sharing import cauchy_matrix
 from tests.conftest import (
+    gf_vec_mat,
     make_worked_session,
     random_pda_sessions,
     scalar_row_reduce,
     zero_memory_sessions,
 )
-
-
-def gf_vec_mat(field, phi, mat):
-    """phi @ mat over the field (test-side, plain loops)."""
-    out = [0] * mat.shape[1]
-    for r, c_phi in enumerate(phi):
-        if c_phi == 0:
-            continue
-        for c in np.nonzero(mat[r])[0]:
-            out[c] ^= field.mul(int(c_phi), int(mat[r, c]))
-    return out
 
 
 def evaluate_observations(model, w, v):
@@ -567,30 +557,42 @@ def test_verification_cost_does_not_grow_with_file_size(monkeypatch):
     assert by_size[4] and by_size[4] == by_size[2048]
 
 
-def test_strip_pads_witnesses_share_one_elimination_per_cache(monkeypatch):
-    # a check's verdict is decided before `_witnessed` is called, so every
-    # elimination made inside it is the witness path's
-    inside, witness_calls = [], []
-    echelon, witnessed = secrecy._echelon, secrecy._witnessed
+def test_failing_witnesses_take_no_elimination(monkeypatch):
+    # every elimination with pivot columns decides a check; a witness is
+    # lifted in closed form, so stripping the pads adds none
+    counts = []
+    echelon = secrecy._echelon
 
     def recording(field, mat, pivot_cols):
-        if inside:
-            witness_calls.append(mat.shape)
+        counts[-1] += pivot_cols > 0
         return echelon(field, mat, pivot_cols)
 
-    def tagged(*args):
-        inside.append(True)
-        try:
-            return witnessed(*args)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(secrecy, "_echelon", recording)
-    monkeypatch.setattr(secrecy, "_witnessed", tagged)
-    session = make_worked_session()
-    assert verify_session(session).all_hold and not witness_calls
-    stripped = verify_session(secrecy.strip_pads(session))
-    failing = [u for u, v in stripped.user_delivery.items() if not v.holds]
-    nonempty = sum(1 for load in session.association.profile if load)
-    assert len(failing) == 21 and nonempty == 6
-    assert 0 < len(witness_calls) <= nonempty
+    for strip in (False, True):
+        counts.append(0)
+        report = verify_session(make_worked_session(strip_pads=strip))
+        assert report.all_hold != strip
+    assert counts == [34, 34]
+
+
+@pytest.mark.parametrize("cache", range(1, 7))
+def test_pads_on_failing_witnesses_are_valid(worked_session, cache):
+    # the complementary Z shares keep the cache's randomness block
+    # invertible, but its users' broadcasts now expose what they lack
+    rows = list(worked_session.cached_rows)
+    rows[cache - 1] = tuple(j for j in range(1, 5) if j not in rows[cache - 1])
+    session = replace(worked_session, cached_rows=tuple(rows))
+    got = report_checks(verify_session(session))
+    want = report_checks(dense_report(session, positions=1))
+    assert [(name, v.holds) for name, v in got] == [(name, v.holds) for name, v in want]
+    dense = SessionAnalyzer(session, positions=1)
+    all_files = set(range(1, session.config.num_files + 1))
+    failing = [(name, v) for name, v in got if not v.holds]
+    assert failing and {kind for (kind, _), _ in failing} == {"delivery"}
+    for (_, user), verdict in failing:
+        model = dense.user_model(user, True)
+        protected = all_files - {session.demands[user - 1]}
+        exposed = model.obs_files[:, model.protected_columns(protected)]
+        assert not any(gf_vec_mat(model.field, verdict.witness, model.obs_rand))
+        assert any(gf_vec_mat(model.field, verdict.witness, exposed))
+        assert [c for (kind, *_), c in verdict.witness_rows if kind == "key"] == [1]
