@@ -35,12 +35,12 @@ All rate and memory arithmetic is exact (fractions.Fraction).
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .field import BinaryField, default_field
 from .pda import Pda
@@ -303,11 +303,16 @@ def user_key_placement(
     garray: GArray, symbols_per_share: int, field: BinaryField, rng
 ):
     """One uniform key per distinct pair, drawn in pair order; user k stores
-    the keys of the pairs in its own column (exactly F - Z of them)."""
-    key_pool = {
-        pair: random_vector(symbols_per_share, field, rng)
-        for pair in garray.pairs
-    }
+    the keys of the pairs in its own column (exactly F - Z of them).
+
+    Every key comes from one draw of P * L symbols, P pairs in pair order,
+    so key p is row p of a read-only (P, L) block, the same symbols as P
+    draws of L one after the other."""
+    pairs = garray.pairs
+    block = random_vector(len(pairs) * symbols_per_share, field, rng)
+    block = block.reshape(len(pairs), symbols_per_share)
+    block.setflags(write=False)
+    key_pool = dict(zip(pairs, block))
     user_keys = {
         user: {
             entry: key_pool[entry]
@@ -360,19 +365,46 @@ class SessionState:
     pads_stripped: bool = False
 
 
-def _stream(seed: int, tag: str) -> random.Random:
-    """Independent deterministic generator derived from (seed, tag)."""
+class _Unseeded(ISeedSequence):
+    """An all-zero initial MT19937 state, which `mersenne_twister`
+    overwrites at once: building a generator from it reads no OS entropy
+    and runs no SeedSequence hash.  The state is a list, not an array,
+    because MT19937 copies it in word by word, and a list index is several
+    times cheaper than an array's."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return [0] * n_words
+
+
+def mersenne_twister(key: int) -> np.random.RandomState:
+    """A NumPy Mersenne Twister in the state `random.Random(key)` starts
+    from, for 0 <= key < 2^64: both seed by init_by_array on the key's
+    32-bit words, least significant first, and one word [0] for key 0.  A
+    list of words, not an integer or an array, selects init_by_array."""
+    if not 0 <= key < 2**64:
+        raise ValueError(f"key {key} does not fit in 64 bits")
+    words = [key & 0xFFFFFFFF, key >> 32] if key >> 32 else [key]
+    rng = np.random.RandomState(np.random.MT19937(_Unseeded()))
+    rng.seed(words)
+    return rng
+
+
+def _stream(seed: int, tag: str) -> np.random.RandomState:
+    """Independent deterministic generator derived from (seed, tag): the
+    Mersenne Twister keyed by the first 8 bytes of sha256("seed:tag"), read
+    big-endian."""
     digest = hashlib.sha256(f"{seed}:{tag}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return mersenne_twister(int.from_bytes(digest[:8], "big"))
 
 
 def synthetic_library(config: SystemConfig) -> tuple[bytes, ...]:
     """Seed-derived stand-in library of N equal-length files.
 
-    The bytes are those of successive rng.randrange(256) calls, file after
-    file.  Each call is getrandbits(9): one generator word w, retried while
-    w >> 23 >= 256, that is while its top bit is set, and then w >> 23.  So
-    the words are drawn in batches and the accepted bytes kept in order; the
+    The bytes are those of successive randrange(256) calls, file after
+    file, on a random.Random in the state of the "library" stream.  Each
+    call is getrandbits(9): one generator word w, retried while w >> 23 >=
+    256, that is while its top bit is set, and then w >> 23.  So the words
+    are drawn in batches and the accepted bytes kept in order; the
     generator is local, so words drawn past the last byte change nothing.
     """
     rng = _stream(config.seed, "library")

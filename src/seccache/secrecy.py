@@ -165,11 +165,17 @@ def _exposing_combination(
     Eliminating [B | I] on B's columns leaves E, the I part, with E.B in
     row echelon form.  phi is the first row of E past the pivots with
     phi.A != 0 (one table gather per row tried), which is the row an
-    elimination of [B | A | I] would give.
+    elimination of [B | A | I] would give.  When B is zero, E is I and phi
+    is the unit vector of A's first nonzero row, returned without an
+    elimination.
     """
     if a.shape[0] == 0 or not a.any():
         return None
     b = b[:, b.any(axis=0)]  # a zero column never pivots
+    if b.shape[1] == 0:
+        phi = np.zeros(a.shape[0], dtype=b.dtype)
+        phi[np.flatnonzero(a.any(axis=1))[0]] = 1
+        return phi
     work = np.concatenate([b, np.eye(b.shape[0], dtype=b.dtype)], axis=1)
     pivots = _echelon(field, work, b.shape[1])
     exp, log = field.exp_table, field.log_table
@@ -540,23 +546,34 @@ def _delivery_model(
     )
 
 
-def _lifted(dense: SessionAnalyzer, user: int, pair, inverse) -> SecrecyVerdict:
+def _lifted(session: SessionState, user: int, pair, inverse) -> SecrecyVerdict:
     """The failing delivery witness of broadcast `pair` on the user's
-    one-position model (see the module docstring)."""
-    session = dense.session
-    model = dense.user_model(user, True)
-    index = {label: r for r, label in enumerate(model.row_labels)}
-    witness = model.field.zeros(model.obs_dim)
-    witness[index[("x", *pair, 0)]] = 1
-    if not session.pads_stripped:
-        witness[index[("key", *pair, 0)]] = 1
-    cancel = model.field.matmul(session.enc[:, session.meta.num_subfiles :], inverse)
+    one-position model (see the module docstring).
+
+    Its rows are placed by the layout of `SessionAnalyzer.user_model` at
+    one position, without building it: the cache block (file-major, then
+    the cached rows), the user's sorted keys, then every broadcast in
+    transmission order."""
+    field = session.config.field
     cached = session.cached_rows[session.association.user_to_cache[user - 1] - 1]
+    keys = sorted(session.user_keys[user])
+    broadcasts = list(session.transmissions)
+    key_start = session.config.num_files * len(cached)
+    x_start = key_start + len(keys)
+    witness = field.zeros(x_start + len(broadcasts))
+    labels = {x_start + broadcasts.index(pair): ("x", *pair, 0)}
+    if not session.pads_stripped:
+        labels[key_start + keys.index(pair)] = ("key", *pair, 0)
+    witness[list(labels)] = 1
+    cancel = field.matmul(session.enc[:, session.meta.num_subfiles :], inverse)
     for row, col in session.garray.pair_occurrences[pair]:
         n = session.demands[session.garray.column_users[col - 1] - 1]
-        for j, coeff in zip(cached, cancel[row - 1]):
-            witness[index[("share", n, j, 0)]] ^= coeff
-    return _verdict(model, witness)
+        for k, (j, coeff) in enumerate(zip(cached, cancel[row - 1])):
+            r = (n - 1) * len(cached) + k
+            witness[r] ^= coeff
+            labels[r] = ("share", n, j, 0)
+    rows = tuple((labels[r], int(witness[r])) for r in np.flatnonzero(witness))
+    return SecrecyVerdict(False, witness, rows)
 
 
 def verify_session(session: SessionState) -> SecrecyReport:
@@ -583,7 +600,6 @@ def verify_session(session: SessionState) -> SecrecyReport:
         )
         for lam in caches
     }
-    dense = SessionAnalyzer(session, positions=1)
     all_files = range(1, session.config.num_files + 1)
     users = session.garray.column_users
     cache_of = session.association.user_to_cache
@@ -600,7 +616,8 @@ def verify_session(session: SessionState) -> SecrecyReport:
         verdict = check_zero_information(reduced, protected)
         if not verdict.holds:  # one broadcast ("x", s, i, 0), coefficient 1
             (label, _), = verdict.witness_rows
-            verdict = _lifted(dense, user, label[1:-1], inverse)
+            verdict = _lifted(session, user, label[1:-1], inverse)
         user_delivery[user] = verdict
-    eavesdropper = check_zero_information(dense.eavesdropper_model(), all_files)
-    return SecrecyReport(cache_placement, user_placement, user_delivery, eavesdropper)
+    return SecrecyReport(
+        cache_placement, user_placement, user_delivery, check_external_eavesdropper(session)
+    )

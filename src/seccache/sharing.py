@@ -22,6 +22,12 @@ in one gather of word-padded product rows that are cached per
 coefficient matrix, so the share matrix and the inverse's rows are
 tabulated once per process; at l > 8 every product is a gather
 exp[log a + log b].  No scalar field product runs on this path.
+
+Randomness comes from a NumPy Mersenne Twister (`np.random.RandomState`)
+seeded as CPython's `random.seed(int)` seeds its own, so a draw of W
+32-bit words is the same W words that W calls of
+`random.Random.getrandbits(32)` give.  A random symbol is one word shifted
+right by 32 - l, as `getrandbits(l)` returns it for l <= 32.
 """
 
 from __future__ import annotations
@@ -186,22 +192,21 @@ def subfiles_to_bytes(subfiles, meta: ShareMeta, field: BinaryField) -> bytes:
     return symbols_to_bytes(np.ravel(subfiles), field)[: meta.data_bits // 8]
 
 
-def random_words(count: int, rng) -> np.ndarray:
-    """The next `count` 32-bit words of a random.Random, in draw order.
-
-    getrandbits(32 * count) lays successive generator words out least
-    significant first, so this consumes the same words, in the same order,
-    as `count` calls of getrandbits(k) for k <= 32, each of which returns
-    one word shifted right by 32 - k.
-    """
-    packed = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-    return np.frombuffer(packed, dtype="<u4")
+def random_words(count: int, rng: np.random.RandomState) -> np.ndarray:
+    """The next `count` 32-bit Mersenne Twister words of rng, in draw order,
+    as a fresh uint32 array: one generator word per entry, with no wider
+    temporary.  They are the words `count` calls of getrandbits(32) give on
+    a random.Random seeded alike."""
+    return rng.randint(2**32, size=count, dtype=np.uint32)
 
 
-def random_vector(length: int, field: BinaryField, rng) -> np.ndarray:
-    """Uniform symbol vector drawn from a seedable generator: the symbols of
-    `length` calls of rng.getrandbits(l), drawn in one call."""
-    return (random_words(length, rng) >> (32 - field.l)).astype(field.dtype)
+def random_vector(length: int, field: BinaryField, rng: np.random.RandomState) -> np.ndarray:
+    """Uniform symbol vector: `length` generator words, each shifted right
+    by 32 - l in place and cast to the field's dtype, which are the symbols
+    of `length` calls of random.Random.getrandbits(l)."""
+    words = random_words(length, rng)
+    words >>= 32 - field.l
+    return words.astype(field.dtype)
 
 
 def share_file(

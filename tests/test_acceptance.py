@@ -33,6 +33,7 @@ from seccache.scheme import (
     SystemConfig,
     decode_user,
     helper_memory_for,
+    mersenne_twister,
     one_time_pad_session,
     rate_report,
     run_session,
@@ -253,7 +254,7 @@ def test_criterion_05_secrecy_suite(battery):
 
 def test_criterion_06_secret_sharing_property():
     field = BinaryField(3)
-    rng = random.Random(6)
+    rng = mersenne_twister(6)
     for z, f in [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]:
         enc = cauchy_matrix(f, field)
         for subset in combinations(range(1, f + 1), z):
@@ -262,7 +263,7 @@ def test_criterion_06_secret_sharing_property():
         full = share_subset_model(enc, z, tuple(range(1, f + 1)), field)
         assert not check_zero_information(full, {1}).holds
         # and all F shares really do reconstruct
-        data = bytes(rng.randrange(256) for _ in range(3))
+        data = rng.bytes(3)
         shares, _, meta = share_file(data, f, z, field, rng)
         assert unshare_file(shares, meta, field) == data
     report(6, "Z-subsets reveal nothing, full share sets reconstruct")

@@ -1,6 +1,7 @@
 """Source rules for the package: invariants raise real exceptions, scalar
 field arithmetic stays inside the field module, the byte <-> symbol codec
-lives in the sharing module, and sessions are built in one place."""
+lives in the sharing module, sessions are built in one place, and
+randomness comes from NumPy's Mersenne Twister."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,17 @@ def test_bit_packing_stays_in_the_codec():
     nodes = [(f, n) for f, n in package_nodes() if f != "sharing.py"]
     found = calls_named(nodes, "packbits") + calls_named(nodes, "unpackbits")
     assert not found, f"bytes become symbols only in sharing's codec: {found}"
+
+
+def test_randomness_comes_from_numpy_streams():
+    nodes = package_nodes()
+    imported = [f"{file}:{node.lineno}" for file, node in nodes
+                if isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "random" for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == "random"]
+    found = imported + calls_named(nodes, "getrandbits")
+    assert not found, f"draws go through scheme.mersenne_twister streams: {found}"
 
 
 def test_small_field_matmul_gathers_all_columns_at_once():

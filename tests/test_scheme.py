@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from seccache import BinaryField, Pda, mn_pda, validate, verify_session
 from seccache.field import _product_tables
 from seccache.secrecy import strip_pads
-from seccache.sharing import bytes_to_symbols
+from seccache.sharing import bytes_to_symbols, random_vector
 from seccache.scheme import (
     Association,
     SystemConfig,
+    _stream,
     build_g_array,
     decode_all,
     decode_user,
@@ -163,6 +164,27 @@ def test_key_placement(worked_session):
     assert sorted(worked_session.user_keys[12]) == [(2, 1), (3, 1)]
     for user in range(1, 22):
         assert len(worked_session.user_keys[user]) == 2  # F - Z keys each
+
+
+@pytest.mark.parametrize("session", [
+    make_worked_session(),
+    one_time_pad_session(SystemConfig(
+        num_caches=3, num_users=6, num_files=7, helper_memory=Fraction(0),
+        file_bytes=5, field=BinaryField(3), seed=7,
+    ), profile=(1, 3, 2)),
+], ids=["worked", "m0"])
+def test_keys_are_one_read_only_draw_in_pair_order(session):
+    # one draw of P * L symbols equals P draws of L, pair after pair
+    field, length = session.config.field, session.meta.symbols_per_share
+    rng = _stream(session.config.seed, "keys")
+    assert list(session.key_pool) == list(session.garray.pairs)
+    for pair, key in session.key_pool.items():
+        assert np.array_equal(key, random_vector(length, field, rng))
+        assert not key.flags.writeable
+        with pytest.raises(ValueError):
+            key[0] = 0
+    for keys in session.user_keys.values():
+        assert all(key is session.key_pool[pair] for pair, key in keys.items())
 
 
 def test_key_budget_is_one_file(worked_session):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from seccache import BinaryField, mn_pda, secrecy
+from seccache import BinaryField, Pda, mn_pda, secrecy
 from seccache.scheme import (
     SystemConfig,
     helper_memory_for,
@@ -28,6 +28,8 @@ from seccache.secrecy import (
 )
 from seccache.sharing import cauchy_matrix
 from tests.conftest import (
+    WORKED_GRID,
+    WORKED_PROFILE,
     gf_vec_mat,
     make_worked_session,
     random_pda_sessions,
@@ -341,6 +343,19 @@ def test_rank_criterion_matches_solvability_oracle(gf3):
     assert outcomes[True] and outcomes[False]
 
 
+def test_zero_randomness_exposes_the_first_nonzero_row(gf3, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("B has no nonzero column to pivot on")
+
+    monkeypatch.setattr(secrecy, "_echelon", no_elimination)
+    a = gf3.zeros(4, 2)
+    a[2, 1], a[3, 0] = 5, 1
+    for b in (gf3.zeros(4, 0), gf3.zeros(4, 3)):
+        witness = _exposing_combination(gf3, b, a)
+        assert witness.dtype == gf3.dtype and witness.tolist() == [0, 0, 1, 0]
+    assert _exposing_combination(gf3, gf3.zeros(4, 3), gf3.zeros(4, 2)) is None
+
+
 # -- randomized scheme sweep -------------------------------------------------------
 
 
@@ -575,13 +590,12 @@ def test_failing_witnesses_take_no_elimination(monkeypatch):
     assert counts == [34, 34]
 
 
-@pytest.mark.parametrize("cache", range(1, 7))
-def test_pads_on_failing_witnesses_are_valid(worked_session, cache):
-    # the complementary Z shares keep the cache's randomness block
-    # invertible, but its users' broadcasts now expose what they lack
-    rows = list(worked_session.cached_rows)
+def check_pads_on_failing_witnesses(session, cache):
+    """Give the cache its complementary Z shares: its randomness block stays
+    invertible, but its users' broadcasts now expose what they lack."""
+    rows = list(session.cached_rows)
     rows[cache - 1] = tuple(j for j in range(1, 5) if j not in rows[cache - 1])
-    session = replace(worked_session, cached_rows=tuple(rows))
+    session = replace(session, cached_rows=tuple(rows))
     got = report_checks(verify_session(session))
     want = report_checks(dense_report(session, positions=1))
     assert [(name, v.holds) for name, v in got] == [(name, v.holds) for name, v in want]
@@ -596,3 +610,23 @@ def test_pads_on_failing_witnesses_are_valid(worked_session, cache):
         assert not any(gf_vec_mat(model.field, verdict.witness, model.obs_rand))
         assert any(gf_vec_mat(model.field, verdict.witness, exposed))
         assert [c for (kind, *_), c in verdict.witness_rows if kind == "key"] == [1]
+        # the closed-form lift lays its rows out as the one-position model
+        assert len(verdict.witness) == model.obs_dim
+        assert verdict.witness_rows == tuple(
+            (model.row_labels[r], int(verdict.witness[r]))
+            for r in np.flatnonzero(verdict.witness)
+        )
+
+
+@pytest.mark.parametrize("cache", range(1, 7))
+def test_pads_on_failing_witnesses_are_valid(worked_session, cache):
+    check_pads_on_failing_witnesses(worked_session, cache)
+
+
+@pytest.mark.parametrize("cache", range(1, 7))
+def test_pads_on_witnesses_place_keys_in_sorted_order(worked_session, cache):
+    # with the rows reversed every column lists its integers in decreasing
+    # order, so a user's sorted keys differ from its column order
+    pda = Pda.from_grid(WORKED_GRID[::-1])
+    session = run_session(pda, worked_session.config, profile=WORKED_PROFILE)
+    check_pads_on_failing_witnesses(session, cache)

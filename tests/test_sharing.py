@@ -1,5 +1,7 @@
-"""Cauchy/MDS construction and the (Z, F) sharing round trip."""
+"""Cauchy/MDS construction, the (Z, F) sharing round trip and the random
+streams it draws from."""
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -15,7 +17,7 @@ from seccache.field import (
     _padded_width,
     _product_tables,
 )
-from seccache.scheme import SystemConfig, _stream, synthetic_library
+from seccache.scheme import SystemConfig, mersenne_twister, synthetic_library
 from seccache.sharing import (
     ShareMeta,
     _cached_inverse,
@@ -25,6 +27,7 @@ from seccache.sharing import (
     encode_shares,
     invert_matrix,
     random_vector,
+    random_words,
     reconstruct_file,
     share_file,
     subfiles_to_bytes,
@@ -172,13 +175,10 @@ def test_encode_dimension_mismatch(gf3):
 
 def test_roundtrip_all_shapes_up_to_16():
     field = BinaryField(8)
-    rng = random.Random(42)
+    rng = mersenne_twister(42)
     for f in range(2, 17):
         for z in range(1, f):
-            subs = [
-                field.vector([rng.randrange(256) for _ in range(2)])
-                for _ in range(f - z)
-            ]
+            subs = [field.vector(rng.randint(256, size=2)) for _ in range(f - z)]
             rand = [random_vector(2, field, rng) for _ in range(z)]
             shares = encode_shares(subs, rand, field)
             back = reconstruct_file(shares, ShareMeta(f, z, 0, 0, 2), field)
@@ -187,23 +187,23 @@ def test_roundtrip_all_shapes_up_to_16():
 
 def test_roundtrip_random_inputs_repeated(gf3):
     meta = ShareMeta(4, 2, 0, 0, 3)
-    rng = random.Random(9)
+    rng = mersenne_twister(9)
     for _ in range(100):
-        subs = [gf3.vector([rng.randrange(8) for _ in range(3)]) for _ in range(2)]
+        subs = [gf3.vector(rng.randint(8, size=3)) for _ in range(2)]
         rand = [random_vector(3, gf3, rng) for _ in range(2)]
         back = reconstruct_file(encode_shares(subs, rand, gf3), meta, gf3)
         assert all((a == b).all() for a, b in zip(subs, back))
 
 
 def test_reconstruct_needs_all_shares(gf3):
-    rng = random.Random(3)
+    rng = mersenne_twister(3)
     shares, _, meta = share_file(b"abc", 4, 2, gf3, rng)
     with pytest.raises(ValueError, match="need all 4 shares, got 3"):
         reconstruct_file(shares[:3], meta, gf3)
 
 
 def test_file_roundtrip_bit_exact(gf8):
-    rng = random.Random(5)
+    rng = mersenne_twister(5)
     data = b"abcdefghijklm"
     shares, randomness, meta = share_file(data, 4, 2, gf8, rng)
     assert shares.shape == (4, meta.symbols_per_share)
@@ -235,7 +235,7 @@ def test_share_size_bound(gf8):
 
 def test_padding_strips_back(gf3):
     # 8 bits padded up to (F-Z)*l multiples and restored exactly.
-    rng = random.Random(8)
+    rng = mersenne_twister(8)
     data = b"\x42"
     shares, _, meta = share_file(data, 4, 2, gf3, rng)
     assert meta.padded_bits == 12 and meta.data_bits == 8
@@ -486,37 +486,67 @@ def test_matmul_rejects_elements_outside_the_field(l):
         field.matmul([[1, 2, 3], [4, 5, 6]], symbols)
 
 
+def same_state(rng: np.random.RandomState, ref: random.Random) -> bool:
+    """Both generators hold the same 624 Mersenne Twister words at the same
+    position."""
+    _, key, pos, *_ = rng.get_state()
+    return ref.getstate()[1] == (*key.tolist(), pos)
+
+
 def draw_ops():
-    """A mix of random_vector lengths and plain getrandbits widths."""
+    """A mix of random_vector lengths and plain word counts, some of them
+    past a 624-word block."""
     return st.lists(
         st.one_of(
             st.tuples(st.just("vector"), st.integers(0, 40)),
-            st.tuples(st.just("bits"), st.integers(1, 70)),
+            st.tuples(st.just("words"), st.integers(0, 700)),
         ),
         max_size=8,
     )
 
 
 @settings(max_examples=100, deadline=None)
-@given(l=st.integers(2, 16), seed=st.integers(0, 2**64 - 1), ops=draw_ops())
-def test_random_vector_keeps_the_per_symbol_stream(l, seed, ops):
+@given(key=st.integers(0, 2**64 - 1), sizes=st.lists(st.integers(0, 1400), max_size=5))
+@example(key=0, sizes=[0, 1, 623, 1, 700])
+@example(key=1, sizes=[0, 1, 623, 1, 700])
+@example(key=2**32 - 1, sizes=[0, 1, 623, 1, 700])
+@example(key=2**32, sizes=[0, 1, 623, 1, 700])
+@example(key=2**64 - 1, sizes=[0, 1, 623, 1, 700])
+def test_mersenne_twister_draws_the_words_of_random_random(key, sizes):
+    rng, ref = mersenne_twister(key), random.Random(key)
+    assert same_state(rng, ref)
+    for size in sizes:
+        words = random_words(size, rng)
+        assert words.dtype == np.uint32
+        assert words.tolist() == [ref.getrandbits(32) for _ in range(size)]
+        assert same_state(rng, ref)
+
+
+@pytest.mark.parametrize("key", [-1, 2**64])
+def test_mersenne_twister_keys_fit_in_64_bits(key):
+    with pytest.raises(ValueError, match="64 bits"):
+        mersenne_twister(key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.integers(2, 16), key=st.integers(0, 2**64 - 1), ops=draw_ops())
+def test_random_vector_keeps_the_per_symbol_stream(l, key, ops):
     field = BinaryField(l)
-    rng, ref = random.Random(seed), random.Random(seed)
+    rng, ref = mersenne_twister(key), random.Random(key)
     for kind, n in ops:
         if kind == "vector":
             vec = random_vector(n, field, rng)
             assert vec.dtype == field.dtype
             assert vec.tolist() == [ref.getrandbits(l) for _ in range(n)]
         else:
-            assert rng.getrandbits(n) == ref.getrandbits(n)
-        assert rng.getstate() == ref.getstate()
+            assert random_words(n, rng).tolist() == [ref.getrandbits(32) for _ in range(n)]
+        assert same_state(rng, ref)
 
 
 def test_random_vector_of_length_zero_draws_nothing(gf8):
-    rng = random.Random(4)
-    state = rng.getstate()
+    rng, ref = mersenne_twister(4), random.Random(4)
     assert random_vector(0, gf8, rng).shape == (0,)
-    assert rng.getstate() == state
+    assert same_state(rng, ref)
 
 
 @settings(max_examples=30, deadline=None)
@@ -530,8 +560,9 @@ def test_synthetic_library_matches_per_byte_randrange(seed, num_files, file_byte
         num_caches=1, num_users=1, num_files=num_files, helper_memory=Fraction(0),
         file_bytes=file_bytes, seed=seed,
     )
-    rng = _stream(seed, "library")
+    digest = hashlib.sha256(f"{seed}:library".encode()).digest()
+    ref = random.Random(int.from_bytes(digest[:8], "big"))
     expect = tuple(
-        bytes(rng.randrange(256) for _ in range(file_bytes)) for _ in range(num_files)
+        bytes(ref.randrange(256) for _ in range(file_bytes)) for _ in range(num_files)
     )
     assert synthetic_library(config) == expect
