@@ -48,8 +48,6 @@ from .secrecy import (
     LinearObservationModel,
     SecrecyReport,
     SecrecyVerdict,
-    brute_force_secrecy,
-    build_observation_model,
     check_external_eavesdropper,
     check_zero_information,
     verify_session,
@@ -101,10 +99,8 @@ __all__ = [
     "LinearObservationModel",
     "SecrecyVerdict",
     "SecrecyReport",
-    "build_observation_model",
     "check_zero_information",
     "check_external_eavesdropper",
-    "brute_force_secrecy",
     "verify_session",
     "lambda_of_s",
     "cutset_bound",

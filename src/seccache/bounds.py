@@ -8,8 +8,9 @@ vanishes), the achievable secretive rate is at least
 
 where lambda_s is the cache serving the s-th user when users are counted
 cache-by-cache down the nonincreasing profile.  Negative terms are
-clamped at zero.  With unit user caches this simplifies to
-s - (lambda_s - 1) M / (floor(N/s) - 1) term-by-term.
+clamped at zero.  The scheme gives every user exactly one file of keys,
+so the user memory M_U is 1 throughout, and each term equals
+s - (lambda_s - 1) M / (floor(N/s) - 1).
 
 Everything is exact rational arithmetic; decimals appear only when
 rendering CSV.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pda import Pda
+from .pda import Pda, check_mn_size, mn_pda
 from .scheme import helper_memory_for, rate_report
 
 
@@ -41,9 +42,9 @@ def lambda_of_s(profile, s: int) -> int:
 
 
 def cutset_terms(
-    num_files: int, num_users: int, helper_memory, profile, user_memory=1
+    num_files: int, num_users: int, helper_memory, profile
 ) -> list[tuple[int, Fraction]]:
-    """The (s, value) bound terms, each clamped at zero."""
+    """The (s, value) bound terms at M_U = 1, each clamped at zero."""
     if num_files < 1:
         raise ValueError("need at least one file")
     if num_users < 1:
@@ -51,43 +52,23 @@ def cutset_terms(
     m = Fraction(helper_memory)
     if m < 0:
         raise ValueError("helper memory cannot be negative")
-    if user_memory < 1:
-        raise ValueError("the setting requires unit-or-larger user caches")
     if sum(profile) != num_users:
         raise ValueError("profile must sum to the user count")
-    mu = Fraction(user_memory)
     terms = []
     for s in range(1, min(num_files // 2, num_users) + 1):
         per = num_files // s  # floor(N/s) >= 2 on this range
         lam_s = lambda_of_s(profile, s)
-        value = Fraction(s * per - 1 - (lam_s - 1) * m - (s - 1) * mu, per - 1)
+        value = Fraction(s * per - 1 - (lam_s - 1) * m - (s - 1), per - 1)
         terms.append((s, max(value, Fraction(0))))
     return terms
 
 
-def cutset_bound(
-    num_files: int, num_users: int, helper_memory, profile, user_memory=1
-) -> Fraction:
+def cutset_bound(num_files: int, num_users: int, helper_memory, profile) -> Fraction:
     """Best cut over all admissible s; 0 when N < 2 leaves no valid cut."""
-    terms = cutset_terms(num_files, num_users, helper_memory, profile, user_memory)
+    terms = cutset_terms(num_files, num_users, helper_memory, profile)
     if not terms:
         return Fraction(0)
     return max(value for _, value in terms)
-
-
-def unit_cache_bound_terms(
-    num_files: int, num_users: int, helper_memory, profile
-) -> list[tuple[int, Fraction]]:
-    """The simplified M_U = 1 form, s - (lambda_s - 1) M / (floor(N/s) - 1);
-    kept separate so the reduction can be checked symbolically."""
-    m = Fraction(helper_memory)
-    terms = []
-    for s in range(1, min(num_files // 2, num_users) + 1):
-        per = num_files // s
-        lam_s = lambda_of_s(profile, s)
-        value = s - Fraction((lam_s - 1) * m, per - 1)
-        terms.append((s, max(value, Fraction(0))))
-    return terms
 
 
 @dataclass(frozen=True)
@@ -166,46 +147,8 @@ def mn_sweep_pdas(num_caches: int) -> dict[str, Pda]:
     """The subset-family PDAs available for a sweep, one per t.  The
     largest grid, at t = Lambda // 2, is checked before any is built, so a
     sweep over too many caches fails at once with `mn_pda`'s error."""
-    from .pda import check_mn_size, mn_pda
-
     check_mn_size(num_caches, num_caches // 2)
     return {f"mn:{num_caches},{t}": mn_pda(num_caches, t) for t in range(1, num_caches)}
-
-
-def envelope_points(points) -> list[tuple[Fraction, Fraction]]:
-    """Vertices of the lower convex envelope of (memory, rate); duplicate
-    memory values collapse to their minimum rate.  Intermediate memory is
-    achievable by time-sharing the two bracketing placements."""
-    best: dict[Fraction, Fraction] = {}
-    for pt in points:
-        if pt.memory not in best or pt.rate_achievable < best[pt.memory]:
-            best[pt.memory] = pt.rate_achievable
-    ordered = sorted(best.items())
-    hull: list[tuple[Fraction, Fraction]] = []
-    for x, y in ordered:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop hull[-1] if it lies on or above segment hull[-2] -> (x, y)
-            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append((x, y))
-    return hull
-
-
-def envelope_rate(points, memory) -> Fraction:
-    """Rate of the envelope at a memory value within its span."""
-    hull = envelope_points(points)
-    memory = Fraction(memory)
-    if not hull or not hull[0][0] <= memory <= hull[-1][0]:
-        raise ValueError("memory outside the swept range")
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= memory <= x2:
-            if x1 == x2:
-                return min(y1, y2)
-            return y1 + (y2 - y1) * (memory - x1) / (x2 - x1)
-    return hull[-1][1]
 
 
 # -- CSV emission ---------------------------------------------------------------

@@ -93,10 +93,6 @@ def _load_library(directory: str, num_files: int) -> tuple[bytes, ...]:
     return library
 
 
-def _field_from_args(args) -> BinaryField:
-    return BinaryField(args.field)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -242,7 +238,7 @@ def cmd_simulate(args) -> int:
     if len(profile) != pda.num_caches:
         raise ValueError("profile length must equal the PDA's column count")
     demands = _parse_demands(args.demands, sum(profile), args.files)
-    field = _field_from_args(args)
+    field = BinaryField(args.field)
     # The manifest records the run's raw inputs, and the session is derived
     # from them exactly as verify derives it.  --out is deliberately not
     # recorded: the run directory's location is not an input, and identical
@@ -358,9 +354,7 @@ def cmd_bound(args) -> int:
         memory = Fraction(args.memory)
     except ZeroDivisionError:
         raise ValueError(f"bad memory {args.memory!r}: zero denominator")
-    value = cutset_bound(
-        args.files, sum(profile), memory, profile, user_memory=args.user_memory
-    )
+    value = cutset_bound(args.files, sum(profile), memory, profile)
     if args.files < 2:
         print("bound 0 (fewer than two files leaves no valid cut)")
         return 0
@@ -393,7 +387,7 @@ def cmd_baseline(args) -> int:
         num_files=args.files,
         helper_memory=Fraction(0),
         file_bytes=args.bytes,
-        field=_field_from_args(args),
+        field=BinaryField(args.field),
         seed=args.seed,
     )
     demands = _parse_demands(args.demands, num_users, args.files)
@@ -457,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--profile", required=True)
     bound.add_argument("--files", type=int, required=True)
     bound.add_argument("--memory", required=True, help="helper memory M (rational)")
-    bound.add_argument("--user-memory", type=int, default=1)
     bound.set_defaults(func=cmd_bound)
 
     sw = sub.add_parser("sweep", help="rate-memory sweep CSV")

@@ -10,8 +10,9 @@ For vectorized work (share encoding, linear-algebra checks) the field
 exposes exp/log tables over a fixed generator, usable with numpy fancy
 indexing.  They are built on first use, once per (l, poly) in a process,
 and every instance of that field shares the same read-only arrays.  The
-scalar `mul`, `pow` and `inv` only build those tables and serve as test
-oracles; every array operation goes through tables.  At l <= 8,
+scalar `mul` and `pow` only build those tables; the tests use them, and an
+inverse built from `pow`, as oracles.  Every array operation goes through
+tables.  At l <= 8,
 `BinaryField.matmul` multiplies through product rows of its coefficient
 matrix, built from the exp/log tables and cached per matrix
 (`_product_tables`): row j * 2^l + s holds the R products of s with
@@ -149,14 +150,6 @@ class BinaryField:
             n >>= 1
         return r
 
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises ZeroDivisionError for 0."""
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(2^l)")
-        if a >= self.order:
-            raise ValueError(f"{a} is not a field element")
-        return self.pow(a, self.order - 2)
-
     # -- vectorized support --------------------------------------------------
 
     def _build_tables(self) -> None:
@@ -184,12 +177,6 @@ class BinaryField:
 
     def zeros(self, *shape: int) -> np.ndarray:
         return np.zeros(shape, dtype=self.dtype)
-
-    def vector(self, symbols) -> np.ndarray:
-        arr = np.asarray(symbols, dtype=self.dtype)
-        if arr.size and int(arr.max()) >= self.order:
-            raise ValueError("symbol out of field range")
-        return arr
 
     def scale(self, s: int, vec: np.ndarray) -> np.ndarray:
         """Elementwise s * vec over the field."""
@@ -369,8 +356,8 @@ def _product_tables(
     An entry holds C * 2^l * _padded_width(R) bytes.  Sessions multiply
     only by blocks of an F x F share matrix, and 2F <= 2^l, so there an
     entry is at most 128 * 256 * 128 bytes (4 MiB) and the 16 entries at
-    most 64 MiB.  The oracle `enumerate_independence` multiplies by its
-    observation model, of at most 12 columns.
+    most 64 MiB.  The tests' enumeration oracle multiplies by an
+    observation model of at most 12 columns.
     """
     width, columns = shape
     coeffs = np.frombuffer(coeff_bytes, dtype=dtype).reshape(shape)

@@ -57,6 +57,12 @@ from .sharing import (
 
 Pair = tuple[int, int]
 
+# Largest library, N x file_bytes, that a session may hold.  A session peaks
+# at about 7 times its library: on a 2-vCPU host, `simulate --pda mn:4,2`
+# with four 16 MiB files (64 MiB) peaked at 428 MiB and took 3.9 s, so a
+# 256 MiB library would need near 2 GiB.
+MAX_LIBRARY_BYTES = 1 << 26
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -79,6 +85,11 @@ class SystemConfig:
             raise ValueError("helper memory cannot be negative")
         if self.file_bytes < 1:
             raise ValueError("files must be nonempty")
+        if self.num_files * self.file_bytes > MAX_LIBRARY_BYTES:
+            raise ValueError(
+                f"a library of {self.num_files} x {self.file_bytes} bytes is "
+                f"larger than the {MAX_LIBRARY_BYTES} bytes a session can hold"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -130,10 +141,6 @@ class Association:
     @property
     def num_caches(self) -> int:
         return len(self.profile)
-
-    def rank_of(self, user: int) -> int:
-        """1-based position of a user within its cache's group."""
-        return self.groups[self.user_to_cache[user - 1] - 1].index(user) + 1
 
     @classmethod
     def from_assignment(cls, assignment, num_caches: int) -> "Association":

@@ -10,9 +10,9 @@ With v uniform and independent of w, the observations reveal nothing
 about a set of protected files exactly when every protected file column
 of A lies in the column space of B; equivalently rank([B | A_protected])
 equals rank(B).  That rank condition is decided here by Gaussian
-elimination (`BinaryField.echelon`, the package's one kernel), and backed
-by a brute-force distribution-enumeration oracle on instances small
-enough to enumerate.
+elimination (`BinaryField.echelon`, the package's one kernel); the tests
+back it with a brute-force distribution-enumeration oracle on instances
+small enough to enumerate.
 
 Rows are labeled with structured tuples: ("share", n, j, pos),
 ("key", s, i, pos), ("x", s, i, pos).
@@ -26,8 +26,8 @@ Ranks scale by L, so rank([B | A_protected]) = rank(B) holds at all L
 positions exactly when it holds for M1, and a witness for M1 is a witness
 at any one position.  `verify_session` decides every check on M1
 (`SessionAnalyzer(session, positions=1)`), at a cost that does not depend
-on the file size; the full-width model (`positions=None`) is kept as a
-test oracle.
+on the file size; the full-width model (`positions=None`) is what the
+tests compare it with.
 
 The models order rows and columns with the position innermost.
 Elimination on a full-width model then performs M1's elimination L times
@@ -76,7 +76,6 @@ import numpy as np
 
 from .field import BinaryField
 from .scheme import SessionState
-from .sharing import bytes_to_subfiles
 
 RowLabel = tuple
 
@@ -211,8 +210,8 @@ class SessionAnalyzer:
     up to a permutation, with M1 the model at `positions=1`.  Every check
     has the same verdict at every P, and its witness is M1's witness at
     position 0, because rows and columns run position-innermost and
-    elimination treats the positions in lock step.  `verify_session` and
-    the brute-force oracle use `positions=1`.
+    elimination treats the positions in lock step.  `verify_session` uses
+    `positions=1`.
     """
 
     def __init__(self, session: SessionState, positions: int | None = None):
@@ -337,37 +336,6 @@ class SessionAnalyzer:
     def eavesdropper_model(self) -> LinearObservationModel:
         return self._assemble([self.delivery_block()])
 
-    def variable_assignment(self) -> tuple[np.ndarray, np.ndarray]:
-        """The session's actual (w, v) values, for model validation: w is
-        every file's subfiles, v every file's randomness and then every
-        pair's key, each vector cut to the model's symbols per share."""
-        session, meta = self.session, self.session.meta
-        field = session.config.field
-        subfiles = [
-            bytes_to_subfiles(data, meta.num_shares, meta.num_random, field)[0]
-            for data in session.library
-        ]
-        keys = [session.key_pool[pair][None] for pair in self.pairs]
-
-        def flat(blocks):
-            return np.concatenate([blk[:, : self.fsym].ravel() for blk in blocks])
-
-        return flat(subfiles), flat([*session.randomness, *keys])
-
-
-def build_observation_model(
-    session: SessionState,
-    observer: int,
-    scope: str = "caches-plus-delivery",
-    positions: int | None = None,
-) -> LinearObservationModel:
-    """Everything user `observer` sees, symbol by symbol."""
-    if scope not in ("caches-only", "caches-plus-delivery"):
-        raise ValueError(f"unknown scope {scope!r}")
-    return SessionAnalyzer(session, positions).user_model(
-        observer, include_delivery=(scope == "caches-plus-delivery")
-    )
-
 
 def check_external_eavesdropper(session: SessionState) -> SecrecyVerdict:
     """Broadcast-only observer; every file is protected.  Decided at one
@@ -385,86 +353,6 @@ def share_subset_model(
     picked = enc[[j - 1 for j in rows]]
     labels = tuple(("share", 1, j, 0) for j in rows)
     return LinearObservationModel(field, 1, nsub, picked[:, :nsub], picked[:, nsub:], labels)
-
-
-# -- brute-force oracle -------------------------------------------------------
-
-
-def enumerate_independence(
-    model: LinearObservationModel,
-    protected,
-    max_symbols: int = 12,
-    max_states: int = 1 << 22,
-) -> bool:
-    """Enumerate every (w, v), build the exact joint distribution of
-    (protected file symbols, observations), and test independence.
-
-    Deliberately ignorant of the rank criterion: it compares empirical
-    joint counts against the product of the marginals.
-    """
-    field = model.field
-    dims = model.file_dim + model.rand_dim
-    states = field.order**dims
-    if dims > max_symbols or states > max_states:
-        raise ValueError(
-            f"instance too large to enumerate ({dims} symbols over "
-            f"GF(2^{field.l}))"
-        )
-
-    codes = np.arange(states, dtype=np.int64)
-    inputs = np.empty((states, dims), dtype=field.dtype)
-    for d in range(dims):
-        inputs[:, d] = (codes // (field.order**d)) % field.order
-
-    stacked = np.concatenate([model.obs_files, model.obs_rand], axis=1)
-    obs = field.matmul(stacked, inputs.T).T
-
-    wp = inputs[:, model.protected_columns(protected)]
-    joint = np.concatenate([wp, obs], axis=1)
-    joint_rows, joint_counts = np.unique(joint, axis=0, return_counts=True)
-    wp_rows, wp_inverse = np.unique(
-        joint_rows[:, : wp.shape[1]], axis=0, return_inverse=True
-    )
-    obs_rows, obs_inverse = np.unique(
-        joint_rows[:, wp.shape[1] :], axis=0, return_inverse=True
-    )
-    if len(joint_rows) != len(wp_rows) * len(obs_rows):
-        return False
-    wp_counts = np.zeros(len(wp_rows), dtype=np.int64)
-    np.add.at(wp_counts, wp_inverse, joint_counts)
-    obs_counts = np.zeros(len(obs_rows), dtype=np.int64)
-    np.add.at(obs_counts, obs_inverse, joint_counts)
-    return bool(
-        np.all(
-            joint_counts * states
-            == wp_counts[wp_inverse] * obs_counts[obs_inverse]
-        )
-    )
-
-
-def brute_force_secrecy(
-    session: SessionState,
-    observer: int,
-    protected,
-    scope: str = "caches-plus-delivery",
-    positions: int | None = 1,
-    max_symbols: int = 12,
-    max_states: int = 1 << 22,
-) -> SecrecyVerdict:
-    """Enumeration-based verdict for a tiny session, restricted to the
-    first `positions` symbol positions (positions never interact).
-
-    The hold/fail decision comes entirely from the enumeration; on failure
-    the reported witness is extracted from the linear model (a failing
-    distribution always has one).
-    """
-    model = build_observation_model(session, observer, scope, positions)
-    if enumerate_independence(model, protected, max_symbols, max_states):
-        return SecrecyVerdict(True)
-    verdict = check_zero_information(model, protected)
-    if verdict.holds:
-        raise RuntimeError("enumeration found a dependence the linear model lacks")
-    return verdict
 
 
 # -- whole-session verification ------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared fixtures: the 6-cache/21-user worked example, small helpers,
-scalar elimination and vector-matrix product oracles, and Hypothesis
+the test-side oracles (scalar inverse, elimination and vector-matrix
+product, the distribution-enumeration secrecy oracle, a session's actual
+variable values, and the simplified unit-cache bound), and Hypothesis
 strategies for random valid PDAs that are not MN and for sessions of those
 PDAs and of the M = 0 scheme."""
 
@@ -10,7 +12,10 @@ import pytest
 from hypothesis import strategies as st
 
 from seccache import BinaryField, Pda, SystemConfig, mn_pda, run_session, secrecy
+from seccache.bounds import lambda_of_s
 from seccache.scheme import helper_memory_for, one_time_pad_session
+from seccache.secrecy import SecrecyVerdict, SessionAnalyzer, check_zero_information
+from seccache.sharing import bytes_to_subfiles
 
 # The 4x6 reference array used throughout: (Lambda, F, Z, S) = (6, 4, 2, 4).
 WORKED_GRID = (
@@ -92,6 +97,16 @@ def worked_session():
     return make_worked_session()
 
 
+def field_inv(field, a):
+    """Multiplicative inverse a^(q - 2) by scalar powering; raises
+    ZeroDivisionError for 0."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse in GF(2^l)")
+    if a >= field.order:
+        raise ValueError(f"{a} is not a field element")
+    return field.pow(a, field.order - 2)
+
+
 def scalar_row_reduce(field, rows, pivot_cols):
     """Test-side oracle: Gauss-Jordan elimination on plain lists of ints with
     scalar field arithmetic, written independently of the package's numpy
@@ -107,7 +122,7 @@ def scalar_row_reduce(field, rows, pivot_cols):
         if pivot is None:
             continue
         rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = field.inv(rows[pivot_row][col])
+        inv = field_inv(field, rows[pivot_row][col])
         rows[pivot_row] = [field.mul(inv, v) for v in rows[pivot_row]]
         for r in range(len(rows)):
             if r != pivot_row and rows[r][col] != 0:
@@ -128,6 +143,103 @@ def gf_vec_mat(field, phi, mat):
         for c in np.nonzero(mat[r])[0]:
             out[c] ^= field.mul(int(c_phi), int(mat[r, c]))
     return out
+
+
+def variable_assignment(analyzer):
+    """A session's actual (w, v) values, for model validation: w is every
+    file's subfiles, v every file's randomness and then every pair's key,
+    each vector cut to the analyzer's symbols per share."""
+    session, meta = analyzer.session, analyzer.session.meta
+    field = session.config.field
+    subfiles = [
+        bytes_to_subfiles(data, meta.num_shares, meta.num_random, field)[0]
+        for data in session.library
+    ]
+    keys = [session.key_pool[pair][None] for pair in analyzer.pairs]
+
+    def flat(blocks):
+        return np.concatenate([blk[:, : analyzer.fsym].ravel() for blk in blocks])
+
+    return flat(subfiles), flat([*session.randomness, *keys])
+
+
+def enumerate_independence(model, protected, max_symbols=12, max_states=1 << 22):
+    """Enumerate every (w, v), build the exact joint distribution of
+    (protected file symbols, observations), and test independence.
+
+    Deliberately ignorant of the rank criterion: it compares empirical
+    joint counts against the product of the marginals.
+    """
+    field = model.field
+    dims = model.file_dim + model.rand_dim
+    states = field.order**dims
+    if dims > max_symbols or states > max_states:
+        raise ValueError(
+            f"instance too large to enumerate ({dims} symbols over "
+            f"GF(2^{field.l}))"
+        )
+
+    codes = np.arange(states, dtype=np.int64)
+    inputs = np.empty((states, dims), dtype=field.dtype)
+    for d in range(dims):
+        inputs[:, d] = (codes // (field.order**d)) % field.order
+
+    stacked = np.concatenate([model.obs_files, model.obs_rand], axis=1)
+    obs = field.matmul(stacked, inputs.T).T
+
+    wp = inputs[:, model.protected_columns(protected)]
+    joint = np.concatenate([wp, obs], axis=1)
+    joint_rows, joint_counts = np.unique(joint, axis=0, return_counts=True)
+    wp_rows, wp_inverse = np.unique(
+        joint_rows[:, : wp.shape[1]], axis=0, return_inverse=True
+    )
+    obs_rows, obs_inverse = np.unique(
+        joint_rows[:, wp.shape[1] :], axis=0, return_inverse=True
+    )
+    if len(joint_rows) != len(wp_rows) * len(obs_rows):
+        return False
+    wp_counts = np.zeros(len(wp_rows), dtype=np.int64)
+    np.add.at(wp_counts, wp_inverse, joint_counts)
+    obs_counts = np.zeros(len(obs_rows), dtype=np.int64)
+    np.add.at(obs_counts, obs_inverse, joint_counts)
+    return bool(
+        np.all(
+            joint_counts * states
+            == wp_counts[wp_inverse] * obs_counts[obs_inverse]
+        )
+    )
+
+
+def brute_force_secrecy(session, observer, protected, include_delivery=True,
+                        positions=1, max_symbols=12, max_states=1 << 22):
+    """Enumeration-based verdict for a tiny session, restricted to the
+    first `positions` symbol positions (positions never interact).
+
+    The hold/fail decision comes entirely from the enumeration; on failure
+    the reported witness is extracted from the linear model (a failing
+    distribution always has one).
+    """
+    model = SessionAnalyzer(session, positions).user_model(observer, include_delivery)
+    if enumerate_independence(model, protected, max_symbols, max_states):
+        return SecrecyVerdict(True)
+    verdict = check_zero_information(model, protected)
+    if verdict.holds:
+        raise RuntimeError("enumeration found a dependence the linear model lacks")
+    return verdict
+
+
+def unit_cache_bound_terms(num_files, num_users, helper_memory, profile):
+    """The cut-set terms in their simplified M_U = 1 form,
+    s - (lambda_s - 1) M / (floor(N/s) - 1), each clamped at zero; the
+    reference that the package's unsimplified formula is checked against."""
+    m = Fraction(helper_memory)
+    terms = []
+    for s in range(1, min(num_files // 2, num_users) + 1):
+        per = num_files // s
+        lam_s = lambda_of_s(profile, s)
+        value = s - Fraction((lam_s - 1) * m, per - 1)
+        terms.append((s, max(value, Fraction(0))))
+    return terms
 
 
 # -- random valid PDAs ----------------------------------------------------------

@@ -27,7 +27,6 @@ from seccache.bounds import (
     mn_sweep_pdas,
     optimality_ratio,
     sweep,
-    unit_cache_bound_terms,
 )
 from seccache.scheme import (
     SystemConfig,
@@ -38,19 +37,15 @@ from seccache.scheme import (
     rate_report,
     run_session,
 )
-from seccache.secrecy import (
-    SessionAnalyzer,
-    build_observation_model,
-    enumerate_independence,
-    share_subset_model,
-    verify_session,
-)
+from seccache.secrecy import SessionAnalyzer, share_subset_model, verify_session
 from seccache.sharing import cauchy_matrix, share_file, unshare_file
 from tests.conftest import (
     WORKED_G_COLUMNS,
     WORKED_GRID,
+    enumerate_independence,
     gf_vec_mat,
     make_worked_session,
+    unit_cache_bound_terms,
 )
 
 BATTERY_SIZE = 200
@@ -220,7 +215,7 @@ def test_criterion_05_secrecy_suite(battery):
 
     # sabotage: stripping the pads must break the delivery-phase condition
     sabotaged = make_worked_session(seed=7, file_bytes=1, strip_pads=True)
-    model = build_observation_model(sabotaged, observer=1)
+    model = SessionAnalyzer(sabotaged).user_model(1, include_delivery=True)
     protected = set(range(1, 22)) - {sabotaged.demands[0]}
     verdict = check_zero_information(model, protected)
     assert not verdict.holds
@@ -312,7 +307,7 @@ def test_criterion_08_bounds_and_reduction():
         profile = tuple(raw)
         n = rng.randint(2, 60)
         m = Fraction(rng.randint(0, 90), rng.randint(1, 7))
-        assert cutset_terms(n, sum(profile), m, profile, user_memory=1) == (
+        assert cutset_terms(n, sum(profile), m, profile) == (
             unit_cache_bound_terms(n, sum(profile), m, profile)
         )
     report(8, "order-optimality gap and unit-cache bound reduction")

@@ -10,17 +10,14 @@ from seccache.bounds import (
     CSV_HEADER,
     cutset_bound,
     cutset_terms,
-    envelope_points,
-    envelope_rate,
     fraction_to_decimal,
     lambda_of_s,
     mn_sweep_pdas,
     optimality_ratio,
     sweep,
     sweep_csv,
-    unit_cache_bound_terms,
 )
-from tests.conftest import WORKED_GRID, WORKED_PROFILE
+from tests.conftest import WORKED_GRID, WORKED_PROFILE, unit_cache_bound_terms
 
 
 def cumulative_oracle(profile, s):
@@ -91,7 +88,7 @@ def test_unit_user_cache_reduction_is_exact():
         k = sum(profile)
         n = rng.randint(2, 50)
         m = Fraction(rng.randint(0, 80), rng.randint(1, 9))
-        general = cutset_terms(n, k, m, profile, user_memory=1)
+        general = cutset_terms(n, k, m, profile)
         reduced = unit_cache_bound_terms(n, k, m, profile)
         assert general == reduced
 
@@ -100,15 +97,6 @@ def test_bound_monotone_in_memory():
     profile = (4, 3, 2)
     k, n = 9, 30
     values = [cutset_bound(n, k, m, profile) for m in (0, 1, 2, 5, 10, 100)]
-    assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_bound_monotone_in_user_memory():
-    profile = (4, 3, 2)
-    k, n = 9, 30
-    values = [
-        cutset_bound(n, k, 3, profile, user_memory=mu) for mu in (1, 2, 3, 5)
-    ]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -185,25 +173,6 @@ def test_sweep_subpacketization_tradeoff_at_shared_memory():
 def test_sweep_rejects_mismatched_pda():
     with pytest.raises(ValueError):
         sweep(10, (2, 2), {"bad": mn_pda(3, 1)})
-
-
-def test_envelope_is_convex_and_collapses_duplicates():
-    points = worked_sweep()
-    hull = envelope_points(points)
-    xs = [x for x, _ in hull]
-    assert xs == sorted(set(xs))
-    # at the duplicated memory point the envelope takes the lower rate
-    assert envelope_rate(points, 42) == Fraction(42, 5)
-    # convexity: every hull vertex lies on or below the chord of its neighbors
-    for (x1, y1), (x2, y2), (x3, y3) in zip(hull, hull[1:], hull[2:]):
-        chord = y1 + (y3 - y1) * (x2 - x1) / (x3 - x1)
-        assert y2 <= chord
-    # interpolation is linear between vertices
-    (x1, y1), (x2, y2) = hull[0], hull[1]
-    mid = (x1 + x2) / 2
-    assert envelope_rate(points, mid) == (y1 + y2) / 2
-    with pytest.raises(ValueError):
-        envelope_rate(points, -1)
 
 
 def test_uniform_bigger_network_shape():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from seccache import pda as pda_module
+from seccache import pda as pda_module, scheme
 from seccache.cli import main
 from seccache.pda import Pda, save_pda
 from tests.conftest import WORKED_GRID, WORKED_PROFILE
@@ -271,6 +271,14 @@ def test_bound_command_rational_memory(capsys):
     assert out.startswith("bound ")
 
 
+def test_bound_has_no_user_memory_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["bound", "--user-memory", 2, "--profile", "2,1", "--files", 6,
+             "--memory", 1])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --user-memory 2" in capsys.readouterr().err
+
+
 def test_bound_command_tiny_library(capsys):
     assert run(["bound", "--profile", "2", "--files", "1", "--memory", "0"]) == 0
     assert "no valid cut" in capsys.readouterr().out
@@ -312,6 +320,27 @@ def test_sweep_refuses_too_many_caches_before_building_a_grid(monkeypatch, capsy
         "error: mn:25,12 has 130007500 cells (C(25,12) rows x 25 columns); "
         "at most 2097152 can be built\n"
     )
+
+
+@pytest.mark.parametrize("args,files,size", [
+    (["simulate", "--pda", "mn:4,2", "--profile", "1,1,1,1", "--out", "run"], 4,
+     200_000_000),
+    (["baseline", "--profile", "1,1"], 2, 900_000_000),
+])
+def test_a_library_too_large_to_hold_is_refused_before_it_is_drawn(
+        args, files, size, monkeypatch, tmp_path, capsys):
+    def no_library(config):
+        raise AssertionError("a library too large to hold was drawn")
+
+    monkeypatch.setattr(scheme, "synthetic_library", no_library)
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--files", files, "--bytes", size]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: a library of {files} x {size} bytes is larger than the "
+        f"67108864 bytes a session can hold\n"
+    )
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_command(worked_pda_file, tmp_path, capsys):

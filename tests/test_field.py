@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seccache.field import _DEFAULT_POLYS, BinaryField, default_field
-from tests.conftest import scalar_row_reduce
+from tests.conftest import field_inv, scalar_row_reduce
 
 
 def oracle_mul(a, b, poly, l):
@@ -73,12 +73,12 @@ def test_axioms_exhaustive_gf3(gf3):
 
 def test_inverse_everywhere(gf8):
     for x in range(1, gf8.order):
-        assert gf8.mul(x, gf8.inv(x)) == 1
+        assert gf8.mul(x, field_inv(gf8, x)) == 1
 
 
 def test_inv_zero_is_an_error(gf8):
     with pytest.raises(ZeroDivisionError):
-        gf8.inv(0)
+        field_inv(gf8, 0)
 
 
 def test_reducible_polynomial_rejected():
@@ -144,7 +144,7 @@ def test_tables_are_shared_read_only_per_polynomial():
 
 def test_scale_and_outer_match_scalar_mul(gf8):
     rng = random.Random(0)
-    vec = gf8.vector([rng.randrange(256) for _ in range(40)])
+    vec = np.array([rng.randrange(256) for _ in range(40)], dtype=gf8.dtype)
     s = 0x53
     scaled = gf8.scale(s, vec)
     assert all(int(y) == gf8.mul(s, int(x)) for x, y in zip(vec, scaled))
@@ -154,11 +154,6 @@ def test_scale_and_outer_match_scalar_mul(gf8):
         assert all(
             int(outer[r, c]) == gf8.mul(int(f), int(vec[c])) for c in range(len(vec))
         )
-
-
-def test_vector_rejects_out_of_range(gf3):
-    with pytest.raises(ValueError):
-        gf3.vector([1, 9])
 
 
 # -- the elimination kernel against the scalar Gauss-Jordan oracle ----------------

@@ -1,7 +1,8 @@
 """Source rules for the package: invariants raise real exceptions, scalar
 field arithmetic stays inside the field module, the byte <-> symbol codec
-lives in the sharing module, sessions are built in one place, and
-randomness comes from NumPy's Mersenne Twister."""
+lives in the sharing module, sessions are built in one place, randomness
+comes from NumPy's Mersenne Twister, and the package never imports the
+tests' oracles."""
 
 import ast
 from pathlib import Path
@@ -71,15 +72,24 @@ def test_bit_packing_stays_in_the_codec():
     assert not found, f"bytes become symbols only in sharing's codec: {found}"
 
 
+def imports_of(nodes, top):
+    """Locations of absolute imports of module `top` or its submodules."""
+    return [f"{file}:{node.lineno}" for file, node in nodes
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == top for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == top]
+
+
 def test_randomness_comes_from_numpy_streams():
     nodes = package_nodes()
-    imported = [f"{file}:{node.lineno}" for file, node in nodes
-                if isinstance(node, ast.Import)
-                and any(alias.name.split(".")[0] == "random" for alias in node.names)
-                or isinstance(node, ast.ImportFrom) and node.level == 0
-                and (node.module or "").split(".")[0] == "random"]
-    found = imported + calls_named(nodes, "getrandbits")
+    found = imports_of(nodes, "random") + calls_named(nodes, "getrandbits")
     assert not found, f"draws go through scheme.mersenne_twister streams: {found}"
+
+
+def test_package_does_not_import_tests():
+    found = imports_of(package_nodes(), "tests")
+    assert not found, f"oracles live in tests/ and the package never uses them: {found}"
 
 
 def test_small_field_matmul_gathers_all_columns_at_once():

@@ -14,6 +14,7 @@ from seccache.field import _product_tables
 from seccache.secrecy import strip_pads
 from seccache.sharing import bytes_to_symbols, random_vector
 from seccache.scheme import (
+    MAX_LIBRARY_BYTES,
     Association,
     SystemConfig,
     _stream,
@@ -66,13 +67,11 @@ def test_associate_worked_profile():
     assert assoc.groups[0] == (1, 2, 3, 4, 5, 6)
     assert assoc.groups[5] == (21,)
     assert assoc.cache_order == (1, 2, 3, 4, 5, 6)
-    assert assoc.rank_of(7) == 1 and assoc.rank_of(11) == 5
 
 
 def test_associate_uniform_one_user_per_cache():
     assoc = Association.from_assignment((1, 2, 3, 4), 4)
     assert assoc.profile == (1, 1, 1, 1)
-    assert all(assoc.rank_of(u) == 1 for u in range(1, 5))
 
 
 def test_associate_ties_keep_original_order():
@@ -598,6 +597,9 @@ def test_config_validation():
         SystemConfig(2, 2, 2, Fraction(-1), 4)
     with pytest.raises(ValueError):
         SystemConfig(2, 2, 2, Fraction(1), 0)
+    SystemConfig(2, 2, 4, Fraction(1), MAX_LIBRARY_BYTES // 4)
+    with pytest.raises(ValueError, match="larger than the"):
+        SystemConfig(2, 2, 4, Fraction(1), MAX_LIBRARY_BYTES // 4 + 1)
 
 
 @settings(max_examples=30, deadline=None,

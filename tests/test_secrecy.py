@@ -18,11 +18,8 @@ from seccache.secrecy import (
     SecrecyVerdict,
     SessionAnalyzer,
     _exposing_combination,
-    brute_force_secrecy,
-    build_observation_model,
     check_external_eavesdropper,
     check_zero_information,
-    enumerate_independence,
     share_subset_model,
     verify_session,
 )
@@ -30,10 +27,13 @@ from seccache.sharing import cauchy_matrix
 from tests.conftest import (
     WORKED_GRID,
     WORKED_PROFILE,
+    brute_force_secrecy,
+    enumerate_independence,
     gf_vec_mat,
     make_worked_session,
     random_pda_sessions,
     scalar_row_reduce,
+    variable_assignment,
     zero_memory_sessions,
 )
 
@@ -43,7 +43,7 @@ def evaluate_observations(model, w, v):
     field = model.field
     out = field.zeros(model.obs_dim)
     stacked = np.concatenate([model.obs_files, model.obs_rand], axis=1)
-    x = np.concatenate([field.vector(w), field.vector(v)])
+    x = np.concatenate([w, v]).astype(field.dtype)
     for r in range(model.obs_dim):
         acc = 0
         for c in np.nonzero(stacked[r])[0]:
@@ -73,7 +73,7 @@ def tiny_session(profile=(1, 1), num_files=2, l=2, seed=1, strip_pads=False,
 
 
 def test_zero_inputs_give_zero_observations(worked_session):
-    model = build_observation_model(worked_session, observer=3)
+    model = SessionAnalyzer(worked_session).user_model(3, include_delivery=True)
     field = model.field
     w = field.zeros(model.file_dim)
     v = field.zeros(model.rand_dim)
@@ -84,16 +84,17 @@ def test_obs_dim_counts(worked_session):
     s = worked_session
     fsym = s.meta.symbols_per_share
     n, z, f = 21, 2, 4
-    placement = build_observation_model(s, observer=1, scope="caches-only")
+    analyzer = SessionAnalyzer(s)
+    placement = analyzer.user_model(1, include_delivery=False)
     assert placement.obs_dim == n * z * fsym + (f - z) * fsym
-    delivery = build_observation_model(s, observer=1, scope="caches-plus-delivery")
+    delivery = analyzer.user_model(1, include_delivery=True)
     assert delivery.obs_dim == placement.obs_dim + 20 * fsym
 
 
 def test_model_reproduces_actual_session_values(worked_session):
     s = worked_session
     analyzer = SessionAnalyzer(s)
-    w, v = analyzer.variable_assignment()
+    w, v = variable_assignment(analyzer)
     model = analyzer.user_model(5, include_delivery=True)
     values = evaluate_observations(model, w, v)
     for label, value in zip(model.row_labels, values):
@@ -110,11 +111,9 @@ def test_model_reproduces_actual_session_values(worked_session):
         assert int(value) == int(expect), label
 
 
-def test_unknown_scope_and_observer(worked_session):
+def test_unknown_observer(worked_session):
     with pytest.raises(ValueError):
-        build_observation_model(worked_session, observer=1, scope="everything")
-    with pytest.raises(ValueError):
-        build_observation_model(worked_session, observer=99)
+        SessionAnalyzer(worked_session).user_model(99, include_delivery=True)
 
 
 # -- scheme-level secrecy -----------------------------------------------------
@@ -142,14 +141,14 @@ def test_every_cache_placement_holds(worked_session):
 
 
 def test_delivery_scope_protects_everything_but_the_demand(worked_session):
-    model = build_observation_model(worked_session, observer=4)
+    model = SessionAnalyzer(worked_session).user_model(4, include_delivery=True)
     protected = set(range(1, 22)) - {worked_session.demands[3]}
     assert check_zero_information(model, protected).holds
 
 
 def test_sabotaged_delivery_fails_with_valid_witness():
     sabotaged = make_worked_session(strip_pads=True)
-    model = build_observation_model(sabotaged, observer=2)
+    model = SessionAnalyzer(sabotaged).user_model(2, include_delivery=True)
     protected = set(range(1, 22)) - {sabotaged.demands[1]}
     verdict = check_zero_information(model, protected)
     assert not verdict.holds
@@ -166,7 +165,7 @@ def test_sabotaged_delivery_fails_with_valid_witness():
 
 def test_witness_is_nonconstant_in_a_protected_symbol():
     sabotaged = make_worked_session(strip_pads=True)
-    model = build_observation_model(sabotaged, observer=2)
+    model = SessionAnalyzer(sabotaged).user_model(2, include_delivery=True)
     protected = set(range(1, 22)) - {sabotaged.demands[1]}
     verdict = check_zero_information(model, protected)
     field = model.field
@@ -274,12 +273,12 @@ def test_brute_force_agrees_on_tiny_scheme():
         protected = {1, 2} - {session.demands[user - 1]}
         verdict = brute_force_secrecy(session, user, protected)
         rank = check_zero_information(
-            build_observation_model(session, user, positions=1), protected
+            SessionAnalyzer(session, positions=1).user_model(user, True), protected
         )
         assert verdict.holds == rank.holds is True
         # the unrestricted model agrees as well
         assert check_zero_information(
-            build_observation_model(session, user), protected
+            SessionAnalyzer(session).user_model(user, True), protected
         ).holds
 
 
@@ -288,7 +287,7 @@ def test_brute_force_flags_sabotage():
                            demands=(1, 2))
     verdict = brute_force_secrecy(session, 2, {1})
     rank = check_zero_information(
-        build_observation_model(session, 2, positions=1), {1}
+        SessionAnalyzer(session, positions=1).user_model(2, True), {1}
     )
     assert verdict.holds == rank.holds is False
     assert verdict.witness is not None
@@ -386,8 +385,6 @@ def test_positions_below_one_are_rejected():
     for positions in (0, -1):
         with pytest.raises(ValueError, match="positions"):
             SessionAnalyzer(stripped, positions)
-        with pytest.raises(ValueError, match="positions"):
-            build_observation_model(stripped, 1, positions=positions)
     session = tiny_session((2, 0), num_files=2, l=2, strip_pads=True,
                            demands=(1, 2))
     with pytest.raises(ValueError, match="positions"):
