@@ -81,16 +81,14 @@ def _parse_pda_source(source: str) -> tuple[str, Pda]:
     return f"file:{path.name}", load_pda(path.read_text())
 
 
-def _load_library(directory: str, num_files: int) -> tuple[bytes, ...]:
+def _load_library(directory: str, num_files: int, file_bytes: int) -> tuple[bytes, ...]:
     paths = sorted(p for p in Path(directory).iterdir() if p.is_file())
     if len(paths) != num_files:
-        raise ValueError(
-            f"library dir holds {len(paths)} files, expected {num_files}"
-        )
-    library = tuple(p.read_bytes() for p in paths)
-    if len({len(f) for f in library}) != 1:
-        raise ValueError("library files must all have the same length")
-    return library
+        raise ValueError(f"library dir holds {len(paths)} files, expected {num_files}")
+    for path in paths:  # every size is checked before any file is read
+        if (size := path.stat().st_size) != file_bytes:
+            raise ValueError(f"library file {path} holds {size} bytes, expected {file_bytes}")
+    return tuple(p.read_bytes() for p in paths)
 
 
 def _is_int(value) -> bool:
@@ -132,11 +130,8 @@ def _session_from_manifest(manifest):
         field=field,
         seed=manifest["seed"],
     )
-    library = (
-        _load_library(manifest["library_dir"], num_files)
-        if manifest["library_dir"]
-        else None
-    )
+    library_dir = manifest["library_dir"]
+    library = _load_library(library_dir, num_files, config.file_bytes) if library_dir else None
     return run_session(
         pda,
         config,

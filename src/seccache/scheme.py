@@ -45,6 +45,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .field import BinaryField, default_field
 from .pda import Pda
 from .sharing import (
+    WORDS_PER_CALL,
     ShareMeta,
     _share_meta,
     bytes_to_symbols,
@@ -57,10 +58,10 @@ from .sharing import (
 
 Pair = tuple[int, int]
 
-# Largest library, N x file_bytes, that a session may hold.  A session peaks
-# at about 7 times its library: on a 2-vCPU host, `simulate --pda mn:4,2`
-# with four 16 MiB files (64 MiB) peaked at 428 MiB and took 3.9 s, so a
-# 256 MiB library would need near 2 GiB.
+# Largest library, N x file_bytes, that a session may hold.  `simulate --pda
+# mn:4,2` over four files peaks near 5.5 times its library (ru_maxrss, 2-vCPU
+# host): 120, 202 and 358 MiB at 16, 32 and 64 MiB, and 645 MiB at 128 MiB,
+# above the 428 MiB this cap of 64 MiB was first set against.
 MAX_LIBRARY_BYTES = 1 << 26
 
 
@@ -277,10 +278,10 @@ def rate_report(pda: Pda, profile) -> RateReport:
 def helper_placement(pda: Pda, config: SystemConfig, library, rng):
     """Share every file and map star rows to cache contents.
 
-    Returns (shares, randomness, meta, cached_rows): shares[n] is the
-    (F, L) share array of file n+1, row j its share j+1; cached_rows[lam-1]
-    lists the 1-based share rows every cache lam stores (for all files, per
-    PDA column lam).
+    Returns (shares, meta, cached_rows): shares[n] is the (F, L) share
+    array of file n+1, row j its share j+1; cached_rows[lam-1] lists the
+    1-based share rows every cache lam stores (for all files, per PDA
+    column lam).  No sharing randomness outlives its file's share_file call.
     """
     p = pda.params
     m, n = config.helper_memory, config.num_files
@@ -289,12 +290,10 @@ def helper_placement(pda: Pda, config: SystemConfig, library, rng):
             f"memory ratio mismatch: Z/F = {Fraction(p.stars_per_column, p.num_rows)}"
             f" but M/(M+N) = {Fraction(m, m + n)}"
         )
-    shares, randomness = [], []
-    meta: ShareMeta | None = None
+    shares, meta = [], None
     for data in library:
-        s, r, meta = share_file(data, p.num_rows, p.stars_per_column, config.field, rng)
+        s, meta = share_file(data, p.num_rows, p.stars_per_column, config.field, rng)
         shares.append(s)
-        randomness.append(r)
     cached_rows = tuple(pda.star_rows(lam) for lam in range(1, p.num_caches + 1))
 
     # Per-cache storage meets the memory budget with equality: N*Z*(B/(F-Z)) = M*B.
@@ -303,7 +302,7 @@ def helper_placement(pda: Pda, config: SystemConfig, library, rng):
         raise RuntimeError(
             f"caches store {stored_bits} bits, the budget is {m * meta.padded_bits}"
         )
-    return shares, randomness, meta, cached_rows
+    return shares, meta, cached_rows
 
 
 def user_key_placement(
@@ -360,7 +359,6 @@ class SessionState:
     meta: ShareMeta
     library: tuple[bytes, ...]
     shares: list
-    randomness: list
     cached_rows: tuple[tuple[int, ...], ...]
     garray: GArray
     key_pool: dict[Pair, np.ndarray]
@@ -411,20 +409,24 @@ def synthetic_library(config: SystemConfig) -> tuple[bytes, ...]:
     file, on a random.Random in the state of the "library" stream.  Each
     call is getrandbits(9): one generator word w, retried while w >> 23 >=
     256, that is while its top bit is set, and then w >> 23.  So the words
-    are drawn in batches and the accepted bytes kept in order; the
-    generator is local, so words drawn past the last byte change nothing.
+    are drawn in batches of at most WORDS_PER_CALL and the accepted bytes
+    fill each file's buffer in order, the rest carried to the next file.
+    The library so peaks at its output plus one file and one batch; words
+    drawn past the last byte change nothing, since the generator is local.
     """
     rng = _stream(config.seed, "library")
-    size = config.num_files * config.file_bytes
-    chunks, drawn = [], 0
-    while drawn < size:
-        words = random_words(min(2 * (size - drawn) + 64, 1 << 20), rng)
-        chunk = (words[words < 1 << 31] >> 23).astype(np.uint8).tobytes()
-        chunks.append(chunk)
-        drawn += len(chunk)
-    stream = b"".join(chunks)
-    step = config.file_bytes
-    return tuple(stream[i * step : (i + 1) * step] for i in range(config.num_files))
+    step, files, spare = config.file_bytes, [], np.empty(0, np.uint8)
+    for _ in range(config.num_files):
+        buf, filled = np.empty(step, np.uint8), 0
+        while filled < step:
+            if not len(spare):
+                words = random_words(min(2 * (step - filled) + 64, WORDS_PER_CALL), rng)
+                spare = (words[words < 1 << 31] >> 23).astype(np.uint8)
+            take, spare = spare[: step - filled], spare[step - filled :]
+            buf[filled : filled + len(take)] = take
+            filled += len(take)
+        files.append(buf.tobytes())
+    return tuple(files)
 
 
 def _session_inputs(
@@ -491,7 +493,7 @@ def run_session(
         config, pda.num_caches, library, profile, demands
     )
     canonical = pda.permute_columns(association.cache_order)
-    shares, randomness, meta, cached_rows = helper_placement(
+    shares, meta, cached_rows = helper_placement(
         canonical, config, library, _stream(config.seed, "sharing")
     )
     return _keys_and_delivery(
@@ -499,8 +501,7 @@ def run_session(
         rate_report(canonical, association.profile),
         config=config, pda=canonical, association=association,
         enc=cauchy_matrix(canonical.num_rows, config.field), meta=meta,
-        library=library, shares=shares, randomness=randomness,
-        cached_rows=cached_rows, demands=demands,
+        library=library, shares=shares, cached_rows=cached_rows, demands=demands,
     )
 
 
@@ -582,10 +583,7 @@ def one_time_pad_session(
         RateReport(config.num_users, Fraction(config.num_users), per_s),
         config=config, pda=None, association=association,
         enc=cauchy_matrix(1, field), meta=meta, library=library,
-        shares=[
-            bytes_to_symbols(data, field, meta.symbols_per_share)[None] for data in library
-        ],
-        randomness=[field.zeros(0, meta.symbols_per_share) for _ in library],
+        shares=[bytes_to_symbols(d, field, meta.symbols_per_share)[None] for d in library],
         cached_rows=tuple(() for _ in range(config.num_caches)),
         demands=demands,
     )

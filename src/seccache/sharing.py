@@ -192,6 +192,9 @@ def subfiles_to_bytes(subfiles, meta: ShareMeta, field: BinaryField) -> bytes:
     return symbols_to_bytes(np.ravel(subfiles), field)[: meta.data_bits // 8]
 
 
+WORDS_PER_CALL = 1 << 18  # most words a draw takes in one random_words call
+
+
 def random_words(count: int, rng: np.random.RandomState) -> np.ndarray:
     """The next `count` 32-bit Mersenne Twister words of rng, in draw order,
     as a fresh uint32 array: one generator word per entry, with no wider
@@ -201,24 +204,28 @@ def random_words(count: int, rng: np.random.RandomState) -> np.ndarray:
 
 
 def random_vector(length: int, field: BinaryField, rng: np.random.RandomState) -> np.ndarray:
-    """Uniform symbol vector: `length` generator words, each shifted right
-    by 32 - l in place and cast to the field's dtype, which are the symbols
-    of `length` calls of random.Random.getrandbits(l)."""
-    words = random_words(length, rng)
-    words >>= 32 - field.l
-    return words.astype(field.dtype)
+    """Uniform symbol vector: the symbols of `length` calls of
+    random.Random.getrandbits(l), that is `length` generator words shifted
+    right by 32 - l, drawn, shifted and cast into the field's dtype
+    WORDS_PER_CALL at a time, so a long draw never holds 4 bytes a symbol."""
+    out = np.empty(length, field.dtype)
+    for start in range(0, length, WORDS_PER_CALL):
+        words = random_words(min(WORDS_PER_CALL, length - start), rng)
+        words >>= 32 - field.l
+        out[start : start + len(words)] = words
+    return out
 
 
 def share_file(
     data: bytes, num_shares: int, num_random: int, field: BinaryField, rng
-) -> tuple[np.ndarray, np.ndarray, ShareMeta]:
-    """Encode one file into F shares; returns (shares, randomness, meta),
-    with the shares an (F, L) and the randomness a (Z, L) array.  The Z
-    randomness vectors are drawn one after the other, in one call."""
+) -> tuple[np.ndarray, ShareMeta]:
+    """Encode one file into F shares; returns (shares, meta), the shares an
+    (F, L) array.  The Z randomness vectors are one draw of Z * L symbols,
+    mixed into the shares and dropped, since only the shares need them."""
     subfiles, meta = bytes_to_subfiles(data, num_shares, num_random, field)
     length = meta.symbols_per_share
     randomness = random_vector(num_random * length, field, rng).reshape(num_random, length)
-    return encode_shares(subfiles, randomness, field), randomness, meta
+    return encode_shares(subfiles, randomness, field), meta
 
 
 def unshare_file(shares, meta: ShareMeta, field: BinaryField) -> bytes:

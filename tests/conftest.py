@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from seccache import BinaryField, Pda, SystemConfig, mn_pda, run_session, secrecy
 from seccache.bounds import lambda_of_s
-from seccache.scheme import helper_memory_for, one_time_pad_session
+from seccache.scheme import _stream, helper_memory_for, one_time_pad_session
 from seccache.secrecy import SecrecyVerdict, SessionAnalyzer, check_zero_information
-from seccache.sharing import bytes_to_subfiles
+from seccache.sharing import bytes_to_subfiles, random_vector
 
 # The 4x6 reference array used throughout: (Lambda, F, Z, S) = (6, 4, 2, 4).
 WORKED_GRID = (
@@ -148,19 +148,28 @@ def gf_vec_mat(field, phi, mat):
 def variable_assignment(analyzer):
     """A session's actual (w, v) values, for model validation: w is every
     file's subfiles, v every file's randomness and then every pair's key,
-    each vector cut to the analyzer's symbols per share."""
+    each vector cut to the analyzer's symbols per share.
+
+    The session keeps no sharing randomness, so it is redrawn here from the
+    seed's "sharing" stream: one draw of Z * L symbols per file, in file
+    order, which is the draw contract the golden run directories rely on."""
     session, meta = analyzer.session, analyzer.session.meta
     field = session.config.field
     subfiles = [
         bytes_to_subfiles(data, meta.num_shares, meta.num_random, field)[0]
         for data in session.library
     ]
+    rng, length = _stream(session.config.seed, "sharing"), meta.symbols_per_share
+    randomness = [
+        random_vector(meta.num_random * length, field, rng).reshape(meta.num_random, length)
+        for _ in session.library
+    ]
     keys = [session.key_pool[pair][None] for pair in analyzer.pairs]
 
     def flat(blocks):
         return np.concatenate([blk[:, : analyzer.fsym].ravel() for blk in blocks])
 
-    return flat(subfiles), flat([*session.randomness, *keys])
+    return flat(subfiles), flat([*randomness, *keys])
 
 
 def enumerate_independence(model, protected, max_symbols=12, max_states=1 << 22):

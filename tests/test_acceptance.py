@@ -259,7 +259,7 @@ def test_criterion_06_secret_sharing_property():
         assert not check_zero_information(full, {1}).holds
         # and all F shares really do reconstruct
         data = rng.bytes(3)
-        shares, _, meta = share_file(data, f, z, field, rng)
+        shares, meta = share_file(data, f, z, field, rng)
         assert unshare_file(shares, meta, field) == data
     report(6, "Z-subsets reveal nothing, full share sets reconstruct")
 

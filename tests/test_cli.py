@@ -383,6 +383,26 @@ def test_simulate_with_library_dir(tmp_path):
     assert run(["verify", out]) == 0
 
 
+def test_a_library_file_of_the_wrong_size_is_refused_before_any_is_read(
+        tmp_path, monkeypatch, capsys):
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    for i in range(4):
+        (lib / f"file{i}.bin").write_bytes(bytes(9))
+
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(Path, "read_bytes", no_read)
+    out = tmp_path / "run"
+    assert run(["simulate", "--pda", "mn:4,2", "--profile", "1,1,1,1", "--files", 4,
+                "--bytes", 8, "--library", lib, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: library file {lib / 'file0.bin'} holds 9 bytes, expected 8\n"
+    )
+    assert not out.exists()
+
+
 def test_unsorted_profile_records_cache_order(tmp_path):
     out = tmp_path / "run"
     code = run(

@@ -1,8 +1,8 @@
 """Source rules for the package: invariants raise real exceptions, scalar
 field arithmetic stays inside the field module, the byte <-> symbol codec
 lives in the sharing module, sessions are built in one place, randomness
-comes from NumPy's Mersenne Twister, and the package never imports the
-tests' oracles."""
+comes from NumPy's Mersenne Twister in bounded calls, and the package never
+imports the tests' oracles."""
 
 import ast
 from pathlib import Path
@@ -85,6 +85,26 @@ def test_randomness_comes_from_numpy_streams():
     nodes = package_nodes()
     found = imports_of(nodes, "random") + calls_named(nodes, "getrandbits")
     assert not found, f"draws go through scheme.mersenne_twister streams: {found}"
+
+
+RAW_WORD_DRAWERS = {("sharing.py", "random_vector"), ("scheme.py", "synthetic_library")}
+
+
+def test_raw_words_are_drawn_only_in_bounded_calls():
+    """random_words is called only inside the two functions that cut a long
+    draw into calls of at most WORDS_PER_CALL words, so no draw holds a
+    uint32 temporary as long as itself."""
+    allowed = [
+        location
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, ast.FunctionDef) and (path.name, func.name) in RAW_WORD_DRAWERS
+        for location in calls_named([(path.name, node) for node in ast.walk(func)],
+                                    "random_words")
+    ]
+    found = calls_named(package_nodes(), "random_words")
+    stray = sorted(set(found) - set(allowed))
+    assert not stray, f"draws of raw words go through random_vector: {stray}"
 
 
 def test_package_does_not_import_tests():

@@ -19,6 +19,7 @@ from seccache.field import (
 )
 from seccache.scheme import SystemConfig, mersenne_twister, synthetic_library
 from seccache.sharing import (
+    WORDS_PER_CALL,
     ShareMeta,
     _cached_inverse,
     bytes_to_subfiles,
@@ -198,7 +199,7 @@ def test_roundtrip_random_inputs_repeated(gf3):
 
 def test_reconstruct_needs_all_shares(gf3):
     rng = mersenne_twister(3)
-    shares, _, meta = share_file(b"abc", 4, 2, gf3, rng)
+    shares, meta = share_file(b"abc", 4, 2, gf3, rng)
     with pytest.raises(ValueError, match="need all 4 shares, got 3"):
         reconstruct_file(shares[:3], meta, gf3)
 
@@ -206,9 +207,8 @@ def test_reconstruct_needs_all_shares(gf3):
 def test_file_roundtrip_bit_exact(gf8):
     rng = mersenne_twister(5)
     data = b"abcdefghijklm"
-    shares, randomness, meta = share_file(data, 4, 2, gf8, rng)
+    shares, meta = share_file(data, 4, 2, gf8, rng)
     assert shares.shape == (4, meta.symbols_per_share)
-    assert randomness.shape == (2, meta.symbols_per_share)
     assert unshare_file(shares, meta, gf8) == data
 
 
@@ -238,7 +238,7 @@ def test_padding_strips_back(gf3):
     # 8 bits padded up to (F-Z)*l multiples and restored exactly.
     rng = mersenne_twister(8)
     data = b"\x42"
-    shares, _, meta = share_file(data, 4, 2, gf3, rng)
+    shares, meta = share_file(data, 4, 2, gf3, rng)
     assert meta.padded_bits == 12 and meta.data_bits == 8
     assert unshare_file(shares, meta, gf3) == data
 
@@ -545,6 +545,17 @@ def test_random_vector_keeps_the_per_symbol_stream(l, key, ops):
         assert same_state(rng, ref)
 
 
+@pytest.mark.parametrize("l", [8, 16])
+def test_random_vector_across_its_word_chunks(l):
+    # one whole chunk of WORDS_PER_CALL words, then 5 symbols of the next
+    field, n = BinaryField(l), WORDS_PER_CALL + 5
+    rng, ref = mersenne_twister(11), random.Random(11)
+    vec = random_vector(n, field, rng)
+    assert vec.dtype == field.dtype and vec.shape == (n,)
+    assert vec.tolist() == [ref.getrandbits(l) for _ in range(n)]
+    assert same_state(rng, ref)
+
+
 def test_random_vector_of_length_zero_draws_nothing(gf8):
     rng, ref = mersenne_twister(4), random.Random(4)
     assert random_vector(0, gf8, rng).shape == (0,)
@@ -557,6 +568,9 @@ def test_random_vector_of_length_zero_draws_nothing(gf8):
     num_files=st.integers(1, 6),
     file_bytes=st.integers(1, 600),
 )
+# Each file takes two or more batches of WORDS_PER_CALL words, and the
+# bytes a batch holds past one file's end open the next file.
+@example(seed=3, num_files=3, file_bytes=200_003)
 def test_synthetic_library_matches_per_byte_randrange(seed, num_files, file_bytes):
     config = SystemConfig(
         num_caches=1, num_users=1, num_files=num_files, helper_memory=Fraction(0),
