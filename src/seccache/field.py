@@ -19,7 +19,8 @@ matrix, built from the exp/log tables and cached per matrix
 coefficient column j, zero-padded to a 1, 2, 4 or 8k-byte word row, so
 an entry holds C * 2^l * padded R bytes (at most 4 MiB at F <= 128).
 One gather of those rows and one XOR reduce multiply a whole chunk of
-symbols, holding at most about 1 MiB at a time.  The other array
+symbols, holding at most about 1 MiB at a time; a one-column matrix
+needs the gather alone.  The other array
 operations, and matmul at l > 8, gather from the exp/log tables
 directly, exp[log a + log b] for a product.
 
@@ -210,7 +211,10 @@ class BinaryField:
         into the (R, L) result.  The symbols are taken in chunks of
         columns so that the gathered words and their int64 indices, C *
         (padded R + 8) bytes per symbol, stay within _GATHER_BUDGET_BYTES
-        (1 MiB).  The symbols are bound-checked before the gather.
+        (1 MiB).  The symbols are bound-checked before the gather.  With
+        one coefficient column (C = 1, as in the M = 0 scheme's 1 x 1
+        product) the symbols are the row indices themselves: no offset is
+        added and there is nothing to XOR together.
 
         At l > 8, where a table per coefficient would not pay for itself,
         the C terms of a row are XORed in one coefficient column at a time,
@@ -233,9 +237,12 @@ class BinaryField:
             out = np.empty((width, length), dtype=self.dtype)
             for start in range(0, length, chunk):
                 stop = start + chunk
-                terms = rows.take(symbols[:, start:stop] + offsets, axis=0)
-                products = np.bitwise_xor.reduce(terms, axis=0).view(np.uint8)
-                out[:, start:stop] = products[:, :width].T
+                if len(offsets) == 1:
+                    products = rows.take(symbols[0, start:stop], axis=0)
+                else:
+                    terms = rows.take(symbols[:, start:stop] + offsets, axis=0)
+                    products = np.bitwise_xor.reduce(terms, axis=0)
+                out[:, start:stop] = products.view(np.uint8)[:, :width].T
             return out
         exp, log = self.exp_table, self.log_table
         coeff_logs = log[np.asarray(coeffs)]
@@ -345,7 +352,8 @@ def _product_tables(
     rows are read as unsigned words (u1, u2, u4, or u8 from 5 bytes on), so
     the array has shape (C * 2^l, words) and one gather copies whole words.
     The offsets are j * 2^l, shape (C, 1), so symbols + offsets indexes
-    each column's rows.
+    each column's rows; they have the narrowest unsigned dtype that holds
+    C * 2^l.
 
     The key is the matrix's shape, dtype and bytes, so equal matrices share
     one entry however they were built.  All C * R * 2^l products come from
@@ -366,7 +374,10 @@ def _product_tables(
     table[:, :, :width] = field.exp_table[log[coeffs].T[:, None, :] + log[:, None]]
     word = np.dtype(f"u{min(table.shape[2], 8)}")
     rows = table.view(word).reshape(-1, table.shape[2] // word.itemsize)
-    offsets = (np.arange(columns) * field.order)[:, None]
+    # uint8 symbols plus uint16 offsets add about three times faster
+    # than plus int64 ones, and the gather takes the narrow index as fast.
+    index = np.min_scalar_type(columns * field.order)
+    offsets = (np.arange(columns) * field.order).astype(index)[:, None]
     rows.setflags(write=False)
     offsets.setflags(write=False)
     return rows, offsets

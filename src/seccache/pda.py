@@ -191,13 +191,16 @@ class Pda:
         )
 
     def permute_columns(self, order) -> "Pda":
-        """New PDA whose column i is this one's column order[i-1] (1-based)."""
+        """New PDA whose column i is this one's column order[i-1] (1-based).
+
+        Permuting columns keeps C1-C3 and (Lambda, F, Z, S), so the grid
+        is not validated again and the parameters are this PDA's."""
         if sorted(order) != list(range(1, self.num_caches + 1)):
             raise ValueError("order must be a permutation of the column indices")
         grid = tuple(
             tuple(row[c - 1] for c in order) for row in self.entries
         )
-        return Pda.from_grid(grid)
+        return Pda(grid, self.params)
 
 
 def tau(pda: Pda, s: int) -> int:

@@ -339,12 +339,10 @@ def deliver(garray: GArray, shares, demands, key_pool) -> dict[Pair, np.ndarray]
             raise ValueError(f"user {user} demands unknown file {demands[user - 1]}")
     out: dict[Pair, np.ndarray] = {}
     for pair, occurrences in garray.pair_occurrences.items():
-        acc = None
+        acc = key_pool[pair].copy()
         for row, col in occurrences:
-            d = demands[garray.column_users[col - 1] - 1]
-            share = shares[d - 1][row - 1]
-            acc = share.copy() if acc is None else acc ^ share
-        out[pair] = acc ^ key_pool[pair]
+            acc ^= shares[demands[garray.column_users[col - 1] - 1] - 1][row - 1]
+        out[pair] = acc
     return out
 
 
@@ -381,20 +379,22 @@ class _Unseeded(ISeedSequence):
         return [0] * n_words
 
 
-def mersenne_twister(key: int) -> np.random.RandomState:
+def mersenne_twister(key: int) -> np.random.MT19937:
     """A NumPy Mersenne Twister in the state `random.Random(key)` starts
     from, for 0 <= key < 2^64: both seed by init_by_array on the key's
     32-bit words, least significant first, and one word [0] for key 0.  A
-    list of words, not an integer or an array, selects init_by_array."""
+    list of words, not an integer or an array, selects init_by_array in
+    `RandomState.seed`, which seeds the MT19937 it wraps; the MT19937 is
+    returned, so draws read its raw words with no RandomState in between."""
     if not 0 <= key < 2**64:
         raise ValueError(f"key {key} does not fit in 64 bits")
     words = [key & 0xFFFFFFFF, key >> 32] if key >> 32 else [key]
-    rng = np.random.RandomState(np.random.MT19937(_Unseeded()))
-    rng.seed(words)
-    return rng
+    bit_generator = np.random.MT19937(_Unseeded())
+    np.random.RandomState(bit_generator).seed(words)
+    return bit_generator
 
 
-def _stream(seed: int, tag: str) -> np.random.RandomState:
+def _stream(seed: int, tag: str) -> np.random.MT19937:
     """Independent deterministic generator derived from (seed, tag): the
     Mersenne Twister keyed by the first 8 bytes of sha256("seed:tag"), read
     big-endian."""
@@ -511,38 +511,47 @@ def decode_user(session: SessionState, user: int) -> bytes:
     Every share it lacks is unlocked by one transmission: XOR away the
     pair's key and the other participants' shares (which sit in this
     user's helper cache, by the PDA's cross-star structure), then invert
-    the sharing once all F shares are present.
+    the sharing once all F shares are present.  The F shares are gathered
+    in one fresh (F, L) array, each row XORed in place, and handed over
+    whole to `unshare_file`, which lets it go before the bytes are
+    assembled.
     """
-    garray = session.garray
+    return unshare_file(_user_shares(session, user), session.meta, session.config.field)
+
+
+def _user_shares(session: SessionState, user: int) -> np.ndarray:
+    """All F shares of the user's demanded file, as a fresh (F, L) array:
+    the cached rows copied from its helper cache, and each other row j the
+    broadcast of entry (j, user) with the pair's key and the other
+    participants' cached shares XORed away in place.  Only this array is
+    written; the session's shares, keys and broadcasts are read."""
+    garray, shares = session.garray, session.shares
     lam = session.association.user_to_cache[user - 1]
     col = garray.column_index[user]
-    d = session.demands[user - 1]
+    own = shares[session.demands[user - 1] - 1]
     cached = set(session.cached_rows[lam - 1])
 
-    recovered: dict[int, np.ndarray] = {
-        j: session.shares[d - 1][j - 1] for j in cached
-    }
+    recovered = np.empty_like(own)
+    for j in cached:
+        recovered[j - 1] = own[j - 1]
     keys = session.user_keys[user]
-    for j, entry in enumerate(garray.column(col), start=1):
+    for row, entries in zip(recovered, garray.entries):
+        entry = entries[col - 1]
         if entry is None:
             continue
         if entry not in session.transmissions:
             raise RuntimeError(f"transmission {entry} missing")
         if entry not in keys:
             raise RuntimeError(f"user {user} lacks key {entry}")
-        acc = session.transmissions[entry] ^ keys[entry]
-        for row, other_col in garray.pair_occurrences[entry]:
+        np.bitwise_xor(session.transmissions[entry], keys[entry], out=row)
+        for j, other_col in garray.pair_occurrences[entry]:
             if other_col == col:
                 continue
-            other_user = garray.column_users[other_col - 1]
-            other_d = session.demands[other_user - 1]
-            if row not in cached:
+            if j not in cached:
                 raise RuntimeError("participant share not in this user's cache")
-            acc = acc ^ session.shares[other_d - 1][row - 1]
-        recovered[j] = acc
-
-    ordered = [recovered[j] for j in range(1, session.meta.num_shares + 1)]
-    return unshare_file(ordered, session.meta, session.config.field)
+            other_user = garray.column_users[other_col - 1]
+            row ^= shares[session.demands[other_user - 1] - 1][j - 1]
+    return recovered
 
 
 def decode_all(session: SessionState) -> dict[int, bytes]:

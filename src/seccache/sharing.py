@@ -23,11 +23,17 @@ coefficient matrix, so the share matrix and the inverse's rows are
 tabulated once per process; at l > 8 every product is a gather
 exp[log a + log b].  No scalar field product runs on this path.
 
-Randomness comes from a NumPy Mersenne Twister (`np.random.RandomState`)
+Sharing reads each file's subfiles and its Z random vectors as one (F, L)
+input, their concatenation, and unsharing takes the F shares as one
+(F, L) array, so neither side stacks a list of rows.
+
+Randomness comes from a NumPy Mersenne Twister (`np.random.MT19937`)
 seeded as CPython's `random.seed(int)` seeds its own, so a draw of W
 32-bit words is the same W words that W calls of
-`random.Random.getrandbits(32)` give.  A random symbol is one word shifted
-right by 32 - l, as `getrandbits(l)` returns it for l <= 32.
+`random.Random.getrandbits(32)` give.  The words are read raw from the
+bit generator, `MT19937.random_raw`, one 32-bit output in each uint64.
+A random symbol is one word shifted right by 32 - l, as `getrandbits(l)`
+returns it for l <= 32.
 """
 
 from __future__ import annotations
@@ -107,22 +113,26 @@ def encode_shares(subfiles, randomness, field: BinaryField) -> np.ndarray:
     """Produce the F shares of F-Z subfiles and Z randomness vectors, as an
     (F, L) array.
 
-    The input column stacks the subfiles above the randomness; share j is
-    row j of cauchy_matrix(F, field) applied symbol-wise to that column.
+    The input is one (F, L) array, the subfiles concatenated above the
+    randomness; share j is row j of cauchy_matrix(F, field) applied
+    symbol-wise to its columns.
     """
-    inputs = [*subfiles, *randomness]
-    if len({len(v) for v in inputs}) != 1:
+    subfiles, randomness = np.asarray(subfiles), np.asarray(randomness)
+    if subfiles.shape[1:] != randomness.shape[1:]:
         raise ValueError("subfile and randomness symbol-lengths differ")
-    return field.matmul(cauchy_matrix(len(inputs), field), np.stack(inputs))
+    inputs = np.concatenate((subfiles, randomness))
+    return field.matmul(cauchy_matrix(len(inputs), field), inputs)
 
 
 def reconstruct_file(shares, meta: ShareMeta, field: BinaryField) -> np.ndarray:
     """Solve the sharing for its inputs and return the F - Z subfiles, as
-    an (F - Z, L) array; needs all F shares."""
+    an (F - Z, L) array; needs all F shares, an (F, L) array (a list of
+    rows is stacked first)."""
+    shares = np.asarray(shares)
     if len(shares) != meta.num_shares:
         raise ValueError(f"need all {meta.num_shares} shares, got {len(shares)}")
     rows = _cached_inverse(meta.num_shares, field)[: meta.num_subfiles]
-    return field.matmul(rows, np.stack(shares))
+    return field.matmul(rows, shares)
 
 
 # -- byte <-> symbol codec --------------------------------------------------
@@ -164,14 +174,21 @@ def bytes_to_symbols(data: bytes, field: BinaryField, count: int) -> np.ndarray:
     return bits.reshape(count, field.l) @ weights
 
 
+def _symbol_bytes(symbols, field: BinaryField) -> np.ndarray:
+    """The bit stream of l-bit symbols as a uint8 array, zero-padded at the
+    end.  At l = 8 that is the symbols themselves, not a copy."""
+    symbols = np.asarray(symbols, field.dtype)
+    if field.l % 8 == 0:
+        return symbols.astype(f">u{field.l // 8}", copy=False).view(np.uint8)
+    shifts = np.arange(field.l - 1, -1, -1, dtype=field.dtype)
+    bits = symbols[:, None] >> shifts
+    bits &= 1
+    return np.packbits(bits)
+
+
 def symbols_to_bytes(symbols, field: BinaryField) -> bytes:
     """The bit stream of l-bit symbols as bytes, zero-padded at the end."""
-    if field.l % 8 == 0:
-        return np.asarray(symbols, field.dtype).astype(f">u{field.l // 8}").tobytes()
-    shifts = np.arange(field.l - 1, -1, -1, dtype=field.dtype)
-    bits = np.asarray(symbols, dtype=field.dtype)[:, None] >> shifts
-    bits &= 1
-    return np.packbits(bits).tobytes()
+    return _symbol_bytes(symbols, field).tobytes()
 
 
 def bytes_to_subfiles(
@@ -188,22 +205,24 @@ def bytes_to_subfiles(
 
 
 def subfiles_to_bytes(subfiles, meta: ShareMeta, field: BinaryField) -> bytes:
-    """Inverse of bytes_to_subfiles: reassemble bits and strip the padding."""
-    return symbols_to_bytes(np.ravel(subfiles), field)[: meta.data_bits // 8]
+    """Inverse of bytes_to_subfiles: reassemble bits and strip the padding,
+    copying the kept bytes once."""
+    return _symbol_bytes(np.ravel(subfiles), field)[: meta.data_bits // 8].tobytes()
 
 
 WORDS_PER_CALL = 1 << 18  # most words a draw takes in one random_words call
 
 
-def random_words(count: int, rng: np.random.RandomState) -> np.ndarray:
+def random_words(count: int, rng: np.random.MT19937) -> np.ndarray:
     """The next `count` 32-bit Mersenne Twister words of rng, in draw order,
-    as a fresh uint32 array: one generator word per entry, with no wider
-    temporary.  They are the words `count` calls of getrandbits(32) give on
-    a random.Random seeded alike."""
-    return rng.randint(2**32, size=count, dtype=np.uint32)
+    as a fresh uint32 array.  They are the words `count` calls of
+    getrandbits(32) give on a random.Random seeded alike.  `random_raw`
+    returns each word in a uint64, so a call holds a temporary of 8 bytes
+    a word, at most 2 MiB for WORDS_PER_CALL words."""
+    return rng.random_raw(count).astype(np.uint32)
 
 
-def random_vector(length: int, field: BinaryField, rng: np.random.RandomState) -> np.ndarray:
+def random_vector(length: int, field: BinaryField, rng: np.random.MT19937) -> np.ndarray:
     """Uniform symbol vector: the symbols of `length` calls of
     random.Random.getrandbits(l), that is `length` generator words shifted
     right by 32 - l, drawn, shifted and cast into the field's dtype
@@ -229,5 +248,9 @@ def share_file(
 
 
 def unshare_file(shares, meta: ShareMeta, field: BinaryField) -> bytes:
-    """Recover the original bytes from all F shares."""
-    return subfiles_to_bytes(reconstruct_file(shares, meta, field), meta, field)
+    """Recover the original bytes from all F shares.  The shares are let go
+    before the bytes are assembled, so a caller that hands over its only
+    reference to them frees them there."""
+    subfiles = reconstruct_file(shares, meta, field)
+    del shares
+    return subfiles_to_bytes(subfiles, meta, field)

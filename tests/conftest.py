@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from seccache import BinaryField, Pda, SystemConfig, mn_pda, run_session, secrecy
@@ -325,12 +326,14 @@ def draw_users(draw, num_caches):
 
 
 @st.composite
-def random_pda_sessions(draw):
+def random_pda_sessions(draw, l=None):
     """A session of a random PDA with `draw_users`' profile and demands,
-    at any l with 2^l >= 2F."""
+    at the given l, or at any l with 2^l >= 2F when l is None."""
     pda = draw(random_pdas())
     profile, num_files, demands = draw_users(draw, pda.num_caches)
-    l = draw(st.integers((2 * pda.num_rows - 1).bit_length(), 16))
+    if l is None:
+        l = draw(st.integers((2 * pda.num_rows - 1).bit_length(), 16))
+    assume(2 * pda.num_rows <= 1 << l)
     config = SystemConfig(
         pda.num_caches, len(demands), num_files, helper_memory_for(pda, num_files),
         draw(st.integers(1, 16)), field=BinaryField(l),

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from seccache import (
@@ -250,6 +251,7 @@ def test_criterion_05_secrecy_suite(battery):
 def test_criterion_06_secret_sharing_property():
     field = BinaryField(3)
     rng = mersenne_twister(6)
+    data_rng = np.random.RandomState(rng)  # the same stream, for the file bytes
     for z, f in [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]:
         enc = cauchy_matrix(f, field)
         for subset in combinations(range(1, f + 1), z):
@@ -258,7 +260,7 @@ def test_criterion_06_secret_sharing_property():
         full = share_subset_model(enc, z, tuple(range(1, f + 1)), field)
         assert not check_zero_information(full, {1}).holds
         # and all F shares really do reconstruct
-        data = rng.bytes(3)
+        data = data_rng.bytes(3)
         shares, meta = share_file(data, f, z, field, rng)
         assert unshare_file(shares, meta, field) == data
     report(6, "Z-subsets reveal nothing, full share sets reconstruct")

@@ -1,8 +1,8 @@
 """Source rules for the package: invariants raise real exceptions, scalar
 field arithmetic stays inside the field module, the byte <-> symbol codec
 lives in the sharing module, sessions are built in one place, randomness
-comes from NumPy's Mersenne Twister in bounded calls, and the package never
-imports the tests' oracles."""
+comes from NumPy's Mersenne Twister as raw words in bounded calls, and the
+package never imports the tests' oracles."""
 
 import ast
 from pathlib import Path
@@ -87,24 +87,40 @@ def test_randomness_comes_from_numpy_streams():
     assert not found, f"draws go through scheme.mersenne_twister streams: {found}"
 
 
+def calls_outside(name, callers):
+    """Calls of `name` anywhere but inside the functions `callers`, a set
+    of (file name, function name)."""
+    allowed = [
+        location
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, ast.FunctionDef) and (path.name, func.name) in callers
+        for location in calls_named([(path.name, node) for node in ast.walk(func)], name)
+    ]
+    return sorted(set(calls_named(package_nodes(), name)) - set(allowed))
+
+
 RAW_WORD_DRAWERS = {("sharing.py", "random_vector"), ("scheme.py", "synthetic_library")}
 
 
 def test_raw_words_are_drawn_only_in_bounded_calls():
     """random_words is called only inside the two functions that cut a long
-    draw into calls of at most WORDS_PER_CALL words, so no draw holds a
-    uint32 temporary as long as itself."""
-    allowed = [
-        location
-        for path in sorted(PACKAGE.glob("*.py"))
-        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(func, ast.FunctionDef) and (path.name, func.name) in RAW_WORD_DRAWERS
-        for location in calls_named([(path.name, node) for node in ast.walk(func)],
-                                    "random_words")
-    ]
-    found = calls_named(package_nodes(), "random_words")
-    stray = sorted(set(found) - set(allowed))
+    draw into calls of at most WORDS_PER_CALL words.  A call reads its words
+    from MT19937.random_raw, one to a uint64, so no draw holds a temporary
+    of more than 8 * WORDS_PER_CALL bytes, 2 MiB."""
+    stray = calls_outside("random_words", RAW_WORD_DRAWERS)
     assert not stray, f"draws of raw words go through random_vector: {stray}"
+
+
+def test_the_twister_is_read_raw_in_one_place():
+    """Words come from the bit generator's random_raw inside random_words
+    alone, and no RandomState draw (randint) is left in the package."""
+    stray = calls_outside("random_raw", {("sharing.py", "random_words")})
+    assert not stray, f"raw twister words are read only by random_words: {stray}"
+    found = [f"{path.name}:{n}" for path in sorted(PACKAGE.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), start=1)
+             if "randint" in line]
+    assert not found, f"draws read raw words, not randint: {found}"
 
 
 def test_package_does_not_import_tests():

@@ -3,9 +3,11 @@
 import random
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seccache import pda as pda_module
 from seccache.pda import (
@@ -215,6 +217,19 @@ def test_permute_columns(worked_pda):
     assert permuted.params == worked_pda.params
     with pytest.raises(ValueError):
         worked_pda.permute_columns((1, 1, 2, 3, 4, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pda=random_pdas(), data=st.data())
+def test_permuted_columns_keep_the_parameters_without_revalidating(pda, data):
+    """A column permutation keeps C1-C3 and (Lambda, F, Z, S), so the new
+    PDA carries the old parameters, and they are what validate finds."""
+    order = data.draw(st.permutations(range(1, pda.num_caches + 1)))
+    with mock.patch.object(pda_module, "validate", side_effect=AssertionError("revalidated")):
+        permuted = pda.permute_columns(order)
+    assert permuted.params is pda.params
+    assert validate(permuted.entries) == permuted.params
+    assert all(permuted.column(i) == pda.column(c) for i, c in enumerate(order, start=1))
 
 
 # -- text format ---------------------------------------------------------------

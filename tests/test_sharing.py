@@ -3,6 +3,7 @@ streams it draws from."""
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -178,9 +179,10 @@ def test_encode_dimension_mismatch(gf3):
 def test_roundtrip_all_shapes_up_to_16():
     field = BinaryField(8)
     rng = mersenne_twister(42)
+    data_rng = np.random.RandomState(rng)  # the same stream, for the subfiles
     for f in range(2, 17):
         for z in range(1, f):
-            subs = [rng.randint(256, size=2).astype(field.dtype) for _ in range(f - z)]
+            subs = [data_rng.randint(256, size=2).astype(field.dtype) for _ in range(f - z)]
             rand = [random_vector(2, field, rng) for _ in range(z)]
             shares = encode_shares(subs, rand, field)
             back = reconstruct_file(shares, ShareMeta(f, z, 0, 0, 2), field)
@@ -190,8 +192,9 @@ def test_roundtrip_all_shapes_up_to_16():
 def test_roundtrip_random_inputs_repeated(gf3):
     meta = ShareMeta(4, 2, 0, 0, 3)
     rng = mersenne_twister(9)
+    data_rng = np.random.RandomState(rng)  # the same stream, for the subfiles
     for _ in range(100):
-        subs = [rng.randint(8, size=3).astype(gf3.dtype) for _ in range(2)]
+        subs = [data_rng.randint(8, size=3).astype(gf3.dtype) for _ in range(2)]
         rand = [random_vector(3, gf3, rng) for _ in range(2)]
         back = reconstruct_file(encode_shares(subs, rand, gf3), meta, gf3)
         assert all((a == b).all() for a, b in zip(subs, back))
@@ -351,6 +354,23 @@ def test_symbols_to_bytes_matches_reference(l, symbols):
     assert symbols_to_bytes(vec, field) == ref_symbols_to_bytes(vec, field)
 
 
+def test_one_byte_symbols_become_bytes_in_one_copy():
+    """At l = 8 the symbols are the bytes: reassembly copies out the kept
+    bytes once, with no copy of the symbols and none to cut the padding."""
+    field = BinaryField(8)
+    data = bytes(range(256)) * 4096 + b"\x01"  # 1 MiB and one byte of padding
+    subfiles, meta = bytes_to_subfiles(data, 4, 1, field)
+    assert meta.padded_bits > meta.data_bits
+    tracemalloc.start()
+    try:
+        back = subfiles_to_bytes(subfiles, meta, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == data
+    assert peak < len(data) + 4096
+
+
 @pytest.mark.parametrize("l", [3, 8, 12, 16])
 @pytest.mark.parametrize("length", [1, 3, 301])
 def test_bytes_to_symbols_is_a_fresh_writable_array(l, length):
@@ -431,6 +451,12 @@ def gather_examples(test):
         dict(shape=(2, 0), length=chunk(9, 2) + 3, seed=33, zero_share=0.3,
              coeffs=[[3, 1], [0, 5], [7, 2], [1, 1], [6, 4], [2, 0], [5, 5],
                      [4, 7], [1, 6]]),
+        # one coefficient column, whose symbols index its rows directly,
+        # across the chunks and with R padded to 4 and to 16 bytes
+        dict(shape=(1, 0), length=chunk(3, 1) + 5, seed=34, zero_share=0.3,
+             coeffs=[[3], [0], [5]]),
+        dict(shape=(1, 0), length=40, seed=35, zero_share=0.3,
+             coeffs=[[c % 7 + 1] for c in range(9)]),
     ]
     for l in (3, 8):
         for case in cases:
@@ -488,11 +514,11 @@ def test_matmul_rejects_elements_outside_the_field(l):
         field.matmul([[1, 2, 3], [4, 5, 6]], symbols)
 
 
-def same_state(rng: np.random.RandomState, ref: random.Random) -> bool:
+def same_state(rng: np.random.MT19937, ref: random.Random) -> bool:
     """Both generators hold the same 624 Mersenne Twister words at the same
     position."""
-    _, key, pos, *_ = rng.get_state()
-    return ref.getstate()[1] == (*key.tolist(), pos)
+    state = rng.state["state"]
+    return ref.getstate()[1] == (*state["key"].tolist(), state["pos"])
 
 
 def draw_ops():
@@ -522,6 +548,18 @@ def test_mersenne_twister_draws_the_words_of_random_random(key, sizes):
         assert words.dtype == np.uint32
         assert words.tolist() == [ref.getrandbits(32) for _ in range(size)]
         assert same_state(rng, ref)
+
+
+@pytest.mark.parametrize("key", [0, 7, 2**32, 2**64 - 1])
+def test_raw_words_are_the_words_randint_drew(key):
+    """random_words reads the bit generator raw; RandomState.randint over
+    the full 32-bit range, the draw it replaced, gives the same words."""
+    legacy = np.random.RandomState(mersenne_twister(key))
+    rng = mersenne_twister(key)
+    for size in (5000, 1, 0, 623):
+        words = random_words(size, rng)
+        assert words.dtype == np.uint32
+        assert np.array_equal(words, legacy.randint(2**32, size=size, dtype=np.uint32))
 
 
 @pytest.mark.parametrize("key", [-1, 2**64])
