@@ -172,23 +172,20 @@ class Pda:
         )
 
     @cached_property
-    def taus(self) -> tuple[int, ...]:
-        """tau(s) for s = 1, ..., S, from one column-major pass over the grid."""
-        first: dict[int, int] = {}
-        for k in range(self.num_caches):
-            for row in self.entries:
-                if row[k] is not STAR:
-                    first.setdefault(row[k], k + 1)
-        return tuple(first[s] for s in range(1, self.params.num_ints + 1))
+    def occurrences(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """occurrences[s - 1] lists the 1-based (row, col) positions of
+        integer s, column by column, from one column-major pass."""
+        found: list[list[tuple[int, int]]] = [[] for _ in range(self.params.num_ints)]
+        for k, column in enumerate(zip(*self.entries), start=1):
+            for j, e in enumerate(column, start=1):
+                if e is not STAR:
+                    found[e - 1].append((j, k))
+        return tuple(map(tuple, found))
 
-    def occurrences(self, s: int) -> tuple[tuple[int, int], ...]:
-        """1-based (row, col) positions of integer s."""
-        return tuple(
-            (j + 1, k + 1)
-            for j in range(self.num_rows)
-            for k in range(self.num_caches)
-            if self.entries[j][k] == s
-        )
+    @cached_property
+    def taus(self) -> tuple[int, ...]:
+        """tau(s) for s = 1, ..., S: the column of s's first occurrence."""
+        return tuple(occ[0][1] for occ in self.occurrences)
 
     def permute_columns(self, order) -> "Pda":
         """New PDA whose column i is this one's column order[i-1] (1-based).

@@ -10,9 +10,12 @@ Phases, in order:
                           the per-cache user counts (the profile) are
                           nonincreasing, and the PDA columns are permuted
                           the same way.
-  3. user key placement - the PDA is expanded into a per-user array G whose
-                          integer entries become (s, i) pairs (i = user rank
-                          within its cache); one uniform one-time-pad key is
+  3. user key placement - the PDA is expanded into G, one column of F
+                          entries per user: its cache's PDA column with
+                          integer s tagged as the pair (s, i), i the user's
+                          rank within the cache.  Pair (s, i) sits at the
+                          (row, user) of each occurrence of s whose cache
+                          has an i-th user.  One uniform one-time-pad key is
                           generated per distinct pair and stored by exactly
                           the users whose columns carry that pair.
   4. delivery           - for each distinct pair, the server broadcasts the
@@ -37,7 +40,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -185,69 +187,48 @@ class Association:
 
 @dataclass(frozen=True)
 class GArray:
-    """Per-user expansion of a PDA: one column per user, integers tagged
-    with the user's rank inside its cache as pairs (s, i)."""
+    """The per-user expansion G of a PDA: column lam copied once for each
+    user at cache lam, integer s tagged with the user's rank i there as
+    the pair (s, i).
 
-    entries: tuple[tuple[Pair | None, ...], ...]  # F rows x K columns
-    column_users: tuple[int, ...]
+    columns[user] is the user's F entries (None for a star), users in
+    cache-major, group order, the order of decode.txt and of verify's
+    per-user lines; pair_occurrences[pair] lists the pair's 1-based
+    (row, user) positions, pairs in sorted order."""
+
+    columns: dict[int, tuple[Pair | None, ...]]
+    pair_occurrences: dict[Pair, tuple[tuple[int, int], ...]]
 
     @property
-    def num_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.column_users)
-
-    @cached_property
-    def column_index(self) -> dict[int, int]:
-        """User id -> 1-based column."""
-        return {u: c for c, u in enumerate(self.column_users, start=1)}
-
-    @cached_property
-    def pair_occurrences(self) -> dict[Pair, tuple[tuple[int, int], ...]]:
-        """Pair -> 1-based (row, column) positions, ordered s-major then i."""
-        occ: dict[Pair, list[tuple[int, int]]] = {}
-        for j, row in enumerate(self.entries, start=1):
-            for k, entry in enumerate(row, start=1):
-                if entry is not None:
-                    occ.setdefault(entry, []).append((j, k))
-        return {
-            pair: tuple(occ[pair]) for pair in sorted(occ)
-        }
+    def column_users(self) -> tuple[int, ...]:
+        return tuple(self.columns)
 
     @property
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(self.pair_occurrences)
 
-    def column(self, col: int) -> tuple[Pair | None, ...]:
-        return tuple(self.entries[j][col - 1] for j in range(self.num_rows))
-
-    def column_of_user(self, user: int) -> tuple[Pair | None, ...]:
-        return self.column(self.column_index[user])
-
 
 def build_g_array(pda: Pda, association: Association) -> GArray:
-    """Replicate each PDA column once per attached user, tagging integers
-    with the user's rank; empty caches contribute no columns."""
+    """G of the PDA whose column lam is cache lam of the association;
+    empty caches contribute no users.
+
+    Integer s gives the pairs (s, 1), ..., (s, profile[tau(s) - 1]), the
+    largest load among its columns because the profile is nonincreasing,
+    and pair (s, i) sits at each occurrence (j, lam) of s whose cache has
+    an i-th user, groups[lam - 1][i - 1]."""
     if association.num_caches != pda.num_caches:
         raise ValueError("association and PDA disagree on the cache count")
-    columns: list[tuple[Pair | None, ...]] = []
-    users: list[int] = []
-    for lam in range(1, pda.num_caches + 1):
-        group = association.groups[lam - 1]
-        if not group:
-            continue
-        base = pda.column(lam)
+    groups, profile = association.groups, association.profile
+    columns: dict[int, tuple[Pair | None, ...]] = {}
+    for base, group in zip(zip(*pda.entries), groups):
         for i, user in enumerate(group, start=1):
-            columns.append(
-                tuple(None if e is None else (e, i) for e in base)
-            )
-            users.append(user)
-    entries = tuple(
-        tuple(col[j] for col in columns) for j in range(pda.num_rows)
-    )
-    return GArray(entries, tuple(users))
+            columns[user] = tuple([None if e is None else (e, i) for e in base])
+    pair_occurrences = {
+        (s, i): tuple([(j, groups[lam - 1][i - 1]) for j, lam in occ if i <= profile[lam - 1]])
+        for s, (occ, tau_s) in enumerate(zip(pda.occurrences, pda.taus), start=1)
+        for i in range(1, profile[tau_s - 1] + 1)
+    }
+    return GArray(columns, pair_occurrences)
 
 
 @dataclass(frozen=True)
@@ -320,12 +301,8 @@ def user_key_placement(
     block.setflags(write=False)
     key_pool = dict(zip(pairs, block))
     user_keys = {
-        user: {
-            entry: key_pool[entry]
-            for entry in garray.column_of_user(user)
-            if entry is not None
-        }
-        for user in garray.column_users
+        user: {entry: key_pool[entry] for entry in column if entry is not None}
+        for user, column in garray.columns.items()
     }
     return key_pool, user_keys
 
@@ -334,14 +311,14 @@ def deliver(garray: GArray, shares, demands, key_pool) -> dict[Pair, np.ndarray]
     """One broadcast per distinct pair (s-major order): the XOR of every
     participant's demanded share with the pair's key."""
     num_files = len(shares)
-    for user in garray.column_users:
+    for user in garray.columns:
         if not 1 <= demands[user - 1] <= num_files:
             raise ValueError(f"user {user} demands unknown file {demands[user - 1]}")
     out: dict[Pair, np.ndarray] = {}
     for pair, occurrences in garray.pair_occurrences.items():
         acc = key_pool[pair].copy()
-        for row, col in occurrences:
-            acc ^= shares[demands[garray.column_users[col - 1] - 1] - 1][row - 1]
+        for row, user in occurrences:
+            acc ^= shares[demands[user - 1] - 1][row - 1]
         out[pair] = acc
     return out
 
@@ -434,7 +411,16 @@ def _session_inputs(
 ) -> tuple[Association, tuple[int, ...], tuple[bytes, ...]]:
     """Check a session's association, demands and library against config
     and a scheme with num_caches caches; fill in the seed-derived library and
-    the worst-case demands when they are not given."""
+    the worst-case demands when they are not given.  The demands are checked
+    first: the association costs time linear in the profile's user count."""
+    if demands is None:
+        demands = worst_case_demands(config.num_users, config.num_files)
+    demands = tuple(demands)
+    if len(demands) != config.num_users:
+        raise ValueError("demand vector length must be K")
+    if any(not 1 <= d <= config.num_files for d in demands):
+        raise ValueError("demand out of range")
+
     association = Association.from_profile(profile)
     if association.num_users != config.num_users:
         raise ValueError(
@@ -443,14 +429,6 @@ def _session_inputs(
         )
     if not (association.num_caches == config.num_caches == num_caches):
         raise ValueError("cache counts disagree")
-
-    if demands is None:
-        demands = worst_case_demands(config.num_users, config.num_files)
-    demands = tuple(demands)
-    if len(demands) != config.num_users:
-        raise ValueError("demand vector length must be K")
-    if any(not 1 <= d <= config.num_files for d in demands):
-        raise ValueError("demand out of range")
 
     if library is None:
         library = synthetic_library(config)
@@ -527,7 +505,6 @@ def _user_shares(session: SessionState, user: int) -> np.ndarray:
     written; the session's shares, keys and broadcasts are read."""
     garray, shares = session.garray, session.shares
     lam = session.association.user_to_cache[user - 1]
-    col = garray.column_index[user]
     own = shares[session.demands[user - 1] - 1]
     cached = set(session.cached_rows[lam - 1])
 
@@ -535,8 +512,7 @@ def _user_shares(session: SessionState, user: int) -> np.ndarray:
     for j in cached:
         recovered[j - 1] = own[j - 1]
     keys = session.user_keys[user]
-    for row, entries in zip(recovered, garray.entries):
-        entry = entries[col - 1]
+    for row, entry in zip(recovered, garray.columns[user]):
         if entry is None:
             continue
         if entry not in session.transmissions:
@@ -544,13 +520,12 @@ def _user_shares(session: SessionState, user: int) -> np.ndarray:
         if entry not in keys:
             raise RuntimeError(f"user {user} lacks key {entry}")
         np.bitwise_xor(session.transmissions[entry], keys[entry], out=row)
-        for j, other_col in garray.pair_occurrences[entry]:
-            if other_col == col:
+        for j, other in garray.pair_occurrences[entry]:
+            if other == user:
                 continue
             if j not in cached:
                 raise RuntimeError("participant share not in this user's cache")
-            other_user = garray.column_users[other_col - 1]
-            row ^= shares[session.demands[other_user - 1] - 1][j - 1]
+            row ^= shares[session.demands[other - 1] - 1][j - 1]
     return recovered
 
 
@@ -581,14 +556,14 @@ def one_time_pad_session(
 
     field = config.field
     meta = _share_meta(8 * config.file_bytes, 1, 0, field)
-    columns, users = [], []
-    for lam in range(1, association.num_caches + 1):
-        for i, user in enumerate(association.groups[lam - 1], start=1):
-            columns.append(((lam, i),))
-            users.append(user)
+    columns, pair_occurrences = {}, {}
+    for lam, group in enumerate(association.groups, start=1):
+        for i, user in enumerate(group, start=1):
+            columns[user] = ((lam, i),)
+            pair_occurrences[(lam, i)] = ((1, user),)
     per_s = tuple(load for load in association.profile if load > 0)
     return _keys_and_delivery(
-        GArray(tuple(zip(*columns)), tuple(users)),
+        GArray(columns, pair_occurrences),
         RateReport(config.num_users, Fraction(config.num_users), per_s),
         config=config, pda=None, association=association,
         enc=cauchy_matrix(1, field), meta=meta, library=library,

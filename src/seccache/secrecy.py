@@ -289,17 +289,14 @@ class SessionAnalyzer:
         """Rows for every broadcast symbol (shared by all observers)."""
         if self._delivery_block is None:
             session = self.session
-            garray = session.garray
             pairs = list(session.transmissions)
             a, b = self._rows(len(pairs) * self.fsym)
             labels = []
             for r0, pair in enumerate(pairs):
                 for pos in range(self.fsym):
                     r = r0 * self.fsym + pos
-                    for row, col in garray.pair_occurrences[pair]:
-                        user = garray.column_users[col - 1]
-                        d = session.demands[user - 1]
-                        self._add_share(a[r], b[r], d, row, pos)
+                    for row, user in session.garray.pair_occurrences[pair]:
+                        self._add_share(a[r], b[r], session.demands[user - 1], row, pos)
                     if not session.pads_stripped:
                         b[r, self._key_col[pair] + pos] ^= 1
                     labels.append(("x", *pair, pos))
@@ -325,7 +322,7 @@ class SessionAnalyzer:
         return self._assemble([self.cache_block(cache)])
 
     def user_model(self, user: int, include_delivery: bool) -> LinearObservationModel:
-        if user not in self.session.garray.column_index:
+        if user not in self.session.garray.columns:
             raise ValueError(f"unknown user {user}")
         cache = self.session.association.user_to_cache[user - 1]
         blocks = [self.cache_block(cache), self.key_block(user)]
@@ -419,14 +416,13 @@ def _delivery_model(
     residual rows of the shares demanded of file n.  It has no randomness
     columns."""
     field = session.config.field
-    garray = session.garray
     width = residual.shape[1]
     keys = session.user_keys[user]
     pairs = [p for p in session.transmissions if session.pads_stripped or p in keys]
     a = field.zeros(len(pairs), session.config.num_files * width)
     for r, pair in enumerate(pairs):
-        for row, col in garray.pair_occurrences[pair]:
-            d = session.demands[garray.column_users[col - 1] - 1]
+        for row, other in session.garray.pair_occurrences[pair]:
+            d = session.demands[other - 1]
             a[r, (d - 1) * width : d * width] ^= residual[row - 1]
     labels = tuple(("x", *pair, 0) for pair in pairs)
     return LinearObservationModel(
@@ -454,8 +450,8 @@ def _lifted(session: SessionState, user: int, pair, inverse) -> SecrecyVerdict:
         labels[key_start + keys.index(pair)] = ("key", *pair, 0)
     witness[list(labels)] = 1
     cancel = field.matmul(session.enc[:, session.meta.num_subfiles :], inverse)
-    for row, col in session.garray.pair_occurrences[pair]:
-        n = session.demands[session.garray.column_users[col - 1] - 1]
+    for row, other in session.garray.pair_occurrences[pair]:
+        n = session.demands[other - 1]
         for k, (j, coeff) in enumerate(zip(cached, cancel[row - 1])):
             r = (n - 1) * len(cached) + k
             witness[r] ^= coeff

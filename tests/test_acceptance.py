@@ -89,7 +89,7 @@ def eq7_oracle(pda, profile):
     p = pda.params
     total = 0
     for s in range(1, p.num_ints + 1):
-        cols = {k for _, k in pda.occurrences(s)}
+        cols = {k for _, k in pda.occurrences[s - 1]}
         total += max(profile[k - 1] for k in cols)
     return Fraction(total, p.num_rows - p.stars_per_column)
 
@@ -102,7 +102,7 @@ def test_criterion_01_worked_example_regression():
     assert session.rate.rate == Fraction(10)
     assert session.pda.num_rows == 4  # subpacketization
     for user, expected in enumerate(WORKED_G_COLUMNS, start=1):
-        assert session.garray.column_of_user(user) == expected
+        assert session.garray.columns[user] == expected
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
     report(1, "worked-example regression (20 transmissions, rate 10, G exact)")
 
@@ -275,7 +275,7 @@ def test_criterion_07_mn_pda_parameters():
             assert p.stars_per_column == comb(num_caches - 1, t - 1)
             assert p.num_ints == comb(num_caches, t + 1)
             for s in range(1, p.num_ints + 1):
-                assert len(pda.occurrences(s)) == t + 1
+                assert len(pda.occurrences[s - 1]) == t + 1
     report(7, "subset-family parameters and integer multiplicity, Lambda 2..8")
 
 

@@ -248,6 +248,24 @@ def test_verify_rejects_a_manifest_that_is_not_an_object(golden_copy, capsys):
     assert capsys.readouterr().err == "error: manifest.json: expected a JSON object\n"
 
 
+def test_verify_checks_demands_before_building_the_association(
+    golden_copy, monkeypatch, capsys
+):
+    """A hand-edited profile of millions of users is refused by the demand
+    check, before an association of that many users is built."""
+    path = golden_copy / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["profile"] = [5_000_000, 1, 1]
+    path.write_text(json.dumps(manifest))
+
+    def refuse(profile):
+        raise AssertionError("the association was built")
+
+    monkeypatch.setattr(scheme.Association, "from_profile", refuse)
+    assert run(["verify", golden_copy]) == 1
+    assert capsys.readouterr().err == "error: demand vector length must be K\n"
+
+
 def test_verify_missing_manifest(tmp_path, capsys):
     assert run(["verify", tmp_path]) == 1
     assert "manifest" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 """Source rules for the package: invariants raise real exceptions, scalar
 field arithmetic stays inside the field module, the byte <-> symbol codec
 lives in the sharing module, sessions are built in one place, randomness
-comes from NumPy's Mersenne Twister as raw words in bounded calls, and the
-package never imports the tests' oracles."""
+comes from NumPy's Mersenne Twister as raw words in bounded calls, the
+G-array is read by user, and the package never imports the tests'
+oracles."""
 
 import ast
 from pathlib import Path
@@ -126,6 +127,20 @@ def test_the_twister_is_read_raw_in_one_place():
 def test_package_does_not_import_tests():
     found = imports_of(package_nodes(), "tests")
     assert not found, f"oracles live in tests/ and the package never uses them: {found}"
+
+
+def spelled(node):
+    """The name a node spells: a Name's id, an Attribute's attr, a def's name."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+
+def test_the_g_array_is_read_by_user():
+    """G's columns and pair positions are keyed by user, so no column index
+    is kept, named or turned back into a user."""
+    found = [f"{file}:{node.lineno}" for file, node in package_nodes()
+             if isinstance(node, ast.Subscript) and spelled(node.value) == "column_users"
+             or spelled(node) in {"column_index", "column_of_user"}]
+    assert not found, f"read G by user, not by column: {found}"
 
 
 def test_small_field_matmul_gathers_all_columns_at_once():

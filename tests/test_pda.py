@@ -133,7 +133,7 @@ def test_mn_parameters_and_multiplicity(num_caches):
         assert p.stars_per_column == comb(num_caches - 1, t - 1)
         assert p.num_ints == comb(num_caches, t + 1)
         for s in range(1, p.num_ints + 1):
-            assert len(pda.occurrences(s)) == t + 1
+            assert len(pda.occurrences[s - 1]) == t + 1
 
 
 def test_mn_range_errors():
@@ -188,6 +188,21 @@ def test_tau_table_matches_the_per_integer_scan(pda):
     assert tuple(tau(pda, s) for s in range(1, len(scan) + 1)) == scan
 
 
+@settings(max_examples=60, deadline=None)
+@given(pda=random_pdas())
+def test_occurrence_table_matches_the_per_integer_scan(pda):
+    """The one-pass table lists, for every s, the positions a column-major
+    scan of the grid finds for s."""
+    for s in range(1, pda.params.num_ints + 1):
+        scan = tuple(
+            (j, k)
+            for k in range(1, pda.num_caches + 1)
+            for j in range(1, pda.num_rows + 1)
+            if pda.entry(j, k) == s
+        )
+        assert pda.occurrences[s - 1] == scan
+
+
 def test_tau_invariant_under_row_permutation(worked_pda):
     rng = random.Random(0)
     rows = list(WORKED_GRID)
@@ -203,7 +218,7 @@ def test_occurrence_subgrids_are_scaled_identity():
     # that integer on the diagonal and stars everywhere else.
     for pda in (Pda.from_grid(WORKED_GRID), mn_pda(5, 2), mn_pda(6, 3)):
         for s in range(1, pda.params.num_ints + 1):
-            occ = pda.occurrences(s)
+            occ = pda.occurrences[s - 1]
             for a, (j1, k1) in enumerate(occ):
                 for b, (j2, k2) in enumerate(occ):
                     entry = pda.entry(j1, k2)

@@ -32,8 +32,10 @@ from tests.conftest import (
     WORKED_G_COLUMNS,
     WORKED_GRID,
     WORKED_PROFILE,
+    draw_users,
     make_worked_session,
     random_pda_sessions,
+    random_pdas,
     zero_memory_sessions,
 )
 
@@ -97,9 +99,10 @@ def test_user_count_mismatch_rejected(worked_pda):
 
 def test_g_array_matches_reference_expansion(worked_pda):
     garray = build_g_array(worked_pda, Association.from_profile(WORKED_PROFILE))
-    assert garray.num_rows == 4 and garray.num_columns == 21
+    assert len(garray.columns) == 21
+    assert all(len(column) == 4 for column in garray.columns.values())
     for user, expected in enumerate(WORKED_G_COLUMNS, start=1):
-        assert garray.column_of_user(user) == expected
+        assert garray.columns[user] == expected
     assert len(garray.pairs) == 20
 
 
@@ -107,24 +110,54 @@ def test_g_array_empty_cache_contributes_no_column():
     pda = mn_pda(3, 1)
     assoc = Association.from_profile((2, 1, 0))
     garray = build_g_array(pda, assoc)
-    assert garray.num_columns == 3
+    assert len(garray.columns) == 3
     assert garray.column_users == (1, 2, 3)
 
 
 def test_g_array_column_count_of_pairs(worked_pda):
     garray = build_g_array(worked_pda, Association.from_profile(WORKED_PROFILE))
     for user in range(1, 22):
-        non_star = [e for e in garray.column_of_user(user) if e is not None]
+        non_star = [e for e in garray.columns[user] if e is not None]
         assert len(non_star) == 2  # F - Z
 
 
 def test_g_array_pair_subgrids_are_scaled_identity(worked_pda):
     garray = build_g_array(worked_pda, Association.from_profile(WORKED_PROFILE))
     for pair, occ in garray.pair_occurrences.items():
-        for a, (j1, k1) in enumerate(occ):
-            for b, (j2, k2) in enumerate(occ):
-                entry = garray.entries[j1 - 1][k2 - 1]
+        for a, (j1, u1) in enumerate(occ):
+            for b, (j2, u2) in enumerate(occ):
+                entry = garray.columns[u2][j1 - 1]
                 assert entry == (pair if a == b else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_g_array_pair_map_matches_a_scan_of_its_columns(data):
+    """The pair map built from the PDA's occurrences is the scan of G's
+    columns, sorted by pair; integer s has as many pairs as the rate
+    counts for it, and every (row, user) of a pair holds that pair."""
+    pda = data.draw(random_pdas())
+    profile = draw_users(data.draw, pda.num_caches)[0]
+    association = Association.from_profile(profile)
+    canonical = pda.permute_columns(association.cache_order)
+    garray = build_g_array(canonical, association)
+    assert garray.column_users == sum(association.groups, ())
+    scan = {}
+    for user, column in garray.columns.items():
+        assert len(column) == canonical.num_rows
+        for row, pair in enumerate(column, start=1):
+            if pair is not None:
+                scan.setdefault(pair, []).append((row, user))
+    assert list(garray.pair_occurrences.items()) == [
+        (pair, tuple(scan[pair])) for pair in sorted(scan)
+    ]
+    per_s = rate_report(canonical, association.profile).per_s_multiplicity
+    assert [s for s, _ in garray.pairs] == [
+        s for s, count in enumerate(per_s, start=1) for _ in range(count)
+    ]
+    for pair, occurrences in garray.pair_occurrences.items():
+        for row, user in occurrences:
+            assert garray.columns[user][row - 1] == pair
 
 
 # -- placement and keys --------------------------------------------------------------
@@ -313,7 +346,7 @@ def duplicate_payloads(session):
     """Broadcasts whose (file, share row) set repeats an earlier one's."""
     garray = session.garray
     payloads = [
-        frozenset((session.demands[garray.column_users[col - 1] - 1], row) for row, col in occ)
+        frozenset((session.demands[user - 1], row) for row, user in occ)
         for occ in garray.pair_occurrences.values()
     ]
     return len(payloads) - len(set(payloads))
@@ -389,9 +422,10 @@ def test_dedicated_cache_reduction():
     for s in range(1, p.num_ints + 1):
         # participants of (s, 1) are exactly the PDA occurrences of s
         got = {
-            (row, col) for row, col in session.garray.pair_occurrences[(s, 1)]
+            (row, session.association.user_to_cache[user - 1])
+            for row, user in session.garray.pair_occurrences[(s, 1)]
         }
-        want = set(pda.occurrences(s))
+        want = set(pda.occurrences[s - 1])
         assert got == want
 
 
@@ -685,8 +719,8 @@ def drawn_arrays(session):
     broadcasts = {}
     for pair, occurrences in garray.pair_occurrences.items():
         payload = keys[pair].copy()
-        for row, col in occurrences:
-            payload ^= shares[session.demands[garray.column_users[col - 1] - 1] - 1][row - 1]
+        for row, user in occurrences:
+            payload ^= shares[session.demands[user - 1] - 1][row - 1]
         broadcasts[pair] = payload
     return shares, keys, broadcasts
 

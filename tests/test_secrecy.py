@@ -214,8 +214,8 @@ def test_strip_pads_returns_a_padless_copy(worked_session):
     assert stripped.transmissions.keys() == garray.pair_occurrences.keys()
     for pair, occurrences in garray.pair_occurrences.items():
         want = np.zeros_like(sent[pair])
-        for row, col in occurrences:
-            demand = worked_session.demands[garray.column_users[col - 1] - 1]
+        for row, user in occurrences:
+            demand = worked_session.demands[user - 1]
             want ^= worked_session.shares[demand - 1][row - 1]
         assert np.array_equal(stripped.transmissions[pair], want)
 
