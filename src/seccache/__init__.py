@@ -13,7 +13,7 @@ from .bounds import (
     sweep,
     sweep_csv,
 )
-from .field import BinaryField, default_field
+from .field import BinaryField
 from .pda import (
     C1Violation,
     C2Violation,
@@ -25,7 +25,6 @@ from .pda import (
     load_pda,
     mn_pda,
     save_pda,
-    tau,
     validate,
 )
 from .scheme import (
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryField",
-    "default_field",
     "cauchy_matrix",
     "encode_shares",
     "reconstruct_file",
@@ -79,7 +77,6 @@ __all__ = [
     "C3Violation",
     "validate",
     "mn_pda",
-    "tau",
     "load_pda",
     "save_pda",
     "SystemConfig",

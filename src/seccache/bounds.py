@@ -2,7 +2,8 @@
 
 The lower bound cuts the network at s users: over s in
 {1, ..., min(floor(N/2), K)} (so floor(N/s) >= 2 and no denominator
-vanishes), the achievable secretive rate is at least
+vanishes), where K is the profile's sum, the achievable secretive rate is
+at least
 
     ( s*floor(N/s) - 1 - (lambda_s - 1) M - (s - 1) M_U ) / (floor(N/s) - 1)
 
@@ -41,19 +42,17 @@ def lambda_of_s(profile, s: int) -> int:
     raise RuntimeError("unreachable: s <= sum(profile)")
 
 
-def cutset_terms(
-    num_files: int, num_users: int, helper_memory, profile
-) -> list[tuple[int, Fraction]]:
-    """The (s, value) bound terms at M_U = 1, each clamped at zero."""
+def cutset_terms(num_files: int, helper_memory, profile) -> list[tuple[int, Fraction]]:
+    """The (s, value) bound terms at M_U = 1, each clamped at zero, for the
+    K = sum(profile) users of a nonincreasing profile."""
     if num_files < 1:
         raise ValueError("need at least one file")
+    num_users = sum(profile)
     if num_users < 1:
         raise ValueError("need at least one user")
     m = Fraction(helper_memory)
     if m < 0:
         raise ValueError("helper memory cannot be negative")
-    if sum(profile) != num_users:
-        raise ValueError("profile must sum to the user count")
     terms = []
     for s in range(1, min(num_files // 2, num_users) + 1):
         per = num_files // s  # floor(N/s) >= 2 on this range
@@ -63,9 +62,10 @@ def cutset_terms(
     return terms
 
 
-def cutset_bound(num_files: int, num_users: int, helper_memory, profile) -> Fraction:
-    """Best cut over all admissible s; 0 when N < 2 leaves no valid cut."""
-    terms = cutset_terms(num_files, num_users, helper_memory, profile)
+def cutset_bound(num_files: int, helper_memory, profile) -> Fraction:
+    """Best cut over all admissible s for the K = sum(profile) users of a
+    nonincreasing profile; 0 when N < 2 leaves no valid cut."""
+    terms = cutset_terms(num_files, helper_memory, profile)
     if not terms:
         return Fraction(0)
     return max(value for _, value in terms)
@@ -84,17 +84,16 @@ def optimality_ratio(pda: Pda, num_files: int, profile) -> OptimalityReport:
     guarantee (ratio <= Lambda) is only claimed for N >= 2K; outside that
     regime the ratio is still computed but flagged."""
     profile = tuple(profile)
-    num_users = sum(profile)
     achievable = rate_report(pda, profile).rate
     memory = helper_memory_for(pda, num_files)
-    bound = cutset_bound(num_files, num_users, memory, profile)
+    bound = cutset_bound(num_files, memory, profile)
     if bound <= 0:
         raise ValueError("lower bound is zero; the ratio is undefined")
     return OptimalityReport(
         ratio=achievable / bound,
         achievable=achievable,
         lower_bound=bound,
-        gap_bound_applies=num_files >= 2 * num_users,
+        gap_bound_applies=num_files >= 2 * sum(profile),
     )
 
 
@@ -114,13 +113,12 @@ def sweep(num_files: int, profile, pdas: dict[str, Pda]) -> list[SweepPoint]:
     """One point per PDA (memory induced by Z/F = M/(M+N)) plus the M = 0
     one-time-pad baseline at rate K, sorted by memory then rate."""
     profile = tuple(sorted(profile, reverse=True))
-    num_users = sum(profile)
     num_caches = len(profile)
     points = [
         SweepPoint(
             memory=Fraction(0),
-            rate_achievable=Fraction(num_users),
-            rate_lower_bound=cutset_bound(num_files, num_users, 0, profile),
+            rate_achievable=Fraction(sum(profile)),
+            rate_lower_bound=cutset_bound(num_files, 0, profile),
             subpacketization=1,
             pda_id="m0-baseline",
         )
@@ -135,7 +133,7 @@ def sweep(num_files: int, profile, pdas: dict[str, Pda]) -> list[SweepPoint]:
             SweepPoint(
                 memory=memory,
                 rate_achievable=rate_report(pda, profile).rate,
-                rate_lower_bound=cutset_bound(num_files, num_users, memory, profile),
+                rate_lower_bound=cutset_bound(num_files, memory, profile),
                 subpacketization=pda.num_rows,
                 pda_id=pda_id,
             )

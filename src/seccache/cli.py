@@ -114,24 +114,32 @@ def _check_manifest(manifest) -> None:
                 raise ValueError(f"manifest.json: {key!r} must be {kind}")
 
 
+def _config(pda: Pda, profile, num_files: int, file_bytes: int, field_bits: int, seed: int):
+    """The SystemConfig of a run's inputs; its checks precede any build."""
+    return SystemConfig(
+        num_caches=pda.num_caches,
+        num_users=sum(profile),
+        num_files=num_files,
+        helper_memory=helper_memory_for(pda, num_files),
+        file_bytes=file_bytes,
+        field=BinaryField(field_bits),
+        seed=seed,
+    )
+
+
 def _session_from_manifest(manifest):
     """The session a manifest's inputs give; simulate and verify both derive
     their session here."""
     _check_manifest(manifest)
-    field = BinaryField(manifest["field_bits"], manifest["field_poly"])
     pda = load_pda(manifest["pda_text"])
-    num_files = manifest["num_files"]
-    config = SystemConfig(
-        num_caches=pda.num_caches,
-        num_users=sum(manifest["profile"]),
-        num_files=num_files,
-        helper_memory=helper_memory_for(pda, num_files),
-        file_bytes=manifest["file_bytes"],
-        field=field,
-        seed=manifest["seed"],
+    config = _config(
+        pda, manifest["profile"], manifest["num_files"], manifest["file_bytes"],
+        manifest["field_bits"], manifest["seed"],
     )
+    if manifest["field_poly"] != config.field.poly:
+        raise ValueError(f"manifest.json: 'field_poly' must be {config.field.poly}")
     library_dir = manifest["library_dir"]
-    library = _load_library(library_dir, num_files, config.file_bytes) if library_dir else None
+    library = _load_library(library_dir, config.num_files, config.file_bytes) if library_dir else None
     return run_session(
         pda,
         config,
@@ -232,8 +240,9 @@ def cmd_simulate(args) -> int:
     profile = _parse_profile(args.profile)
     if len(profile) != pda.num_caches:
         raise ValueError("profile length must equal the PDA's column count")
-    demands = _parse_demands(args.demands, sum(profile), args.files)
-    field = BinaryField(args.field)
+    # The config's checks, the library cap among them, precede the K demands.
+    config = _config(pda, profile, args.files, args.bytes, args.field, args.seed)
+    demands = _parse_demands(args.demands, config.num_users, args.files)
     # The manifest records the run's raw inputs, and the session is derived
     # from them exactly as verify derives it.  --out is deliberately not
     # recorded: the run directory's location is not an input, and identical
@@ -260,8 +269,8 @@ def cmd_simulate(args) -> int:
         "profile": list(profile),
         "num_files": args.files,
         "file_bytes": args.bytes,
-        "field_bits": field.l,
-        "field_poly": field.poly,
+        "field_bits": config.field.l,
+        "field_poly": config.field.poly,
         "seed": args.seed,
         "demands_arg": args.demands,
         "demands": list(demands),
@@ -349,7 +358,7 @@ def cmd_bound(args) -> int:
         memory = Fraction(args.memory)
     except ZeroDivisionError:
         raise ValueError(f"bad memory {args.memory!r}: zero denominator")
-    value = cutset_bound(args.files, sum(profile), memory, profile)
+    value = cutset_bound(args.files, memory, profile)
     if args.files < 2:
         print("bound 0 (fewer than two files leaves no valid cut)")
         return 0

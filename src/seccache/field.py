@@ -2,13 +2,13 @@
 
 Field elements are plain integers in [0, 2^l - 1]; bit i is the coefficient
 of x^i in the polynomial basis.  Addition is XOR, multiplication is a
-carry-less polynomial product reduced by an irreducible polynomial of
-degree l.  No wrapper objects: the field instance is passed around with
-the elements.
+carry-less polynomial product reduced by a fixed irreducible polynomial of
+degree l, the lowest-valued one, so the width l alone names the field.  No
+wrapper objects: the field instance is passed around with the elements.
 
 For vectorized work (share encoding, linear-algebra checks) the field
 exposes exp/log tables over a fixed generator, usable with numpy fancy
-indexing.  They are built on first use, once per (l, poly) in a process,
+indexing.  They are built on first use, once per width l in a process,
 and every instance of that field shares the same read-only arrays.  The
 scalar `mul` and `pow` only build those tables; the tests use them, and an
 inverse built from `pow`, as oracles.  Every array operation goes through
@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 # Lowest-valued irreducible polynomial of each degree, found by exhaustive
-# search and re-verified at construction time.  Bit i = coefficient of x^i.
+# search; the tests re-verify both properties.  Bit i = coefficient of x^i.
 _DEFAULT_POLYS = {
     2: 0x7,
     3: 0xB,
@@ -61,25 +61,6 @@ _DEFAULT_POLYS = {
 _GATHER_BUDGET_BYTES = 1 << 20
 
 
-def _poly_mod(a: int, b: int) -> int:
-    """Remainder of a divided by b, both GF(2)[x] polynomials as ints."""
-    db = b.bit_length() - 1
-    while a and a.bit_length() - 1 >= db:
-        a ^= b << (a.bit_length() - 1 - db)
-    return a
-
-
-def _is_irreducible(poly: int, degree: int) -> bool:
-    """Exhaustive trial division by every polynomial of degree 1..degree//2."""
-    if poly.bit_length() - 1 != degree:
-        return False
-    for d in range(1, degree // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if _poly_mod(poly, q) == 0:
-                return False
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -100,34 +81,20 @@ class BinaryField:
     Parameters
     ----------
     l : int
-        Bits per symbol; the field has 2^l elements.
-    poly : int or None
-        Reduction polynomial as an integer with bit l set.  Must be
-        irreducible (checked exhaustively).  Defaults to the lowest-valued
-        irreducible polynomial of degree l.
+        Bits per symbol; the field has 2^l elements and is reduced by
+        `poly`, the lowest-valued irreducible polynomial of degree l.
     """
 
-    def __init__(self, l: int, poly: int | None = None):
+    def __init__(self, l: int):
         if not 2 <= l <= 16:
             raise ValueError(f"symbol width must be in [2, 16], got {l}")
-        if poly is None:
-            poly = _DEFAULT_POLYS[l]
-        if not _is_irreducible(poly, l):
-            raise ValueError(
-                f"0b{poly:b} is not an irreducible polynomial of degree {l}"
-            )
         self.l = l
         self.order = 1 << l
-        self.poly = poly
+        self.poly = _DEFAULT_POLYS[l]
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
 
     # -- scalar operations --------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Field addition (= subtraction): XOR."""
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         """Carry-less polynomial product reduced by the field polynomial."""
@@ -285,28 +252,18 @@ class BinaryField:
         return pivots
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryField)
-            and other.l == self.l
-            and other.poly == self.poly
-        )
+        return isinstance(other, BinaryField) and other.l == self.l
 
     def __hash__(self) -> int:
-        return hash((self.l, self.poly))
+        return hash(self.l)
 
     def __repr__(self) -> str:
-        return f"BinaryField(l={self.l}, poly=0x{self.poly:X})"
-
-
-@lru_cache(maxsize=None)
-def default_field(l: int = 8) -> BinaryField:
-    """Shared instance with the default polynomial for width l."""
-    return BinaryField(l)
+        return f"BinaryField(l={self.l})"
 
 
 @lru_cache(maxsize=None)
 def _tables(field: BinaryField) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only exp and log tables of a field, built once per (l, poly)
+    """The read-only exp and log tables of a field, built once per width l
     (the key that field equality and hashing use) by repeated scalar
     multiplication with the least generator of the multiplicative group."""
     q = field.order

@@ -158,13 +158,6 @@ class Pda:
     def num_rows(self) -> int:
         return self.params.num_rows
 
-    def entry(self, row: int, col: int) -> Entry:
-        """1-based access."""
-        return self.entries[row - 1][col - 1]
-
-    def column(self, col: int) -> tuple[Entry, ...]:
-        return tuple(self.entries[j][col - 1] for j in range(self.num_rows))
-
     def star_rows(self, col: int) -> tuple[int, ...]:
         """1-based rows where the given column holds a star."""
         return tuple(
@@ -198,13 +191,6 @@ class Pda:
             tuple(row[c - 1] for c in order) for row in self.entries
         )
         return Pda(grid, self.params)
-
-
-def tau(pda: Pda, s: int) -> int:
-    """Minimum 1-based column index whose column contains integer s."""
-    if not 1 <= s <= pda.params.num_ints:
-        raise ValueError(f"integer {s} out of range [1, {pda.params.num_ints}]")
-    return pda.taus[s - 1]
 
 
 def check_mn_size(num_caches: int, t: int) -> None:

@@ -38,13 +38,14 @@ All rate and memory arithmetic is exact (fractions.Fraction).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .field import BinaryField, default_field
+from .field import BinaryField
 from .pda import Pda
 from .sharing import (
     WORDS_PER_CALL,
@@ -76,7 +77,7 @@ class SystemConfig:
     num_files: int
     helper_memory: Fraction  # M, in file units
     file_bytes: int
-    field: BinaryField = dataclass_field(default_factory=default_field)
+    field: BinaryField = BinaryField(8)
     seed: int = 0
 
     def __post_init__(self):
@@ -146,43 +147,24 @@ class Association:
         return len(self.profile)
 
     @classmethod
-    def from_assignment(cls, assignment, num_caches: int) -> "Association":
-        """Build from a per-user cache label vector (labels in [1, Lambda])."""
-        assignment = tuple(assignment)
-        for user, cache in enumerate(assignment, start=1):
-            if not 1 <= cache <= num_caches:
-                raise ValueError(f"user {user} assigned to unknown cache {cache}")
-        loads = [0] * num_caches
-        for cache in assignment:
-            loads[cache - 1] += 1
-        # Stable relabel: sort by load descending, ties keep original order.
-        cache_order = tuple(
-            sorted(range(1, num_caches + 1), key=lambda c: (-loads[c - 1], c))
-        )
-        new_label = {orig: new for new, orig in enumerate(cache_order, start=1)}
-        groups = tuple(
-            tuple(u for u, c in enumerate(assignment, start=1) if c == orig)
-            for orig in cache_order
-        )
-        return cls(
-            profile=tuple(loads[c - 1] for c in cache_order),
-            groups=groups,
-            user_to_cache=tuple(new_label[c] for c in assignment),
-            cache_order=cache_order,
-        )
-
-    @classmethod
     def from_profile(cls, profile) -> "Association":
-        """Users 1..K assigned cache-major in the given order, then relabeled."""
+        """Users 1..K attached cache-major in the given order, each group a
+        contiguous range of users, then caches relabeled by load, descending,
+        ties in the given order."""
         profile = tuple(profile)
         if any(n < 0 for n in profile):
             raise ValueError("profile entries must be nonnegative")
-        assignment = [
-            cache
-            for cache, count in enumerate(profile, start=1)
-            for _ in range(count)
-        ]
-        return cls.from_assignment(assignment, len(profile))
+        first = tuple(accumulate(profile, initial=1))
+        cache_order = tuple(sorted(range(1, len(profile) + 1), key=lambda c: -profile[c - 1]))
+        new_label = {orig: new for new, orig in enumerate(cache_order, start=1)}
+        return cls(
+            profile=tuple(profile[c - 1] for c in cache_order),
+            groups=tuple(tuple(range(first[c - 1], first[c])) for c in cache_order),
+            user_to_cache=tuple(
+                new_label[c] for c, load in enumerate(profile, start=1) for _ in range(load)
+            ),
+            cache_order=cache_order,
+        )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Shared fixtures: the 6-cache/21-user worked example, small helpers,
 the test-side oracles (scalar inverse, elimination and vector-matrix
-product, the distribution-enumeration secrecy oracle, a session's actual
-variable values, and the simplified unit-cache bound), and Hypothesis
-strategies for random valid PDAs that are not MN and for sessions of those
-PDAs and of the M = 0 scheme."""
+product, polynomial irreducibility, the association of a user-to-cache
+assignment, the distribution-enumeration secrecy oracle, a session's
+actual variable values, and the simplified unit-cache bound), and
+Hypothesis strategies for random valid PDAs that are not MN and for
+sessions of those PDAs and of the M = 0 scheme."""
 
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from seccache import BinaryField, Pda, SystemConfig, mn_pda, run_session, secrecy
 from seccache.bounds import lambda_of_s
-from seccache.scheme import _stream, helper_memory_for, one_time_pad_session
+from seccache.scheme import Association, _stream, helper_memory_for, one_time_pad_session
 from seccache.secrecy import SecrecyVerdict, SessionAnalyzer, check_zero_information
 from seccache.sharing import bytes_to_subfiles, random_vector
 
@@ -133,6 +134,46 @@ def scalar_row_reduce(field, rows, pivot_cols):
                 ]
         pivot_row += 1
     return rows, pivot_row
+
+
+def poly_mod(a, b):
+    """Remainder of a divided by b, both GF(2)[x] polynomials as ints."""
+    db = b.bit_length() - 1
+    while a and a.bit_length() - 1 >= db:
+        a ^= b << (a.bit_length() - 1 - db)
+    return a
+
+
+def is_irreducible(poly, degree):
+    """Exhaustive trial division by every polynomial of degree 1..degree//2."""
+    if poly.bit_length() - 1 != degree:
+        return False
+    for d in range(1, degree // 2 + 1):
+        for q in range(1 << d, 1 << (d + 1)):
+            if poly_mod(poly, q) == 0:
+                return False
+    return True
+
+
+def associate_by_assignment(assignment, num_caches):
+    """The association of a per-user cache label vector (labels in [1,
+    Lambda]), built by scanning the users once per cache: caches relabeled
+    by load, descending, ties in label order, each group in user order.  The
+    reference that `Association.from_profile` is checked against."""
+    loads = [0] * num_caches
+    for cache in assignment:
+        loads[cache - 1] += 1
+    cache_order = tuple(sorted(range(1, num_caches + 1), key=lambda c: (-loads[c - 1], c)))
+    new_label = {orig: new for new, orig in enumerate(cache_order, start=1)}
+    return Association(
+        profile=tuple(loads[c - 1] for c in cache_order),
+        groups=tuple(
+            tuple(u for u, c in enumerate(assignment, start=1) if c == orig)
+            for orig in cache_order
+        ),
+        user_to_cache=tuple(new_label[c] for c in assignment),
+        cache_order=cache_order,
+    )
 
 
 def gf_vec_mat(field, phi, mat):

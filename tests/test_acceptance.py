@@ -290,7 +290,7 @@ def test_criterion_08_bounds_and_reduction():
         k = sum(profile)
         assert num_files >= 2 * k
         num_caches = len(profile)
-        assert cutset_bound(num_files, k, 0, profile) >= profile[0]
+        assert cutset_bound(num_files, 0, profile) >= profile[0]
         for t in range(1, num_caches):
             pda = mn_pda(num_caches, t)
             rep = optimality_ratio(pda, num_files, profile)
@@ -298,7 +298,7 @@ def test_criterion_08_bounds_and_reduction():
             assert 1 <= rep.ratio <= num_caches
             assert rep.ratio <= Fraction(k, profile[0])
             memory = helper_memory_for(pda, num_files)
-            assert cutset_bound(num_files, k, memory, profile) >= profile[0]
+            assert cutset_bound(num_files, memory, profile) >= profile[0]
 
     rng = random.Random(8)
     for _ in range(20):
@@ -309,7 +309,7 @@ def test_criterion_08_bounds_and_reduction():
         profile = tuple(raw)
         n = rng.randint(2, 60)
         m = Fraction(rng.randint(0, 90), rng.randint(1, 7))
-        assert cutset_terms(n, sum(profile), m, profile) == (
+        assert cutset_terms(n, m, profile) == (
             unit_cache_bound_terms(n, sum(profile), m, profile)
         )
     report(8, "order-optimality gap and unit-cache bound reduction")

@@ -53,16 +53,16 @@ def test_lambda_of_s_nondecreasing():
 def test_bound_at_zero_memory_is_min_half_n_k():
     for n, k in [(10, 3), (10, 40), (7, 7), (2, 1)]:
         profile = (k,)
-        got = cutset_bound(n, k, 0, profile)
+        got = cutset_bound(n, 0, profile)
         assert got == min(n // 2, k)
 
 
 def test_bound_single_user_two_files():
-    assert cutset_bound(2, 1, 0, (1,)) == 1
+    assert cutset_bound(2, 0, (1,)) == 1
 
 
 def test_bound_no_valid_cut_is_zero():
-    assert cutset_bound(1, 3, 2, (3,)) == 0
+    assert cutset_bound(1, 2, (3,)) == 0
 
 
 def test_bound_at_least_l1_when_library_is_big():
@@ -74,7 +74,7 @@ def test_bound_at_least_l1_when_library_is_big():
     ]:
         k = sum(profile)
         assert n >= 2 * k
-        assert cutset_bound(n, k, m, profile) >= profile[0]
+        assert cutset_bound(n, m, profile) >= profile[0]
 
 
 def test_unit_user_cache_reduction_is_exact():
@@ -88,15 +88,15 @@ def test_unit_user_cache_reduction_is_exact():
         k = sum(profile)
         n = rng.randint(2, 50)
         m = Fraction(rng.randint(0, 80), rng.randint(1, 9))
-        general = cutset_terms(n, k, m, profile)
+        general = cutset_terms(n, m, profile)
         reduced = unit_cache_bound_terms(n, k, m, profile)
         assert general == reduced
 
 
 def test_bound_monotone_in_memory():
     profile = (4, 3, 2)
-    k, n = 9, 30
-    values = [cutset_bound(n, k, m, profile) for m in (0, 1, 2, 5, 10, 100)]
+    n = 30
+    values = [cutset_bound(n, m, profile) for m in (0, 1, 2, 5, 10, 100)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -219,4 +219,4 @@ def test_csv_format():
 
 def test_cutset_terms_need_a_user():
     with pytest.raises(ValueError, match="at least one user"):
-        cutset_terms(4, 0, 1, (0, 0))
+        cutset_terms(4, 1, (0, 0))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from seccache import pda as pda_module, scheme
+from seccache import cli, pda as pda_module, scheme
 from seccache.cli import main
 from seccache.pda import Pda, save_pda
 from tests.conftest import WORKED_GRID, WORKED_PROFILE
@@ -230,6 +230,9 @@ def test_recorded_command_line_reruns_byte_identically(tmp_path, extra):
         (lambda m: m.update(seed=True), "'seed' must be an integer"),
         (lambda m: m.update(library_dir=7), "'library_dir' must be a string or null"),
         (lambda m: m.update(full_payloads="yes"), "'full_payloads' must be a boolean"),
+        # l fixes the field, so another polynomial, even an irreducible one
+        # (x^3 + x^2 + 1 here, at l = 3), names no field verify can build
+        (lambda m: m.update(field_poly=0xD), "'field_poly' must be 11"),
         (lambda m: m.clear(), "missing 'pda_text'"),
     ],
 )
@@ -344,13 +347,20 @@ def test_sweep_refuses_too_many_caches_before_building_a_grid(monkeypatch, capsy
     (["simulate", "--pda", "mn:4,2", "--profile", "1,1,1,1", "--out", "run"], 4,
      200_000_000),
     (["baseline", "--profile", "1,1"], 2, 900_000_000),
+    # ten million users: refused before a demand vector that long is built
+    (["simulate", "--pda", "mn:3,1", "--profile", "10000000,1,1", "--out", "run"],
+     20_000_000, 32),
 ])
 def test_a_library_too_large_to_hold_is_refused_before_it_is_drawn(
         args, files, size, monkeypatch, tmp_path, capsys):
     def no_library(config):
         raise AssertionError("a library too large to hold was drawn")
 
+    def no_demands(num_users, num_files):
+        raise AssertionError("the demands were built before the library was checked")
+
     monkeypatch.setattr(scheme, "synthetic_library", no_library)
+    monkeypatch.setattr(cli, "worst_case_demands", no_demands)
     monkeypatch.chdir(tmp_path)
     assert run(args + ["--files", files, "--bytes", size]) == 1
     captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""PDA validation, the subset-family constructor, tau, and text I/O."""
+"""PDA validation, the subset-family constructor, the tau table, and text I/O."""
 
 import random
 from itertools import combinations
@@ -20,7 +20,6 @@ from seccache.pda import (
     load_pda,
     mn_pda,
     save_pda,
-    tau,
     validate,
 )
 from tests.conftest import WORKED_GRID, random_pdas
@@ -167,12 +166,7 @@ def test_s_at_most_lambda_times_f_minus_z():
 
 
 def test_tau_on_worked_grid(worked_pda):
-    assert tau(worked_pda, 1) == 1
-    assert tau(worked_pda, 4) == 4
-    assert tau(worked_pda, 3) == 2
-    assert tau(worked_pda, 2) == 1
-    with pytest.raises(ValueError):
-        tau(worked_pda, 5)
+    assert worked_pda.taus == (1, 1, 2, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -181,11 +175,10 @@ def test_tau_table_matches_the_per_integer_scan(pda):
     """The one-pass table equals, for every s, the first column whose scan
     finds s."""
     scan = tuple(
-        next(k for k in range(1, pda.num_caches + 1) if s in pda.column(k))
+        next(k for k, column in enumerate(zip(*pda.entries), start=1) if s in column)
         for s in range(1, pda.params.num_ints + 1)
     )
     assert pda.taus == scan
-    assert tuple(tau(pda, s) for s in range(1, len(scan) + 1)) == scan
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,7 +191,7 @@ def test_occurrence_table_matches_the_per_integer_scan(pda):
             (j, k)
             for k in range(1, pda.num_caches + 1)
             for j in range(1, pda.num_rows + 1)
-            if pda.entry(j, k) == s
+            if pda.entries[j - 1][k - 1] == s
         )
         assert pda.occurrences[s - 1] == scan
 
@@ -209,8 +202,7 @@ def test_tau_invariant_under_row_permutation(worked_pda):
     for _ in range(10):
         rng.shuffle(rows)
         shuffled = Pda.from_grid(tuple(rows))
-        for s in range(1, 5):
-            assert tau(shuffled, s) == tau(worked_pda, s)
+        assert shuffled.taus == worked_pda.taus
 
 
 def test_occurrence_subgrids_are_scaled_identity():
@@ -221,14 +213,14 @@ def test_occurrence_subgrids_are_scaled_identity():
             occ = pda.occurrences[s - 1]
             for a, (j1, k1) in enumerate(occ):
                 for b, (j2, k2) in enumerate(occ):
-                    entry = pda.entry(j1, k2)
+                    entry = pda.entries[j1 - 1][k2 - 1]
                     assert entry == (s if a == b else None)
 
 
 def test_permute_columns(worked_pda):
     permuted = worked_pda.permute_columns((2, 1, 3, 4, 5, 6))
-    assert permuted.column(1) == worked_pda.column(2)
-    assert permuted.column(2) == worked_pda.column(1)
+    columns = list(zip(*worked_pda.entries))
+    assert list(zip(*permuted.entries)) == [columns[1], columns[0], *columns[2:]]
     assert permuted.params == worked_pda.params
     with pytest.raises(ValueError):
         worked_pda.permute_columns((1, 1, 2, 3, 4, 5))
@@ -244,7 +236,8 @@ def test_permuted_columns_keep_the_parameters_without_revalidating(pda, data):
         permuted = pda.permute_columns(order)
     assert permuted.params is pda.params
     assert validate(permuted.entries) == permuted.params
-    assert all(permuted.column(i) == pda.column(c) for i, c in enumerate(order, start=1))
+    columns = list(zip(*pda.entries))
+    assert list(zip(*permuted.entries)) == [columns[c - 1] for c in order]
 
 
 # -- text format ---------------------------------------------------------------

@@ -7,13 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seccache import BinaryField, Pda, mn_pda, validate, verify_session
 from seccache.field import _product_tables
 from seccache.secrecy import strip_pads
-from seccache.sharing import bytes_to_symbols, random_vector, share_file
+from seccache.sharing import (
+    _cached_inverse,
+    bytes_to_symbols,
+    cauchy_matrix,
+    random_vector,
+    share_file,
+)
 from seccache.scheme import (
     MAX_LIBRARY_BYTES,
     Association,
@@ -32,6 +38,7 @@ from tests.conftest import (
     WORKED_G_COLUMNS,
     WORKED_GRID,
     WORKED_PROFILE,
+    associate_by_assignment,
     draw_users,
     make_worked_session,
     random_pda_sessions,
@@ -56,13 +63,12 @@ def small_config(pda, num_files, num_users, seed=0, file_bytes=2, l=8):
 
 
 def test_associate_sorts_with_stable_relabel():
-    # raw per-cache loads (1, 6, 3, 5, 4, 2)
-    assignment = []
-    for cache, load in enumerate((1, 6, 3, 5, 4, 2), start=1):
-        assignment += [cache] * load
-    assoc = Association.from_assignment(assignment, 6)
+    assoc = Association.from_profile((1, 6, 3, 5, 4, 2))
     assert assoc.profile == (6, 5, 4, 3, 2, 1)
     assert assoc.cache_order == (2, 4, 5, 3, 6, 1)
+    # each relabeled cache keeps the contiguous users its raw cache was given
+    assert assoc.groups[0] == (2, 3, 4, 5, 6, 7)
+    assert assoc.groups[5] == (1,)
 
 
 def test_associate_worked_profile():
@@ -74,8 +80,10 @@ def test_associate_worked_profile():
 
 
 def test_associate_uniform_one_user_per_cache():
-    assoc = Association.from_assignment((1, 2, 3, 4), 4)
+    assoc = Association.from_profile((1, 1, 1, 1))
     assert assoc.profile == (1, 1, 1, 1)
+    assert assoc.groups == ((1,), (2,), (3,), (4,))
+    assert assoc.user_to_cache == assoc.cache_order == (1, 2, 3, 4)
 
 
 def test_associate_ties_keep_original_order():
@@ -83,9 +91,21 @@ def test_associate_ties_keep_original_order():
     assert assoc.cache_order == (1, 2, 3)
 
 
-def test_associate_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        Association.from_assignment((1, 7), 6)
+@settings(max_examples=300, deadline=None)
+@given(profile=st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 7]), min_size=1, max_size=9))
+@example(profile=[0])
+@example(profile=[0, 0, 2, 2, 0, 1, 2])
+def test_associate_from_profile_matches_the_assignment_scan(profile):
+    """Contiguous groups taken by load give the association that scanning
+    the cache-major assignment once per cache gives, zeros and ties
+    included."""
+    assignment = [c for c, load in enumerate(profile, start=1) for _ in range(load)]
+    assert Association.from_profile(profile) == associate_by_assignment(assignment, len(profile))
+
+
+def test_associate_rejects_negative_loads():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Association.from_profile((2, -1, 1))
 
 
 def test_user_count_mismatch_rejected(worked_pda):
@@ -479,10 +499,12 @@ def test_wide_subpacketization_instance():
 
 def test_session_path_runs_no_scalar_field_arithmetic(monkeypatch):
     """Encoding, decoding and verification use only the exp/log tables; the
-    scalar product builds them and nothing else.  The field's polynomial is
-    not the default one, so no cached Cauchy matrix or inverse skips the
+    scalar product builds them and nothing else.  The Cauchy, inverse and
+    product-table caches are emptied first, so no cached matrix skips the
     path."""
-    field = BinaryField(16, poly=0x1002D)
+    for cache in (cauchy_matrix, _cached_inverse, _product_tables):
+        cache.cache_clear()
+    field = BinaryField(16)
     field.exp_table  # built while scalar mul still works
 
     def scalar_mul(self, a, b):
