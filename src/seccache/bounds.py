@@ -44,19 +44,23 @@ def lambda_of_s(profile, s: int) -> int:
 
 def cutset_terms(num_files: int, helper_memory, profile) -> list[tuple[int, Fraction]]:
     """The (s, value) bound terms at M_U = 1, each clamped at zero, for the
-    K = sum(profile) users of a nonincreasing profile."""
+    K = sum(profile) users of a nonincreasing profile.  The users are
+    counted cache by cache once, which gives every lambda_s in one pass."""
     if num_files < 1:
         raise ValueError("need at least one file")
+    profile = tuple(profile)
+    if any(a < b for a, b in zip(profile, profile[1:])):
+        raise ValueError("profile must be nonincreasing")
     num_users = sum(profile)
     if num_users < 1:
         raise ValueError("need at least one user")
     m = Fraction(helper_memory)
     if m < 0:
         raise ValueError("helper memory cannot be negative")
+    cache_of_user = (lam for lam, load in enumerate(profile, start=1) for _ in range(load))
     terms = []
-    for s in range(1, min(num_files // 2, num_users) + 1):
+    for s, lam_s in zip(range(1, min(num_files // 2, num_users) + 1), cache_of_user):
         per = num_files // s  # floor(N/s) >= 2 on this range
-        lam_s = lambda_of_s(profile, s)
         value = Fraction(s * per - 1 - (lam_s - 1) * m - (s - 1), per - 1)
         terms.append((s, max(value, Fraction(0))))
     return terms

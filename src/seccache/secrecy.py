@@ -25,9 +25,9 @@ is the number of symbols per share and M1 is the model of one position.
 Ranks scale by L, so rank([B | A_protected]) = rank(B) holds at all L
 positions exactly when it holds for M1, and a witness for M1 is a witness
 at any one position.  `verify_session` decides every check on M1
-(`SessionAnalyzer(session, positions=1)`), at a cost that does not depend
-on the file size; the full-width model (`positions=None`) is what the
-tests compare it with.
+(`SessionAnalyzer(session, positions=1)`) or a reduction of it, at a cost
+that does not depend on the file size; the full-width model
+(`positions=None`) is what the tests compare it with.
 
 The models order rows and columns with the position innermost.
 Elimination on a full-width model then performs M1's elimination L times
@@ -35,37 +35,40 @@ in lock step, and the first witness row it finds is M1's witness at
 position 0: the one-position and the full-width checks agree on every
 verdict and on every witness.
 
-`verify_session` decides each check on a smaller model that is exactly
+`verify_session` decides each check on the smallest model that is exactly
 equivalent to M1, following the paper's own argument.  Write C_w and C_v
 for the first F - Z and the last Z columns of the share matrix
 `session.enc`, which is cauchy_matrix(F, field), and C^lam for its rows at
-the shares cache lam stores.
+the shares cache lam stores.  One elimination of [C_v^lam | C_w^lam | I]
+per cache (`_residual`) proves the Z x Z block C_v^lam invertible, or
+raises, and gives (C_v^lam)^-1 C_w^lam and (C_v^lam)^-1.  With the pads
+on, no other check eliminates.
 
-- Placement.  A cache's shares of file n touch only w_n and v_n, through
-  the same block C^lam for every file, and a user's key rows each have a
-  private key column.  So the cache check and the placement check of each
-  user at that cache equal one `share_subset_model` check of C^lam.
-- Delivery.  The Z x Z block C_v^lam is invertible, so a cached-share
-  combination cancels any v_n a broadcast combination carries, and what
-  remains of share j is R_lam[j] = C_w[j] + C_v[j] (C_v^lam)^-1 C_w^lam
-  over w_n alone (zero for a cached j); one elimination of [C_v^lam |
-  C_w^lam | I] per cache gives (C_v^lam)^-1 C_w^lam and (C_v^lam)^-1.  A
+- Placement.  A cache's shares of file n are C_w^lam w_n + C_v^lam v_n,
+  so eliminating v_n leaves Z - rank(C_v^lam) = 0 rows, and each key row
+  has a private key column.  The cache check and the placement check of
+  each of its users run on a model with no rows, and hold.
+- Delivery.  A cached-share combination cancels any v_n a broadcast
+  combination carries, and what remains of share j is R_lam[j] = C_w[j] +
+  C_v[j] (C_v^lam)^-1 C_w^lam over w_n alone (zero for a cached j).  A
   broadcast whose key the user lacks has a private key column and drops
-  out; a held key cancels; with the pads stripped every broadcast stays.
-  The check holds exactly when each remaining broadcast's R_lam rows,
-  summed per demanded file, are zero on every protected file, which is a
-  model with no randomness columns at all.
+  out; a held key cancels; with the pads stripped every broadcast stays,
+  so a cache's users share one model.  The check holds exactly when each
+  remaining broadcast's R_lam rows, summed per demanded file, are zero on
+  every protected file: a model with no randomness columns at all.
+- Eavesdropper.  It holds no key, so with the pads on every broadcast
+  drops out and its model has no rows.  With them stripped it runs on M1.
 
-The eavesdropper check runs on M1 as it is.  A failing delivery check's
-reduced witness is one kept broadcast, the first that exposes a protected
-file, and it lifts to M1 in closed form: the broadcast, its key unless the
-pads are stripped, and C_v[j] (C_v^lam)^-1 on the cached shares of file n
-for each share j of file n it carries, which cancels v_n.  With the pads
-stripped this is the witness an elimination of M1 gives: every cache and
-key row pivots (C_v^lam is invertible and each key has its own column),
-so no broadcast row is swapped up past the pivots.  With the pads on, a
-key the user lacks makes its broadcast a pivot, and such an elimination
-may name another valid broadcast.
+A failing delivery check's reduced witness is one kept broadcast, the
+first that exposes a protected file, and it lifts to M1 in closed form:
+the broadcast, its key unless the pads are stripped, and C_v[j]
+(C_v^lam)^-1 on the cached shares of file n for each share j of file n it
+carries, which cancels v_n.  With the pads stripped this is the witness an
+elimination of M1 gives: every cache and key row pivots (C_v^lam is
+invertible and each key has its own column), so no broadcast row is
+swapped up past the pivots.  With the pads on, a key the user lacks makes
+its broadcast a pivot, and such an elimination may name another valid
+broadcast.
 """
 
 from __future__ import annotations
@@ -210,8 +213,8 @@ class SessionAnalyzer:
     up to a permutation, with M1 the model at `positions=1`.  Every check
     has the same verdict at every P, and its witness is M1's witness at
     position 0, because rows and columns run position-innermost and
-    elimination treats the positions in lock step.  `verify_session` uses
-    `positions=1`.
+    elimination treats the positions in lock step.  The stripped
+    eavesdropper check uses `positions=1`.
     """
 
     def __init__(self, session: SessionState, positions: int | None = None):
@@ -304,22 +307,12 @@ class SessionAnalyzer:
         return self._delivery_block
 
     def _assemble(self, blocks) -> LinearObservationModel:
-        field = self.session.config.field
-        if blocks:
-            a = np.concatenate([blk[0] for blk in blocks], axis=0)
-            b = np.concatenate([blk[1] for blk in blocks], axis=0)
-            labels = tuple(lbl for blk in blocks for lbl in blk[2])
-        else:
-            a, b = self._rows(0)
-            labels = ()
+        a = np.concatenate([blk[0] for blk in blocks], axis=0)
+        b = np.concatenate([blk[1] for blk in blocks], axis=0)
+        labels = tuple(lbl for blk in blocks for lbl in blk[2])
         return LinearObservationModel(
-            field, self.num_files, self.spf, a, b, labels
+            self.session.config.field, self.num_files, self.spf, a, b, labels
         )
-
-    def cache_model(self, cache: int) -> LinearObservationModel:
-        if not 1 <= cache <= self.session.config.num_caches:
-            raise ValueError(f"cache {cache} out of range")
-        return self._assemble([self.cache_block(cache)])
 
     def user_model(self, user: int, include_delivery: bool) -> LinearObservationModel:
         if user not in self.session.garray.columns:
@@ -334,22 +327,23 @@ class SessionAnalyzer:
         return self._assemble([self.delivery_block()])
 
 
+def _no_rows(field: BinaryField, num_files: int, width: int) -> LinearObservationModel:
+    """What a check reduces to once every observation has cancelled or
+    dropped out; every check on it holds."""
+    a, b = field.zeros(0, num_files * width), field.zeros(0, 0)
+    return LinearObservationModel(field, num_files, width, a, b, ())
+
+
 def check_external_eavesdropper(session: SessionState) -> SecrecyVerdict:
-    """Broadcast-only observer; every file is protected.  Decided at one
-    symbol position, which is exact (see the module docstring)."""
-    model = SessionAnalyzer(session, positions=1).eavesdropper_model()
-    return check_zero_information(model, range(1, session.config.num_files + 1))
-
-
-def share_subset_model(
-    enc: np.ndarray, num_random: int, rows, field: BinaryField
-) -> LinearObservationModel:
-    """Observation of selected shares (1-based rows) of a single shared
-    file with one symbol per subfile; used for sharing-level checks."""
-    nsub = len(enc) - num_random
-    picked = enc[[j - 1 for j in rows]]
-    labels = tuple(("share", 1, j, 0) for j in rows)
-    return LinearObservationModel(field, 1, nsub, picked[:, :nsub], picked[:, nsub:], labels)
+    """Broadcast-only observer; every file is protected.  Decided on no rows
+    with the pads on and on the one-position model with them stripped,
+    which is exact (see the module docstring)."""
+    num_files = session.config.num_files
+    if session.pads_stripped:
+        model = SessionAnalyzer(session, positions=1).eavesdropper_model()
+    else:
+        model = _no_rows(session.config.field, num_files, session.meta.num_subfiles)
+    return check_zero_information(model, range(1, num_files + 1))
 
 
 # -- whole-session verification ------------------------------------------------
@@ -387,10 +381,10 @@ def strip_pads(session: SessionState) -> SessionState:
 def _residual(session: SessionState, cache: int) -> tuple[np.ndarray, np.ndarray]:
     """R_lam = C_w + C_v (C_v^lam)^-1 C_w^lam, F x (F - Z): each share as a
     user at the given cache sees it once its cached shares have cancelled
-    the sharing randomness (see the module docstring), and (C_v^lam)^-1.
-    Eliminating [C_v^lam | C_w^lam | I] on its first Z columns leaves [I |
-    (C_v^lam)^-1 C_w^lam | (C_v^lam)^-1], or fewer than Z pivots when the
-    block is singular."""
+    the sharing randomness (see the module docstring), and the cancel rows
+    C_v (C_v^lam)^-1, F x Z.  Eliminating [C_v^lam | C_w^lam | I] on its
+    first Z columns leaves [I | (C_v^lam)^-1 C_w^lam | (C_v^lam)^-1], or
+    fewer than Z pivots when the block is singular."""
     field = session.config.field
     z = session.meta.num_random
     nsub = session.meta.num_subfiles
@@ -405,7 +399,8 @@ def _residual(session: SessionState, cache: int) -> tuple[np.ndarray, np.ndarray
         raise RuntimeError(
             f"cache {cache}: the randomness block of its shares is singular"
         )
-    return c_w ^ field.matmul(c_v, work[:, z : z + nsub]), work[:, z + nsub :]
+    product = field.matmul(c_v, work[:, z:])
+    return c_w ^ product[:, :nsub], product[:, nsub:]
 
 
 def _delivery_model(
@@ -430,7 +425,7 @@ def _delivery_model(
     )
 
 
-def _lifted(session: SessionState, user: int, pair, inverse) -> SecrecyVerdict:
+def _lifted(session: SessionState, user: int, pair, cancel) -> SecrecyVerdict:
     """The failing delivery witness of broadcast `pair` on the user's
     one-position model (see the module docstring).
 
@@ -449,7 +444,6 @@ def _lifted(session: SessionState, user: int, pair, inverse) -> SecrecyVerdict:
     if not session.pads_stripped:
         labels[key_start + keys.index(pair)] = ("key", *pair, 0)
     witness[list(labels)] = 1
-    cancel = field.matmul(session.enc[:, session.meta.num_subfiles :], inverse)
     for row, other in session.garray.pair_occurrences[pair]:
         n = session.demands[other - 1]
         for k, (j, coeff) in enumerate(zip(cached, cancel[row - 1])):
@@ -465,42 +459,40 @@ def verify_session(session: SessionState) -> SecrecyReport:
     placement secrecy, per-user delivery secrecy (all files but the
     demanded one), and the broadcast-only eavesdropper.
 
-    Each check is decided by one `check_zero_information` call on a model
-    exactly equivalent to its one-position model (see the module
-    docstring): a cache and the placement check of each of its users on
-    the cache's Z shares of one file, a delivery check on the broadcasts
-    the user cannot discard, reduced by R_lam, and the eavesdropper on the
-    one-position model itself.  A failing delivery check's witness is
-    lifted to the one-position model in closed form, unchanged with the
-    pads stripped.  Raises RuntimeError, naming the cache, when a cache
-    does not hold Z shares whose randomness block is invertible.
+    Each check is decided by one `check_zero_information` call on the
+    smallest model exactly equivalent to its one-position model (see the
+    module docstring): the placement checks on no rows, a delivery check
+    on the broadcasts the user cannot discard, reduced by R_lam, and the
+    eavesdropper on no rows, or on the one-position model with the pads
+    stripped.  So a clean session takes one elimination per cache, and
+    stripping the pads adds one.  A failing delivery check's witness is
+    lifted to the one-position model in closed form.  Raises
+    RuntimeError, naming the cache, when a cache does not hold Z shares
+    whose randomness block is invertible.
     """
-    field = session.config.field
     caches = range(1, session.config.num_caches + 1)
     residuals = {lam: _residual(session, lam) for lam in caches}
-    placement = {
-        lam: share_subset_model(
-            session.enc, session.meta.num_random, session.cached_rows[lam - 1], field
-        )
-        for lam in caches
-    }
+    placed = _no_rows(session.config.field, 1, session.meta.num_subfiles)
     all_files = range(1, session.config.num_files + 1)
     users = session.garray.column_users
     cache_of = session.association.user_to_cache
-    cache_placement = {lam: check_zero_information(placement[lam], {1}) for lam in caches}
-    user_placement = {
-        user: check_zero_information(placement[cache_of[user - 1]], {1})
-        for user in users
-    }
+    cache_placement = {lam: check_zero_information(placed, {1}) for lam in caches}
+    user_placement = {user: check_zero_information(placed, {1}) for user in users}
     user_delivery = {}
+    models = {}
     for user in users:
-        residual, inverse = residuals[cache_of[user - 1]]
+        lam = cache_of[user - 1]
+        residual, cancel = residuals[lam]
+        # with the pads stripped no broadcast drops out, so a cache's users
+        # share one model
+        key = lam if session.pads_stripped else user
+        if key not in models:
+            models[key] = _delivery_model(session, user, residual)
         protected = set(all_files) - {session.demands[user - 1]}
-        reduced = _delivery_model(session, user, residual)
-        verdict = check_zero_information(reduced, protected)
+        verdict = check_zero_information(models[key], protected)
         if not verdict.holds:  # one broadcast ("x", s, i, 0), coefficient 1
             (label, _), = verdict.witness_rows
-            verdict = _lifted(session, user, label[1:-1], inverse)
+            verdict = _lifted(session, user, label[1:-1], cancel)
         user_delivery[user] = verdict
     return SecrecyReport(
         cache_placement, user_placement, user_delivery, check_external_eavesdropper(session)

@@ -2,7 +2,8 @@
 the test-side oracles (scalar inverse, elimination and vector-matrix
 product, polynomial irreducibility, the association of a user-to-cache
 assignment, the distribution-enumeration secrecy oracle, a session's
-actual variable values, and the simplified unit-cache bound), and
+actual variable values, the simplified unit-cache bound, and the dense
+observation models of a share subset and of a cache), and
 Hypothesis strategies for random valid PDAs that are not MN and for
 sessions of those PDAs and of the M = 0 scheme."""
 
@@ -16,7 +17,12 @@ from hypothesis import strategies as st
 from seccache import BinaryField, Pda, SystemConfig, mn_pda, run_session, secrecy
 from seccache.bounds import lambda_of_s
 from seccache.scheme import Association, _stream, helper_memory_for, one_time_pad_session
-from seccache.secrecy import SecrecyVerdict, SessionAnalyzer, check_zero_information
+from seccache.secrecy import (
+    LinearObservationModel,
+    SecrecyVerdict,
+    SessionAnalyzer,
+    check_zero_information,
+)
 from seccache.sharing import bytes_to_subfiles, random_vector
 
 # The 4x6 reference array used throughout: (Lambda, F, Z, S) = (6, 4, 2, 4).
@@ -277,6 +283,23 @@ def brute_force_secrecy(session, observer, protected, include_delivery=True,
     if verdict.holds:
         raise RuntimeError("enumeration found a dependence the linear model lacks")
     return verdict
+
+
+def share_subset_model(enc, num_random, rows, field):
+    """Observation of selected shares (1-based rows) of a single shared
+    file with one symbol per subfile; used for sharing-level checks."""
+    nsub = len(enc) - num_random
+    picked = enc[[j - 1 for j in rows]]
+    labels = tuple(("share", 1, j, 0) for j in rows)
+    return LinearObservationModel(field, 1, nsub, picked[:, :nsub], picked[:, nsub:], labels)
+
+
+def cache_model(analyzer, cache):
+    """The dense model of every share symbol a cache stores, at the
+    analyzer's positions."""
+    if not 1 <= cache <= analyzer.session.config.num_caches:
+        raise ValueError(f"cache {cache} out of range")
+    return analyzer._assemble([analyzer.cache_block(cache)])
 
 
 def unit_cache_bound_terms(num_files, num_users, helper_memory, profile):

@@ -38,14 +38,16 @@ from seccache.scheme import (
     rate_report,
     run_session,
 )
-from seccache.secrecy import SessionAnalyzer, share_subset_model, verify_session
+from seccache.secrecy import SessionAnalyzer, verify_session
 from seccache.sharing import cauchy_matrix, share_file, unshare_file
 from tests.conftest import (
     WORKED_G_COLUMNS,
     WORKED_GRID,
+    cache_model,
     enumerate_independence,
     gf_vec_mat,
     make_worked_session,
+    share_subset_model,
     unit_cache_bound_terms,
 )
 
@@ -197,8 +199,8 @@ def _tiny_oracle_instances():
     out.append((an.user_model(1, include_delivery=True), {2}))
     out.append((an.user_model(2, include_delivery=True), {1}))
     out.append((an.user_model(1, include_delivery=False), {1, 2}))
-    out.append((an.cache_model(1), {1, 2}))
-    out.append((an.cache_model(2), {1, 2}))
+    out.append((cache_model(an, 1), {1, 2}))
+    out.append((cache_model(an, 2), {1, 2}))
     out.append((an.eavesdropper_model(), {1, 2}))
 
     sabotaged = tiny((2, 0), 2, strip_pads=True, demands=(1, 2))

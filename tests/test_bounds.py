@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seccache import Pda, mn_pda
 from seccache.bounds import (
@@ -48,6 +49,35 @@ def test_lambda_of_s_nondecreasing():
     profile = (5, 3, 3, 1)
     values = [lambda_of_s(profile, s) for s in range(1, 13)]
     assert values == sorted(values)
+
+
+nonincreasing_profiles = (
+    st.lists(st.integers(0, 6), min_size=1, max_size=8)
+    .map(lambda loads: tuple(sorted(loads, reverse=True)))
+    .filter(lambda profile: sum(profile) > 0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    profile=nonincreasing_profiles,
+    num_files=st.integers(1, 60),
+    memory=st.fractions(min_value=0, max_value=40, max_denominator=9),
+)
+def test_cutset_terms_take_each_lambda_of_s(profile, num_files, memory):
+    # zero-load caches included: the s-th user skips them
+    terms = cutset_terms(num_files, memory, profile)
+    assert [s for s, _ in terms] == list(range(1, min(num_files // 2, sum(profile)) + 1))
+    for s, value in terms:
+        per = num_files // s
+        lam_s = lambda_of_s(profile, s)
+        want = Fraction(s * per - 1 - (lam_s - 1) * memory - (s - 1), per - 1)
+        assert value == max(want, Fraction(0))
+
+
+def test_cutset_terms_need_a_nonincreasing_profile():
+    with pytest.raises(ValueError, match="nonincreasing"):
+        cutset_terms(4, 1, (1, 2))
 
 
 def test_bound_at_zero_memory_is_min_half_n_k():

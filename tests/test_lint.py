@@ -167,9 +167,8 @@ def test_small_field_matmul_gathers_all_columns_at_once():
 
 
 # Defined in the package yet called from outside the program: NumPy calls
-# the seed sequence's generate_state, and cache_model is a test oracle that
-# is still to move into tests/.
-UNCALLED = {"_Unseeded.generate_state", "SessionAnalyzer.cache_model"}
+# the seed sequence's generate_state.
+UNCALLED = {"_Unseeded.generate_state"}
 
 
 def defined_functions(tree, owner=None):

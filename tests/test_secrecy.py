@@ -20,7 +20,6 @@ from seccache.secrecy import (
     _exposing_combination,
     check_external_eavesdropper,
     check_zero_information,
-    share_subset_model,
     verify_session,
 )
 from seccache.sharing import cauchy_matrix
@@ -28,11 +27,13 @@ from tests.conftest import (
     WORKED_GRID,
     WORKED_PROFILE,
     brute_force_secrecy,
+    cache_model,
     enumerate_independence,
     gf_vec_mat,
     make_worked_session,
     random_pda_sessions,
     scalar_row_reduce,
+    share_subset_model,
     variable_assignment,
     zero_memory_sessions,
 )
@@ -136,7 +137,7 @@ def test_verdict_rejects_an_inconsistent_witness():
 def test_every_cache_placement_holds(worked_session):
     analyzer = SessionAnalyzer(worked_session)
     for lam in range(1, 7):
-        verdict = check_zero_information(analyzer.cache_model(lam), range(1, 22))
+        verdict = check_zero_information(cache_model(analyzer, lam), range(1, 22))
         assert verdict.holds
 
 
@@ -408,7 +409,7 @@ def dense_report(session, positions=None):
     all_files = range(1, session.config.num_files + 1)
     users = session.garray.column_users
     return secrecy.SecrecyReport(
-        {lam: check_zero_information(analyzer.cache_model(lam), all_files)
+        {lam: check_zero_information(cache_model(analyzer, lam), all_files)
          for lam in range(1, session.config.num_caches + 1)},
         {u: check_zero_information(analyzer.user_model(u, False), all_files)
          for u in users},
@@ -570,8 +571,9 @@ def test_verification_cost_does_not_grow_with_file_size(monkeypatch):
 
 
 def test_failing_witnesses_take_no_elimination(monkeypatch):
-    # every elimination with pivot columns decides a check; a witness is
-    # lifted in closed form, so stripping the pads adds none
+    # with the pads on only the six caches' residuals eliminate; stripping
+    # them adds one, the eavesdropper's one-position model, and no failing
+    # delivery witness takes one, as each is lifted in closed form
     counts = []
     echelon = secrecy._echelon
 
@@ -584,7 +586,34 @@ def test_failing_witnesses_take_no_elimination(monkeypatch):
         counts.append(0)
         report = verify_session(make_worked_session(strip_pads=strip))
         assert report.all_hold != strip
-    assert counts == [34, 34]
+    assert counts == [6, 7]
+
+
+def mn_10_3_session():
+    """mn:10,3 (F = 120, Z = 36) with two users per cache and N = K = 20."""
+    pda = mn_pda(10, 3)
+    config = SystemConfig(10, 20, 20, helper_memory_for(pda, 20), 2,
+                          field=BinaryField(8), seed=3)
+    return run_session(pda, config, profile=(2,) * 10)
+
+
+@pytest.mark.parametrize("make", [make_worked_session, mn_10_3_session])
+def test_a_clean_verify_eliminates_once_per_cache(monkeypatch, make):
+    session = make()
+    pivots = []
+    echelon = secrecy._echelon
+
+    def recording(field, mat, pivot_cols):
+        pivots.append(pivot_cols)
+        return echelon(field, mat, pivot_cols)
+
+    def no_dense_model(*args, **kwargs):
+        raise AssertionError("a clean verify builds no one-position model")
+
+    monkeypatch.setattr(secrecy, "_echelon", recording)
+    monkeypatch.setattr(secrecy, "SessionAnalyzer", no_dense_model)
+    assert verify_session(session).all_hold
+    assert pivots == [session.meta.num_random] * session.config.num_caches
 
 
 def check_pads_on_failing_witnesses(session, cache):
