@@ -23,15 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pda import Pda, check_mn_size, mn_pda
-from .scheme import helper_memory_for, rate_report
+from .scheme import helper_memory_for, nonincreasing, rate_report
 
 
 def lambda_of_s(profile, s: int) -> int:
     """Cache of the s-th user under cache-major enumeration: the smallest
     label whose cumulative load reaches s."""
-    profile = tuple(profile)
-    if any(a < b for a, b in zip(profile, profile[1:])):
-        raise ValueError("profile must be nonincreasing")
+    profile = nonincreasing(profile)
     if not 1 <= s <= sum(profile):
         raise ValueError(f"s={s} out of range [1, {sum(profile)}]")
     running = 0
@@ -48,9 +46,7 @@ def cutset_terms(num_files: int, helper_memory, profile) -> list[tuple[int, Frac
     counted cache by cache once, which gives every lambda_s in one pass."""
     if num_files < 1:
         raise ValueError("need at least one file")
-    profile = tuple(profile)
-    if any(a < b for a, b in zip(profile, profile[1:])):
-        raise ValueError("profile must be nonincreasing")
+    profile = nonincreasing(profile)
     num_users = sum(profile)
     if num_users < 1:
         raise ValueError("need at least one user")

@@ -26,7 +26,7 @@ directly, exp[log a + log b] for a product.
 
 `BinaryField.echelon` is the package's one elimination kernel.  It gives
 the sharing inverse (Gauss-Jordan on [A | I]), the secrecy module's
-residual (C_v^lam)^-1 C_w^lam, and every rank check.
+(C_v^lam)^-1 of each cache (on [C_v^lam | I]), and every rank check.
 """
 
 from __future__ import annotations

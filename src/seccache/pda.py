@@ -235,8 +235,8 @@ def mn_pda(num_caches: int, t: int) -> Pda:
 
 # -- text format ---------------------------------------------------------------
 #
-# Line 1: "Lambda F Z S" (decimal, space-separated); then F lines of Lambda
-# tokens, each "*" or a positive integer.  "#" starts a comment line.
+# Line 1: "Lambda F Z S" (ASCII decimal, space-separated); then F lines of
+# Lambda tokens, each "*" or ASCII decimal >= 1.  "#" starts a comment line.
 
 _STAR_TOKENS = {"*", "⋆"}  # "*" and the star symbol
 
@@ -253,12 +253,12 @@ def load_pda(text: str) -> Pda:
         raise PdaFormatError("no content")
 
     header_line, header = data_lines[0]
-    try:
-        lam, f, z, s = (int(tok) for tok in header.split())
-    except ValueError:
+    tokens = header.split()
+    if len(tokens) != 4 or not all(t.isascii() and t.isdigit() for t in tokens):
         raise PdaFormatError(
             f"line {header_line}: header must be four integers 'Lambda F Z S'"
-        ) from None
+        )
+    lam, f, z, s = map(int, tokens)
 
     body = data_lines[1:]
     if len(body) != f:
@@ -274,7 +274,7 @@ def load_pda(text: str) -> Pda:
         for colnum, tok in enumerate(tokens, start=1):
             if tok in _STAR_TOKENS:
                 row.append(STAR)
-            elif tok.isdigit() and int(tok) >= 1:
+            elif tok.isascii() and tok.isdigit() and int(tok) >= 1:
                 row.append(int(tok))
             else:
                 raise PdaFormatError(

@@ -113,6 +113,14 @@ def worst_case_demands(num_users: int, num_files: int) -> tuple[int, ...]:
     return tuple(range(1, num_users + 1))
 
 
+def nonincreasing(profile) -> tuple[int, ...]:
+    """The profile as a tuple; ValueError unless its loads never rise."""
+    profile = tuple(profile)
+    if any(a < b for a, b in zip(profile, profile[1:])):
+        raise ValueError("profile must be nonincreasing")
+    return profile
+
+
 @dataclass(frozen=True)
 class Association:
     """User-to-cache attachment after load-sorted relabeling.
@@ -128,8 +136,7 @@ class Association:
     cache_order: tuple[int, ...]
 
     def __post_init__(self):
-        if any(a < b for a, b in zip(self.profile, self.profile[1:])):
-            raise ValueError("profile must be nonincreasing")
+        nonincreasing(self.profile)
         if sum(self.profile) != len(self.user_to_cache):
             raise ValueError("profile does not sum to the user count")
         for lam, group in enumerate(self.groups, start=1):
@@ -227,8 +234,7 @@ def rate_report(pda: Pda, profile) -> RateReport:
     profile = tuple(profile)
     if len(profile) != pda.num_caches:
         raise ValueError("profile length must equal the cache count")
-    if any(a < b for a, b in zip(profile, profile[1:])):
-        raise ValueError("profile must be nonincreasing")
+    nonincreasing(profile)
     p = pda.params
     per_s = tuple(profile[k - 1] for k in pda.taus)
     total = sum(per_s)

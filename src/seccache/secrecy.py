@@ -39,10 +39,9 @@ verdict and on every witness.
 equivalent to M1, following the paper's own argument.  Write C_w and C_v
 for the first F - Z and the last Z columns of the share matrix
 `session.enc`, which is cauchy_matrix(F, field), and C^lam for its rows at
-the shares cache lam stores.  One elimination of [C_v^lam | C_w^lam | I]
-per cache (`_residual`) proves the Z x Z block C_v^lam invertible, or
-raises, and gives (C_v^lam)^-1 C_w^lam and (C_v^lam)^-1.  With the pads
-on, no other check eliminates.
+the shares cache lam stores.  One elimination of [C_v^lam | I] per cache
+(`_cancel_rows`) proves the Z x Z block C_v^lam invertible, or raises, and
+gives (C_v^lam)^-1.  With the pads on, no other check eliminates.
 
 - Placement.  A cache's shares of file n are C_w^lam w_n + C_v^lam v_n,
   so eliminating v_n leaves Z - rank(C_v^lam) = 0 rows, and each key row
@@ -53,9 +52,13 @@ on, no other check eliminates.
   C_v[j] (C_v^lam)^-1 C_w^lam over w_n alone (zero for a cached j).  A
   broadcast whose key the user lacks has a private key column and drops
   out; a held key cancels; with the pads stripped every broadcast stays,
-  so a cache's users share one model.  The check holds exactly when each
-  remaining broadcast's R_lam rows, summed per demanded file, are zero on
-  every protected file: a model with no randomness columns at all.
+  so a cache's users share one model.  R_lam at the F - Z shares the
+  cache lacks is S_lam, the Schur complement of C_v^lam in the invertible
+  share matrix, so S_lam is invertible.  The check runs on the
+  carried-share table: a 1 at (kept broadcast, file n, lacked share j)
+  when the broadcast carries share j of file n.  Times blockdiag(S_lam)
+  it is the R_lam model, so both give the same verdict and the same first
+  exposing broadcast, with no randomness columns or field arithmetic.
 - Eavesdropper.  It holds no key, so with the pads on every broadcast
   drops out and its model has no rows.  With them stripped it runs on M1.
 
@@ -106,15 +109,15 @@ class LinearObservationModel:
     def rand_dim(self) -> int:
         return self.obs_rand.shape[1]
 
-    def file_columns(self, n: int) -> range:
-        """Column range of file n's data symbols (1-based file index)."""
-        if not 1 <= n <= self.num_files:
-            raise ValueError(f"file {n} out of range")
-        return range((n - 1) * self.symbols_per_file, n * self.symbols_per_file)
-
     def protected_columns(self, protected) -> np.ndarray:
-        cols = [c for n in sorted(set(protected)) for c in self.file_columns(n)]
-        return np.asarray(cols, dtype=np.intp)
+        """Columns of the protected files' data symbols (1-based files), in
+        file order."""
+        files = np.array(sorted(set(protected)), dtype=np.intp)
+        outside = files[(files < 1) | (files > self.num_files)]
+        if outside.size:
+            raise ValueError(f"file {outside[0]} out of range")
+        width = self.symbols_per_file
+        return ((files[:, None] - 1) * width + np.arange(width)).ravel()
 
 
 @dataclass
@@ -378,56 +381,52 @@ def strip_pads(session: SessionState) -> SessionState:
     return replace(session, transmissions=transmissions, pads_stripped=True)
 
 
-def _residual(session: SessionState, cache: int) -> tuple[np.ndarray, np.ndarray]:
-    """R_lam = C_w + C_v (C_v^lam)^-1 C_w^lam, F x (F - Z): each share as a
-    user at the given cache sees it once its cached shares have cancelled
-    the sharing randomness (see the module docstring), and the cancel rows
-    C_v (C_v^lam)^-1, F x Z.  Eliminating [C_v^lam | C_w^lam | I] on its
-    first Z columns leaves [I | (C_v^lam)^-1 C_w^lam | (C_v^lam)^-1], or
-    fewer than Z pivots when the block is singular."""
+def _cancel_rows(session: SessionState, cache: int) -> np.ndarray:
+    """C_v (C_v^lam)^-1, F x Z: the combinations of the cache's shares that
+    cancel each share's sharing randomness.  Eliminating [C_v^lam | I] on
+    its first Z columns leaves [I | (C_v^lam)^-1], or fewer than Z pivots
+    when the block is singular."""
     field = session.config.field
     z = session.meta.num_random
-    nsub = session.meta.num_subfiles
-    c_w, c_v = session.enc[:, :nsub], session.enc[:, nsub:]
+    c_v = session.enc[:, session.meta.num_subfiles :]
     rows = [j - 1 for j in session.cached_rows[cache - 1]]
     if len(rows) != z:
         raise RuntimeError(
             f"cache {cache} holds {len(rows)} share rows, not Z = {z}"
         )
-    work = np.concatenate([c_v[rows], c_w[rows], np.eye(z, dtype=c_v.dtype)], axis=1)
+    work = np.concatenate([c_v[rows], np.eye(z, dtype=c_v.dtype)], axis=1)
     if _echelon(field, work, z) < z:
         raise RuntimeError(
             f"cache {cache}: the randomness block of its shares is singular"
         )
-    product = field.matmul(c_v, work[:, z:])
-    return c_w ^ product[:, :nsub], product[:, nsub:]
+    return field.matmul(c_v, work[:, z:])
 
 
-def _delivery_model(
-    session: SessionState, user: int, residual: np.ndarray
-) -> LinearObservationModel:
-    """The user's delivery check with its cache and keys eliminated: one row
-    per broadcast it cannot discard, whose block for file n sums the
-    residual rows of the shares demanded of file n.  It has no randomness
-    columns."""
+def _delivery_model(session: SessionState, user: int) -> LinearObservationModel:
+    """The user's delivery check with its cache and keys eliminated: its
+    carried-share table (see the module docstring), one row per broadcast
+    it cannot discard, with no randomness columns and no field arithmetic."""
     field = session.config.field
-    width = residual.shape[1]
+    num_files, width = session.config.num_files, session.meta.num_subfiles
+    cached = session.cached_rows[session.association.user_to_cache[user - 1] - 1]
+    lacked = (j for j in range(1, session.meta.num_shares + 1) if j not in cached)
+    column = {j: c for c, j in enumerate(lacked)}
     keys = session.user_keys[user]
     pairs = [p for p in session.transmissions if session.pads_stripped or p in keys]
-    a = field.zeros(len(pairs), session.config.num_files * width)
+    a = field.zeros(len(pairs), num_files * width)
     for r, pair in enumerate(pairs):
         for row, other in session.garray.pair_occurrences[pair]:
-            d = session.demands[other - 1]
-            a[r, (d - 1) * width : d * width] ^= residual[row - 1]
+            if row in column:
+                a[r, (session.demands[other - 1] - 1) * width + column[row]] ^= 1
     labels = tuple(("x", *pair, 0) for pair in pairs)
     return LinearObservationModel(
-        field, session.config.num_files, width, a, field.zeros(len(pairs), 0), labels
+        field, num_files, width, a, field.zeros(len(pairs), 0), labels
     )
 
 
 def _lifted(session: SessionState, user: int, pair, cancel) -> SecrecyVerdict:
     """The failing delivery witness of broadcast `pair` on the user's
-    one-position model (see the module docstring).
+    one-position model, from its cache's `_cancel_rows`.
 
     Its rows are placed by the layout of `SessionAnalyzer.user_model` at
     one position, without building it: the cache block (file-major, then
@@ -462,16 +461,15 @@ def verify_session(session: SessionState) -> SecrecyReport:
     Each check is decided by one `check_zero_information` call on the
     smallest model exactly equivalent to its one-position model (see the
     module docstring): the placement checks on no rows, a delivery check
-    on the broadcasts the user cannot discard, reduced by R_lam, and the
-    eavesdropper on no rows, or on the one-position model with the pads
-    stripped.  So a clean session takes one elimination per cache, and
-    stripping the pads adds one.  A failing delivery check's witness is
-    lifted to the one-position model in closed form.  Raises
-    RuntimeError, naming the cache, when a cache does not hold Z shares
-    whose randomness block is invertible.
+    on its carried-share table, and the eavesdropper on no rows, or on
+    the one-position model with the pads stripped.  So a clean session
+    takes one elimination per cache, and stripping the pads adds one.  A
+    failing delivery check's witness is lifted to the one-position model
+    in closed form.  Raises RuntimeError, naming the cache, when a cache
+    does not hold Z shares whose randomness block is invertible.
     """
     caches = range(1, session.config.num_caches + 1)
-    residuals = {lam: _residual(session, lam) for lam in caches}
+    cancels = {lam: _cancel_rows(session, lam) for lam in caches}
     placed = _no_rows(session.config.field, 1, session.meta.num_subfiles)
     all_files = range(1, session.config.num_files + 1)
     users = session.garray.column_users
@@ -482,17 +480,16 @@ def verify_session(session: SessionState) -> SecrecyReport:
     models = {}
     for user in users:
         lam = cache_of[user - 1]
-        residual, cancel = residuals[lam]
         # with the pads stripped no broadcast drops out, so a cache's users
         # share one model
         key = lam if session.pads_stripped else user
         if key not in models:
-            models[key] = _delivery_model(session, user, residual)
+            models[key] = _delivery_model(session, user)
         protected = set(all_files) - {session.demands[user - 1]}
         verdict = check_zero_information(models[key], protected)
         if not verdict.holds:  # one broadcast ("x", s, i, 0), coefficient 1
             (label, _), = verdict.witness_rows
-            verdict = _lifted(session, user, label[1:-1], cancel)
+            verdict = _lifted(session, user, label[1:-1], cancels[lam])
         user_delivery[user] = verdict
     return SecrecyReport(
         cache_placement, user_placement, user_delivery, check_external_eavesdropper(session)

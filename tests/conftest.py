@@ -2,11 +2,14 @@
 the test-side oracles (scalar inverse, elimination and vector-matrix
 product, polynomial irreducibility, the association of a user-to-cache
 assignment, the distribution-enumeration secrecy oracle, a session's
-actual variable values, the simplified unit-cache bound, and the dense
-observation models of a share subset and of a cache), and
+actual variable values, the simplified unit-cache bound, the dense
+observation models of a share subset and of a cache, and the R_lam
+delivery reduction that the carried-share table is checked against), a
+cache tamper that keeps verify running, and
 Hypothesis strategies for random valid PDAs that are not MN and for
 sessions of those PDAs and of the M = 0 scheme."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -300,6 +303,56 @@ def cache_model(analyzer, cache):
     if not 1 <= cache <= analyzer.session.config.num_caches:
         raise ValueError(f"cache {cache} out of range")
     return analyzer._assemble([analyzer.cache_block(cache)])
+
+
+def residual(session, cache):
+    """The reference delivery reduction: R_lam = C_w + C_v (C_v^lam)^-1
+    C_w^lam, F x (F - Z), each share as a user at the given cache sees it
+    once its cached shares have cancelled the sharing randomness, and the
+    cancel rows C_v (C_v^lam)^-1, F x Z.  Eliminating [C_v^lam | C_w^lam |
+    I] on its first Z columns leaves [I | (C_v^lam)^-1 C_w^lam |
+    (C_v^lam)^-1]."""
+    field, z, nsub = session.config.field, session.meta.num_random, session.meta.num_subfiles
+    c_w, c_v = session.enc[:, :nsub], session.enc[:, nsub:]
+    rows = [j - 1 for j in session.cached_rows[cache - 1]]
+    work = np.concatenate([c_v[rows], c_w[rows], np.eye(z, dtype=c_v.dtype)], axis=1)
+    if field.echelon(work, z) < z:
+        raise ValueError(f"cache {cache}: its randomness block is singular")
+    product = field.matmul(c_v, work[:, z:])
+    return c_w ^ product[:, :nsub], product[:, nsub:]
+
+
+def residual_delivery_model(session, user, r_lam):
+    """The reference delivery check with the user's cache and keys
+    eliminated: one row per broadcast it cannot discard, whose block for
+    file n sums the R_lam rows of the shares of file n it carries, and no
+    randomness columns."""
+    field = session.config.field
+    width = r_lam.shape[1]
+    keys = session.user_keys[user]
+    pairs = [p for p in session.transmissions if session.pads_stripped or p in keys]
+    a = field.zeros(len(pairs), session.config.num_files * width)
+    for r, pair in enumerate(pairs):
+        for row, other in session.garray.pair_occurrences[pair]:
+            d = session.demands[other - 1]
+            a[r, (d - 1) * width : d * width] ^= r_lam[row - 1]
+    labels = tuple(("x", *pair, 0) for pair in pairs)
+    return LinearObservationModel(
+        field, session.config.num_files, width, a, field.zeros(len(pairs), 0), labels
+    )
+
+
+def complementary_cache(session, cache):
+    """The session with the given cache holding the first Z shares it did
+    not hold, topped up from its own when F - Z < Z (its complement when
+    F = 2Z).  Every Z rows of a Cauchy matrix's C_v are an invertible
+    block, so verify still runs, but the cache's users now lack shares
+    that their broadcasts carry of other files."""
+    held = session.cached_rows[cache - 1]
+    lacked = [j for j in range(1, session.meta.num_shares + 1) if j not in held]
+    rows = list(session.cached_rows)
+    rows[cache - 1] = tuple(sorted([*lacked, *held][: session.meta.num_random]))
+    return replace(session, cached_rows=tuple(rows))
 
 
 def unit_cache_bound_terms(num_files, num_users, helper_memory, profile):

@@ -18,6 +18,7 @@ from seccache.bounds import (
     sweep,
     sweep_csv,
 )
+from seccache.scheme import Association, rate_report
 from tests.conftest import WORKED_GRID, WORKED_PROFILE, unit_cache_bound_terms
 
 
@@ -75,9 +76,15 @@ def test_cutset_terms_take_each_lambda_of_s(profile, num_files, memory):
         assert value == max(want, Fraction(0))
 
 
-def test_cutset_terms_need_a_nonincreasing_profile():
-    with pytest.raises(ValueError, match="nonincreasing"):
-        cutset_terms(4, 1, (1, 2))
+@pytest.mark.parametrize("use", [
+    lambda profile: lambda_of_s(profile, 1),
+    lambda profile: cutset_terms(4, 1, profile),
+    lambda profile: Association(profile, ((1,), (2, 3)), (1, 2, 2), (1, 2)),
+    lambda profile: rate_report(mn_pda(2, 1), profile),
+], ids=["lambda_of_s", "cutset_terms", "Association", "rate_report"])
+def test_every_profile_reader_needs_it_nonincreasing(use):
+    with pytest.raises(ValueError, match="^profile must be nonincreasing$"):
+        use((1, 2))
 
 
 def test_bound_at_zero_memory_is_min_half_n_k():

@@ -42,6 +42,15 @@ def test_pda_validate_mutated(tmp_path, capsys):
     assert "invalid" in out and "C3" in out
 
 
+def test_pda_validate_names_a_non_ascii_digit(tmp_path, capsys):
+    path = tmp_path / "superscript.pda"
+    path.write_text("2 2 1 1\n* \u00b2\n1 *\n", encoding="utf-8")
+    assert run(["pda", "validate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "invalid: line 2: bad entry '\u00b2' at column 2\n"
+    assert captured.err == ""
+
+
 def test_pda_validate_empty(tmp_path, capsys):
     path = tmp_path / "empty.pda"
     path.write_text("")

@@ -290,6 +290,17 @@ def test_load_empty_and_garbage():
         load_pda("2 2 1 1\n* x\n1 *\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2 2 1 1\n* \u00b2\n1 *\n", "line 2: bad entry '\u00b2' at column 2"),
+    ("2 2 1 1\n* \u0661\n\u0661 *\n", "line 2: bad entry '\u0661' at column 2"),
+    ("\uff12 2 1 1\n* 1\n1 *\n", "line 1: header must be four integers"),
+    ("+2 2 1 1\n* 1\n1 *\n", "line 1: header must be four integers"),
+], ids=["superscript-two", "arabic-indic-one", "full-width-header", "signed-header"])
+def test_load_reads_only_ascii_decimals(text, message):
+    with pytest.raises(PdaFormatError, match=message):
+        load_pda(text)
+
+
 def test_load_validates_grid():
     text = "2 2 1 2\n* 1\n2 *\n"  # integer 2 occurs, 1..2 present? swap to break C3
     pda = load_pda(text)

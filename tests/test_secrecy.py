@@ -3,10 +3,11 @@
 import random
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from seccache import BinaryField, Pda, mn_pda, secrecy
 from seccache.scheme import (
@@ -28,10 +29,13 @@ from tests.conftest import (
     WORKED_PROFILE,
     brute_force_secrecy,
     cache_model,
+    complementary_cache,
     enumerate_independence,
     gf_vec_mat,
     make_worked_session,
     random_pda_sessions,
+    residual,
+    residual_delivery_model,
     scalar_row_reduce,
     share_subset_model,
     variable_assignment,
@@ -90,6 +94,18 @@ def test_obs_dim_counts(worked_session):
     assert placement.obs_dim == n * z * fsym + (f - z) * fsym
     delivery = analyzer.user_model(1, include_delivery=True)
     assert delivery.obs_dim == placement.obs_dim + 20 * fsym
+
+
+def test_protected_columns_are_the_files_in_order(worked_session):
+    model = SessionAnalyzer(worked_session).user_model(1, include_delivery=True)
+    width = model.symbols_per_file
+    assert model.protected_columns([3, 1, 3]).tolist() == [
+        *range(width), *range(2 * width, 3 * width)
+    ]
+    assert model.protected_columns(()).size == 0
+    for outside in (0, 22):
+        with pytest.raises(ValueError, match=f"file {outside} out of range"):
+            model.protected_columns({1, outside})
 
 
 def test_model_reproduces_actual_session_values(worked_session):
@@ -619,9 +635,7 @@ def test_a_clean_verify_eliminates_once_per_cache(monkeypatch, make):
 def check_pads_on_failing_witnesses(session, cache):
     """Give the cache its complementary Z shares: its randomness block stays
     invertible, but its users' broadcasts now expose what they lack."""
-    rows = list(session.cached_rows)
-    rows[cache - 1] = tuple(j for j in range(1, 5) if j not in rows[cache - 1])
-    session = replace(session, cached_rows=tuple(rows))
+    session = complementary_cache(session, cache)
     got = report_checks(verify_session(session))
     want = report_checks(dense_report(session, positions=1))
     assert [(name, v.holds) for name, v in got] == [(name, v.holds) for name, v in want]
@@ -656,3 +670,65 @@ def test_pads_on_witnesses_place_keys_in_sorted_order(worked_session, cache):
     pda = Pda.from_grid(WORKED_GRID[::-1])
     session = run_session(pda, worked_session.config, profile=WORKED_PROFILE)
     check_pads_on_failing_witnesses(session, cache)
+
+
+@st.composite
+def delivery_sessions(draw):
+    """A random PDA, M = 0 or worked-example session, demands repeating at
+    times, with one cache given shares it lacked (`complementary_cache`) at
+    times, and with or without its pads.  With the pads on, a tampered
+    cache's users fail only where another user's demand differs, which the
+    worked example's 21 distinct demands ensure."""
+    session = draw(st.one_of(
+        zero_memory_sessions(),
+        random_pda_sessions(),
+        st.builds(make_worked_session, seed=st.integers(0, 2**32 - 1)),
+    ))
+    if session.meta.num_random and draw(st.booleans()):
+        cache = draw(st.integers(1, session.config.num_caches))
+        session = complementary_cache(session, cache)
+    return secrecy.strip_pads(session) if draw(st.booleans()) else session
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(session=delivery_sessions())
+@example(session=complementary_cache(make_worked_session(), 2))
+@example(session=secrecy.strip_pads(complementary_cache(make_worked_session(), 5)))
+def test_carried_share_table_is_the_residual_model_in_other_columns(session):
+    config = session.config
+    field, f, z = config.field, session.meta.num_shares, session.meta.num_random
+    shapes = []
+    matmul = BinaryField.matmul
+
+    def recording(self, coeffs, symbols):
+        product = matmul(self, coeffs, symbols)
+        shapes.append(product.shape)
+        return product
+
+    with mock.patch.object(BinaryField, "matmul", recording):
+        report = verify_session(session)
+    # each cache's cancel rows C_v (C_v^lam)^-1, and no R_lam
+    assert shapes == [(f, z)] * config.num_caches
+    all_files = set(range(1, config.num_files + 1))
+    for user in session.garray.column_users:
+        lam = session.association.user_to_cache[user - 1]
+        r_lam, cancel = residual(session, lam)
+        assert np.array_equal(secrecy._cancel_rows(session, lam), cancel)
+        want = residual_delivery_model(session, user, r_lam)
+        got = secrecy._delivery_model(session, user)
+        assert got.row_labels == want.row_labels and got.rand_dim == 0
+        # A_reference = A_table . blockdiag(S_lam), S_lam = R_lam at the
+        # shares the cache lacks
+        lacked = [j - 1 for j in range(1, f + 1) if j not in session.cached_rows[lam - 1]]
+        blocks = np.kron(np.eye(config.num_files, dtype=field.dtype), r_lam[lacked])
+        assert np.array_equal(field.matmul(got.obs_files, blocks), want.obs_files)
+        protected = all_files - {session.demands[user - 1]}
+        reference = check_zero_information(want, protected)
+        table = check_zero_information(got, protected)
+        assert table.witness_rows == reference.witness_rows
+        verdict = report.user_delivery[user]
+        assert verdict.holds == reference.holds
+        if not verdict.holds:
+            broadcasts = [row for row in verdict.witness_rows if row[0][0] == "x"]
+            assert broadcasts == list(reference.witness_rows)
