@@ -25,8 +25,9 @@ Phases, in order:
 
 The M = 0 one-time-pad scheme (`one_time_pad_session`) is the same
 procedure with F = 1 and Z = 0: it has its own placement and one-row G-array,
-and shares phases 3 and 4 with `run_session`.  Both record the share matrix,
-cauchy_matrix(F, field), as `SessionState.enc` for the verifier.
+and shares phases 3 and 4 with `run_session`.  A session does not store the
+share matrix: it is cauchy_matrix(F, field), which the sharing and the
+verifier each build from F.
 
 Relabeling caches after placement is pure bookkeeping: the share-to-cache
 map never depends on the association, so sorting labels by load first and
@@ -52,7 +53,7 @@ from .sharing import (
     ShareMeta,
     _share_meta,
     bytes_to_symbols,
-    cauchy_matrix,
+    cauchy_matrix,  # not called here: perfbench/tracing.py patches scheme.cauchy_matrix
     random_vector,
     random_words,
     share_file,
@@ -318,7 +319,6 @@ class SessionState:
     config: SystemConfig
     pda: Pda | None  # canonical (column-permuted); None for the M=0 baseline
     association: Association
-    enc: np.ndarray  # cauchy_matrix(F, field), the share matrix
     meta: ShareMeta
     library: tuple[bytes, ...]
     shares: list
@@ -465,8 +465,7 @@ def run_session(
     return _keys_and_delivery(
         build_g_array(canonical, association),
         rate_report(canonical, association.profile),
-        config=config, pda=canonical, association=association,
-        enc=cauchy_matrix(canonical.num_rows, config.field), meta=meta,
+        config=config, pda=canonical, association=association, meta=meta,
         library=library, shares=shares, cached_rows=cached_rows, demands=demands,
     )
 
@@ -553,8 +552,7 @@ def one_time_pad_session(
     return _keys_and_delivery(
         GArray(columns, pair_occurrences),
         RateReport(config.num_users, Fraction(config.num_users), per_s),
-        config=config, pda=None, association=association,
-        enc=cauchy_matrix(1, field), meta=meta, library=library,
+        config=config, pda=None, association=association, meta=meta, library=library,
         shares=[bytes_to_symbols(d, field, meta.symbols_per_share)[None] for d in library],
         cached_rows=tuple(() for _ in range(config.num_caches)),
         demands=demands,

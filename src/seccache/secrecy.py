@@ -38,10 +38,11 @@ verdict and on every witness.
 `verify_session` decides each check on the smallest model that is exactly
 equivalent to M1, following the paper's own argument.  Write C_w and C_v
 for the first F - Z and the last Z columns of the share matrix
-`session.enc`, which is cauchy_matrix(F, field), and C^lam for its rows at
-the shares cache lam stores.  One elimination of [C_v^lam | I] per cache
-(`_cancel_rows`) proves the Z x Z block C_v^lam invertible, or raises, and
-gives (C_v^lam)^-1.  With the pads on, no other check eliminates.
+cauchy_matrix(F, field), and C^lam for its rows at the shares cache lam
+stores, which `verify_session` first checks are Z distinct rows in 1..F.
+Every square submatrix of a Cauchy matrix is invertible, so C_v^lam is,
+and no verdict needs more than which shares each cache holds and each
+broadcast carries: a clean session takes no elimination and no product.
 
 - Placement.  A cache's shares of file n are C_w^lam w_n + C_v^lam v_n,
   so eliminating v_n leaves Z - rank(C_v^lam) = 0 rows, and each key row
@@ -51,14 +52,14 @@ gives (C_v^lam)^-1.  With the pads on, no other check eliminates.
   combination carries, and what remains of share j is R_lam[j] = C_w[j] +
   C_v[j] (C_v^lam)^-1 C_w^lam over w_n alone (zero for a cached j).  A
   broadcast whose key the user lacks has a private key column and drops
-  out; a held key cancels; with the pads stripped every broadcast stays,
-  so a cache's users share one model.  R_lam at the F - Z shares the
-  cache lacks is S_lam, the Schur complement of C_v^lam in the invertible
-  share matrix, so S_lam is invertible.  The check runs on the
-  carried-share table: a 1 at (kept broadcast, file n, lacked share j)
-  when the broadcast carries share j of file n.  Times blockdiag(S_lam)
-  it is the R_lam model, so both give the same verdict and the same first
-  exposing broadcast, with no randomness columns or field arithmetic.
+  out; a held key cancels; with the pads stripped every broadcast stays.
+  R_lam at the F - Z shares the cache lacks is S_lam, the Schur complement
+  of C_v^lam in the invertible share matrix, so S_lam is invertible.  The
+  check runs on the carried-share table, built once per verify: a 1 at
+  (broadcast, file n, share j) when the broadcast carries share j of file
+  n, restricted to the broadcasts the user keeps and the shares its cache
+  lacks.  Times blockdiag(S_lam) it is the R_lam model, so both give the
+  same verdict and the same first exposing broadcast.
 - Eavesdropper.  It holds no key, so with the pads on every broadcast
   drops out and its model has no rows.  With them stripped it runs on M1.
 
@@ -66,12 +67,12 @@ A failing delivery check's reduced witness is one kept broadcast, the
 first that exposes a protected file, and it lifts to M1 in closed form:
 the broadcast, its key unless the pads are stripped, and C_v[j]
 (C_v^lam)^-1 on the cached shares of file n for each share j of file n it
-carries, which cancels v_n.  With the pads stripped this is the witness an
-elimination of M1 gives: every cache and key row pivots (C_v^lam is
-invertible and each key has its own column), so no broadcast row is
-swapped up past the pivots.  With the pads on, a key the user lacks makes
-its broadcast a pivot, and such an elimination may name another valid
-broadcast.
+carries, which cancels v_n (`_cancel_rows`, once per cache with a failing
+user).  With the pads stripped this is the witness an elimination of M1
+gives: every cache and key row pivots (C_v^lam is invertible and each key
+has its own column), so no broadcast row is swapped up past the pivots.
+With the pads on, a key the user lacks makes its broadcast a pivot, and
+such an elimination may name another valid broadcast.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ import numpy as np
 
 from .field import BinaryField
 from .scheme import SessionState
+from .sharing import cauchy_matrix
 
 RowLabel = tuple
 
@@ -208,17 +210,11 @@ def check_zero_information(
 
 class SessionAnalyzer:
     """Builds observation models for one session, sharing the expensive row
-    blocks (per-cache shares, transmissions) across observers.
-
-    The models cover the first `positions` symbol positions of every share,
-    key and broadcast (all of them for None).  Positions never interact and
-    share their coefficients, so the model of P positions is kron(I_P, M1)
-    up to a permutation, with M1 the model at `positions=1`.  Every check
-    has the same verdict at every P, and its witness is M1's witness at
-    position 0, because rows and columns run position-innermost and
-    elimination treats the positions in lock step.  The stripped
-    eavesdropper check uses `positions=1`.
-    """
+    blocks (per-cache shares, transmissions) across observers.  The models
+    cover the first `positions` symbol positions of every share, key and
+    broadcast (all of them for None), position innermost; at `positions=1`
+    they are M1 (see the module docstring), which the stripped eavesdropper
+    check uses."""
 
     def __init__(self, session: SessionState, positions: int | None = None):
         if positions is not None and positions < 1:
@@ -242,7 +238,7 @@ class SessionAnalyzer:
             pair: self.vdim + idx * self.fsym
             for idx, pair in enumerate(self.pairs)
         }
-        self._enc = session.enc
+        self._enc = cauchy_matrix(meta.num_shares, session.config.field)
         self._cache_blocks: dict[int, tuple] = {}
         self._delivery_block: tuple | None = None
 
@@ -383,45 +379,47 @@ def strip_pads(session: SessionState) -> SessionState:
 
 def _cancel_rows(session: SessionState, cache: int) -> np.ndarray:
     """C_v (C_v^lam)^-1, F x Z: the combinations of the cache's shares that
-    cancel each share's sharing randomness.  Eliminating [C_v^lam | I] on
-    its first Z columns leaves [I | (C_v^lam)^-1], or fewer than Z pivots
-    when the block is singular."""
-    field = session.config.field
-    z = session.meta.num_random
-    c_v = session.enc[:, session.meta.num_subfiles :]
+    cancel each share's sharing randomness, for lifting its users' failing
+    witnesses.  Eliminating [C_v^lam | I] on its first Z columns leaves
+    [I | (C_v^lam)^-1]; the cache holds Z distinct rows of a Cauchy matrix,
+    so fewer than Z pivots breaks an invariant."""
+    field, meta = session.config.field, session.meta
+    z = meta.num_random
+    c_v = cauchy_matrix(meta.num_shares, field)[:, meta.num_subfiles :]
     rows = [j - 1 for j in session.cached_rows[cache - 1]]
-    if len(rows) != z:
-        raise RuntimeError(
-            f"cache {cache} holds {len(rows)} share rows, not Z = {z}"
-        )
     work = np.concatenate([c_v[rows], np.eye(z, dtype=c_v.dtype)], axis=1)
     if _echelon(field, work, z) < z:
-        raise RuntimeError(
-            f"cache {cache}: the randomness block of its shares is singular"
-        )
+        raise RuntimeError(f"cache {cache}: the randomness block of its shares is singular")
     return field.matmul(c_v, work[:, z:])
 
 
-def _delivery_model(session: SessionState, user: int) -> LinearObservationModel:
-    """The user's delivery check with its cache and keys eliminated: its
-    carried-share table (see the module docstring), one row per broadcast
-    it cannot discard, with no randomness columns and no field arithmetic."""
-    field = session.config.field
-    num_files, width = session.config.num_files, session.meta.num_subfiles
-    cached = session.cached_rows[session.association.user_to_cache[user - 1] - 1]
-    lacked = (j for j in range(1, session.meta.num_shares + 1) if j not in cached)
-    column = {j: c for c, j in enumerate(lacked)}
-    keys = session.user_keys[user]
-    pairs = [p for p in session.transmissions if session.pads_stripped or p in keys]
-    a = field.zeros(len(pairs), num_files * width)
-    for r, pair in enumerate(pairs):
-        for row, other in session.garray.pair_occurrences[pair]:
-            if row in column:
-                a[r, (session.demands[other - 1] - 1) * width + column[row]] ^= 1
-    labels = tuple(("x", *pair, 0) for pair in pairs)
+def _carried_shares(session: SessionState) -> np.ndarray:
+    """The carried-share table, P x N x F, broadcasts in transmission order:
+    1 where a broadcast carries share j of file n, at most once (C3)."""
+    occurrences, demands = session.garray.pair_occurrences, session.demands
+    cells = [(p, demands[user - 1] - 1, row - 1) for p, pair in enumerate(session.transmissions)
+             for row, user in occurrences[pair]]
+    shape = len(session.transmissions), session.config.num_files, session.meta.num_shares
+    table = session.config.field.zeros(*shape)
+    table[tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)] = 1
+    return table
+
+
+def _delivery_model(
+    session: SessionState, user: int, table: np.ndarray, lacked: list[int]
+) -> LinearObservationModel:
+    """The user's delivery check with its cache and keys eliminated: the
+    carried-share table at the broadcasts the user cannot discard (all of
+    them with the pads stripped, those whose key it holds otherwise) and
+    at the shares its cache lacks (0-based `lacked`)."""
+    keys, field = session.user_keys[user], session.config.field
+    kept = [(r, pair) for r, pair in enumerate(session.transmissions)
+            if session.pads_stripped or pair in keys]
+    rows = [r for r, _ in kept]
     return LinearObservationModel(
-        field, num_files, width, a, field.zeros(len(pairs), 0), labels
-    )
+        field, session.config.num_files, len(lacked),
+        np.take(table[rows], lacked, axis=2).reshape(len(rows), table.shape[1] * len(lacked)),
+        field.zeros(len(rows), 0), tuple(("x", *pair, 0) for _, pair in kept))
 
 
 def _lifted(session: SessionState, user: int, pair, cancel) -> SecrecyVerdict:
@@ -460,37 +458,40 @@ def verify_session(session: SessionState) -> SecrecyReport:
 
     Each check is decided by one `check_zero_information` call on the
     smallest model exactly equivalent to its one-position model (see the
-    module docstring): the placement checks on no rows, a delivery check
-    on its carried-share table, and the eavesdropper on no rows, or on
-    the one-position model with the pads stripped.  So a clean session
-    takes one elimination per cache, and stripping the pads adds one.  A
-    failing delivery check's witness is lifted to the one-position model
-    in closed form.  Raises RuntimeError, naming the cache, when a cache
-    does not hold Z shares whose randomness block is invertible.
+    module docstring): placement on no rows, delivery on the carried-share
+    table, and the eavesdropper on no rows, or on the one-position model
+    with the pads stripped.  Raises RuntimeError, naming the cache, when a
+    cache does not list Z distinct share rows in 1..F.
     """
-    caches = range(1, session.config.num_caches + 1)
-    cancels = {lam: _cancel_rows(session, lam) for lam in caches}
-    placed = _no_rows(session.config.field, 1, session.meta.num_subfiles)
-    all_files = range(1, session.config.num_files + 1)
-    users = session.garray.column_users
-    cache_of = session.association.user_to_cache
+    config, meta = session.config, session.meta
+    f, z = meta.num_shares, meta.num_random
+    for lam, rows in enumerate(session.cached_rows, start=1):
+        if not len(rows) == len(set(rows).intersection(range(1, f + 1))) == z:
+            raise RuntimeError(f"cache {lam} holds {len(rows)} share rows {list(rows)}, "
+                               f"not Z = {z} distinct rows in 1..{f}")
+    placed = _no_rows(config.field, 1, meta.num_subfiles)
+    all_files = set(range(1, config.num_files + 1))
+    caches = range(1, config.num_caches + 1)
     cache_placement = {lam: check_zero_information(placed, {1}) for lam in caches}
+    users = session.garray.column_users
     user_placement = {user: check_zero_information(placed, {1}) for user in users}
+    table = _carried_shares(session)
     user_delivery = {}
-    models = {}
-    for user in users:
-        lam = cache_of[user - 1]
-        # with the pads stripped no broadcast drops out, so a cache's users
-        # share one model
-        key = lam if session.pads_stripped else user
-        if key not in models:
-            models[key] = _delivery_model(session, user)
-        protected = set(all_files) - {session.demands[user - 1]}
-        verdict = check_zero_information(models[key], protected)
-        if not verdict.holds:  # one broadcast ("x", s, i, 0), coefficient 1
-            (label, _), = verdict.witness_rows
-            verdict = _lifted(session, user, label[1:-1], cancels[lam])
-        user_delivery[user] = verdict
+    # groups list the users cache by cache, in the G-array's column order
+    for lam, group in enumerate(session.association.groups, start=1):
+        lacked = [j for j in range(f) if j + 1 not in session.cached_rows[lam - 1]]
+        model = cancel = None
+        for user in group:
+            # with the pads stripped every user keeps every broadcast, so the
+            # users of a cache share one model
+            if model is None or not session.pads_stripped:
+                model = _delivery_model(session, user, table, lacked)
+            verdict = check_zero_information(model, all_files - {session.demands[user - 1]})
+            if not verdict.holds:  # one broadcast ("x", s, i, 0), coefficient 1
+                cancel = _cancel_rows(session, lam) if cancel is None else cancel
+                (label, _), = verdict.witness_rows
+                verdict = _lifted(session, user, label[1:-1], cancel)
+            user_delivery[user] = verdict
     return SecrecyReport(
         cache_placement, user_placement, user_delivery, check_external_eavesdropper(session)
     )

@@ -26,7 +26,7 @@ from seccache.secrecy import (
     SessionAnalyzer,
     check_zero_information,
 )
-from seccache.sharing import bytes_to_subfiles, random_vector
+from seccache.sharing import bytes_to_subfiles, cauchy_matrix, random_vector
 
 # The 4x6 reference array used throughout: (Lambda, F, Z, S) = (6, 4, 2, 4).
 WORKED_GRID = (
@@ -313,7 +313,8 @@ def residual(session, cache):
     I] on its first Z columns leaves [I | (C_v^lam)^-1 C_w^lam |
     (C_v^lam)^-1]."""
     field, z, nsub = session.config.field, session.meta.num_random, session.meta.num_subfiles
-    c_w, c_v = session.enc[:, :nsub], session.enc[:, nsub:]
+    enc = cauchy_matrix(session.meta.num_shares, field)
+    c_w, c_v = enc[:, :nsub], enc[:, nsub:]
     rows = [j - 1 for j in session.cached_rows[cache - 1]]
     work = np.concatenate([c_v[rows], c_w[rows], np.eye(z, dtype=c_v.dtype)], axis=1)
     if field.echelon(work, z) < z:

@@ -2,8 +2,9 @@
 field arithmetic stays inside the field module, the byte <-> symbol codec
 lives in the sharing module, sessions are built in one place, randomness
 comes from NumPy's Mersenne Twister as raw words in bounded calls, the
-G-array is read by user, the package never imports the tests' oracles, and
-every function it defines has a caller in the program."""
+G-array is read by user, the secrecy verdicts read no payload, the package
+never imports the tests' oracles, and every function it defines has a caller
+in the program."""
 
 import ast
 from pathlib import Path
@@ -144,6 +145,16 @@ def test_the_g_array_is_read_by_user():
              if isinstance(node, ast.Subscript) and spelled(node.value) == "column_users"
              or spelled(node) in {"column_index", "column_of_user"}]
     assert not found, f"read G by user, not by column: {found}"
+
+
+def test_secrecy_reads_no_payload():
+    """The verifier never reads a session's shares or library, so every
+    verdict and witness depends on the session's structure alone: the
+    G-array, the cached rows, the demands and which keys each user holds."""
+    found = [f"{file}:{node.lineno}" for file, node in package_nodes()
+             if file == "secrecy.py" and isinstance(node, ast.Attribute)
+             and node.attr in {"shares", "library"}]
+    assert not found, f"secrecy verdicts follow from structure alone: {found}"
 
 
 def test_small_field_matmul_gathers_all_columns_at_once():

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
@@ -13,6 +14,7 @@ from seccache import BinaryField, Pda, mn_pda, secrecy
 from seccache.scheme import (
     SystemConfig,
     helper_memory_for,
+    one_time_pad_session,
     run_session,
 )
 from seccache.secrecy import (
@@ -244,6 +246,8 @@ def test_no_transmissions_is_vacuously_secret():
     model = analyzer.eavesdropper_model()
     assert model.obs_dim == 0
     assert check_zero_information(model, [1, 2]).holds
+    assert verify_session(session).all_hold
+    assert verify_session(secrecy.strip_pads(session)).all_hold
 
 
 # -- sharing-level secrecy ------------------------------------------------------
@@ -558,18 +562,21 @@ def test_a_cache_without_z_shares_is_an_error(worked_session):
         verify_session(broken)
 
 
-def test_a_singular_cached_randomness_block_is_an_error(worked_session):
-    # cache 2 stores shares 1 and 3; give share 3 the randomness
-    # coefficients of share 1, so its Z x Z block is singular
-    enc = worked_session.enc.copy()
+@pytest.mark.parametrize("rows", [(1, 1), (0, 3), (1, 5)],
+                         ids=["duplicate", "row-0", "row-F+1"])
+def test_a_cache_must_list_z_distinct_rows_in_range(worked_session, rows):
+    # cache 2 holds shares 1 and 3 of F = 4
     assert worked_session.cached_rows[1] == (1, 3)
-    enc[2, 2:] = enc[0, 2:]
-    broken = replace(worked_session, enc=enc)
-    with pytest.raises(RuntimeError, match="cache 2: .* singular"):
+    cached = list(worked_session.cached_rows)
+    cached[1] = rows
+    broken = replace(worked_session, cached_rows=tuple(cached))
+    with pytest.raises(RuntimeError, match=r"cache 2 holds 2 share rows .* distinct rows in 1\.\.4"):
         verify_session(broken)
 
 
 def test_verification_cost_does_not_grow_with_file_size(monkeypatch):
+    # a clean verify eliminates nothing, so the sessions are stripped: their
+    # failing caches and the eavesdropper eliminate
     shapes = []
     echelon = secrecy._echelon
 
@@ -581,15 +588,16 @@ def test_verification_cost_does_not_grow_with_file_size(monkeypatch):
     by_size = {}
     for file_bytes in (4, 2048):
         shapes.clear()
-        verify_session(make_worked_session(file_bytes=file_bytes))
+        verify_session(secrecy.strip_pads(make_worked_session(file_bytes=file_bytes)))
         by_size[file_bytes] = list(shapes)
     assert by_size[4] and by_size[4] == by_size[2048]
 
 
 def test_failing_witnesses_take_no_elimination(monkeypatch):
-    # with the pads on only the six caches' residuals eliminate; stripping
-    # them adds one, the eavesdropper's one-position model, and no failing
-    # delivery witness takes one, as each is lifted in closed form
+    # with the pads on nothing eliminates; stripping them adds one
+    # elimination for each cache's cancel rows, as every cache has a failing
+    # user, and one for the eavesdropper's one-position model, and no
+    # failing delivery witness takes one, as each is lifted in closed form
     counts = []
     echelon = secrecy._echelon
 
@@ -602,7 +610,7 @@ def test_failing_witnesses_take_no_elimination(monkeypatch):
         counts.append(0)
         report = verify_session(make_worked_session(strip_pads=strip))
         assert report.all_hold != strip
-    assert counts == [6, 7]
+    assert counts == [0, 7]
 
 
 def mn_10_3_session():
@@ -613,23 +621,49 @@ def mn_10_3_session():
     return run_session(pda, config, profile=(2,) * 10)
 
 
-@pytest.mark.parametrize("make", [make_worked_session, mn_10_3_session])
-def test_a_clean_verify_eliminates_once_per_cache(monkeypatch, make):
-    session = make()
-    pivots = []
-    echelon = secrecy._echelon
+def counting_field_arithmetic(monkeypatch):
+    """Patch the secrecy module's eliminations and every field product to
+    count their calls, and forbid building a one-position model."""
+    calls = {"echelon": 0, "matmul": 0}
+    echelon, matmul = secrecy._echelon, BinaryField.matmul
 
-    def recording(field, mat, pivot_cols):
-        pivots.append(pivot_cols)
+    def eliminating(field, mat, pivot_cols):
+        calls["echelon"] += 1
         return echelon(field, mat, pivot_cols)
+
+    def multiplying(self, coeffs, symbols):
+        calls["matmul"] += 1
+        return matmul(self, coeffs, symbols)
 
     def no_dense_model(*args, **kwargs):
         raise AssertionError("a clean verify builds no one-position model")
 
-    monkeypatch.setattr(secrecy, "_echelon", recording)
+    monkeypatch.setattr(secrecy, "_echelon", eliminating)
+    monkeypatch.setattr(BinaryField, "matmul", multiplying)
     monkeypatch.setattr(secrecy, "SessionAnalyzer", no_dense_model)
+    return calls
+
+
+@pytest.mark.parametrize("make", [make_worked_session, mn_10_3_session])
+def test_a_clean_verify_runs_no_field_arithmetic(monkeypatch, make):
+    session = make()
+    calls = counting_field_arithmetic(monkeypatch)
     assert verify_session(session).all_hold
-    assert pivots == [session.meta.num_random] * session.config.num_caches
+    assert calls == {"echelon": 0, "matmul": 0}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(session=st.one_of(random_pda_sessions(), zero_memory_sessions()))
+@example(session=one_time_pad_session(  # Z = 0
+    SystemConfig(2, 3, 2, Fraction(0), 4, seed=1), profile=(2, 1), demands=(1, 2, 1)))
+def test_every_untampered_pads_on_session_passes_with_no_field_arithmetic(
+    monkeypatch, session
+):
+    with monkeypatch.context() as patched:
+        calls = counting_field_arithmetic(patched)
+        assert verify_session(session).all_hold
+    assert calls == {"echelon": 0, "matmul": 0}
 
 
 def check_pads_on_failing_witnesses(session, cache):
@@ -708,25 +742,29 @@ def test_carried_share_table_is_the_residual_model_in_other_columns(session):
 
     with mock.patch.object(BinaryField, "matmul", recording):
         report = verify_session(session)
-    # each cache's cancel rows C_v (C_v^lam)^-1, and no R_lam
-    assert shapes == [(f, z)] * config.num_caches
+    # the cancel rows C_v (C_v^lam)^-1 of each cache with a failing user, and
+    # no R_lam
+    cache_of = session.association.user_to_cache
+    failing = {cache_of[u - 1] for u, v in report.user_delivery.items() if not v.holds}
+    assert shapes == [(f, z)] * len(failing)
     all_files = set(range(1, config.num_files + 1))
+    table = secrecy._carried_shares(session)
     for user in session.garray.column_users:
-        lam = session.association.user_to_cache[user - 1]
+        lam = cache_of[user - 1]
         r_lam, cancel = residual(session, lam)
         assert np.array_equal(secrecy._cancel_rows(session, lam), cancel)
         want = residual_delivery_model(session, user, r_lam)
-        got = secrecy._delivery_model(session, user)
+        lacked = [j - 1 for j in range(1, f + 1) if j not in session.cached_rows[lam - 1]]
+        got = secrecy._delivery_model(session, user, table, lacked)
         assert got.row_labels == want.row_labels and got.rand_dim == 0
         # A_reference = A_table . blockdiag(S_lam), S_lam = R_lam at the
         # shares the cache lacks
-        lacked = [j - 1 for j in range(1, f + 1) if j not in session.cached_rows[lam - 1]]
         blocks = np.kron(np.eye(config.num_files, dtype=field.dtype), r_lam[lacked])
         assert np.array_equal(field.matmul(got.obs_files, blocks), want.obs_files)
         protected = all_files - {session.demands[user - 1]}
         reference = check_zero_information(want, protected)
-        table = check_zero_information(got, protected)
-        assert table.witness_rows == reference.witness_rows
+        reduced = check_zero_information(got, protected)
+        assert reduced.witness_rows == reference.witness_rows
         verdict = report.user_delivery[user]
         assert verdict.holds == reference.holds
         if not verdict.holds:
