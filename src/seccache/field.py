@@ -19,7 +19,7 @@ matrix, built from the exp/log tables and cached per matrix
 coefficient column j, zero-padded to a 1, 2, 4 or 8k-byte word row, so
 an entry holds C * 2^l * padded R bytes (at most 4 MiB at F <= 128).
 One gather of those rows and one XOR reduce multiply a whole chunk of
-symbols, holding at most about 1 MiB at a time; a one-column matrix
+symbols, holding at most about 512 KiB at a time; a one-column matrix
 needs the gather alone.  The other array
 operations, and matmul at l > 8, gather from the exp/log tables
 directly, exp[log a + log b] for a product.
@@ -57,8 +57,12 @@ _DEFAULT_POLYS = {
 
 # Bytes that one gather of `BinaryField.matmul` at l <= 8 may hold: the
 # products and their int64 row indices, C * (padded R + 8) per symbol.
-# Longer symbol arrays are multiplied in chunks of columns.
-_GATHER_BUDGET_BYTES = 1 << 20
+# Longer symbol arrays are multiplied in chunks of columns.  A batch of
+# files shared in one product fills whole chunks: at 1 MiB each freed chunk
+# let glibc trim the heap and the next one fault it back in, 525 page
+# faults per `bulk`-shaped operation in a plain loop, 13 % slower than
+# sharing file by file; at 512 KiB there are none.
+_GATHER_BUDGET_BYTES = 1 << 19
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -178,7 +182,7 @@ class BinaryField:
         into the (R, L) result.  The symbols are taken in chunks of
         columns so that the gathered words and their int64 indices, C *
         (padded R + 8) bytes per symbol, stay within _GATHER_BUDGET_BYTES
-        (1 MiB).  The symbols are bound-checked before the gather.  With
+        (512 KiB).  The symbols are bound-checked before the gather.  With
         one coefficient column (C = 1, as in the M = 0 scheme's 1 x 1
         product) the symbols are the row indices themselves: no offset is
         added and there is nothing to XOR together.

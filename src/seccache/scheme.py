@@ -4,8 +4,9 @@ Phases, in order:
 
   1. helper placement   - every file is encoded into F shares, an (F, L)
                           array, by the (Z, F) non-perfect secret sharing
-                          that F fixes; cache lam stores the shares whose
-                          PDA rows are stars in column lam.
+                          that F fixes, one product per batch of files;
+                          cache lam stores the shares whose PDA rows are
+                          stars in column lam.
   2. association        - users attach to caches; caches are relabeled so
                           the per-cache user counts (the profile) are
                           nonincreasing, and the PDA columns are permuted
@@ -63,9 +64,9 @@ from .sharing import (
 Pair = tuple[int, int]
 
 # Largest library, N x file_bytes, that a session may hold.  `simulate --pda
-# mn:4,2` over four files peaks near 5.5 times its library (ru_maxrss, 2-vCPU
-# host): 120, 202 and 358 MiB at 16, 32 and 64 MiB, and 645 MiB at 128 MiB,
-# above the 428 MiB this cap of 64 MiB was first set against.
+# mn:4,2` over four files peaks near 5 times its library (ru_maxrss, 2-vCPU
+# host): 111, 188 and 323 MiB at 16, 32 and 64 MiB.  A 128 MiB library peaked
+# at 645 MiB before this cap, above the 428 MiB it was first set against.
 MAX_LIBRARY_BYTES = 1 << 26
 
 
@@ -251,7 +252,11 @@ def helper_placement(pda: Pda, config: SystemConfig, library, rng):
     Returns (shares, meta, cached_rows): shares[n] is the (F, L) share
     array of file n+1, row j its share j+1; cached_rows[lam-1] lists the
     1-based share rows every cache lam stores (for all files, per PDA
-    column lam).  No sharing randomness outlives its file's share_file call.
+    column lam).  The files are shared in batches, file order kept, each
+    one share_file call: as many whole files as fit in WORDS_PER_CALL
+    symbols of input, and at least one, so a file larger than that is
+    shared alone.  shares[n] is file n+1's column block of its batch's
+    product.  No sharing randomness outlives its batch's share_file call.
     """
     p = pda.params
     m, n = config.helper_memory, config.num_files
@@ -260,10 +265,15 @@ def helper_placement(pda: Pda, config: SystemConfig, library, rng):
             f"memory ratio mismatch: Z/F = {Fraction(p.stars_per_column, p.num_rows)}"
             f" but M/(M+N) = {Fraction(m, m + n)}"
         )
-    shares, meta = [], None
-    for data in library:
-        s, meta = share_file(data, p.num_rows, p.stars_per_column, config.field, rng)
-        shares.append(s)
+    f, z, field = p.num_rows, p.stars_per_column, config.field
+    meta = _share_meta(8 * config.file_bytes, f, z, field)
+    length = meta.symbols_per_share
+    per_batch = max(1, WORDS_PER_CALL // (f * length))
+    shares = []
+    for start in range(0, len(library), per_batch):
+        batch = library[start : start + per_batch]
+        block = share_file(b"".join(batch), f, z, field, rng, len(batch))[0]
+        shares += [block[:, i : i + length] for i in range(0, block.shape[1], length)]
     cached_rows = tuple(pda.star_rows(lam) for lam in range(1, p.num_caches + 1))
 
     # Per-cache storage meets the memory budget with equality: N*Z*(B/(F-Z)) = M*B.

@@ -406,25 +406,29 @@ def _carried_shares(session: SessionState) -> np.ndarray:
 
 
 def _delivery_model(
-    session: SessionState, user: int, table: np.ndarray, lacked: list[int]
+    session: SessionState, user: int, table: np.ndarray, lacked: list[int],
+    row_of: dict,
 ) -> LinearObservationModel:
     """The user's delivery check with its cache and keys eliminated: the
-    carried-share table at the broadcasts the user cannot discard (all of
-    them with the pads stripped, those whose key it holds otherwise) and
-    at the shares its cache lacks (0-based `lacked`)."""
-    keys, field = session.user_keys[user], session.config.field
-    kept = [(r, pair) for r, pair in enumerate(session.transmissions)
-            if session.pads_stripped or pair in keys]
-    rows = [r for r, _ in kept]
+    carried-share table at the broadcasts the user cannot discard and at
+    the shares its cache lacks (0-based `lacked`).  With the pads stripped
+    those are all the broadcasts; otherwise they are the broadcasts of the
+    keys the user holds, looked up in `row_of`, each broadcast's row in
+    transmission order, and kept in that order."""
+    field = session.config.field
+    kept = list(row_of) if session.pads_stripped else sorted(
+        (pair for pair in session.user_keys[user] if pair in row_of), key=row_of.__getitem__)
+    rows = [row_of[pair] for pair in kept]
     return LinearObservationModel(
         field, session.config.num_files, len(lacked),
         np.take(table[rows], lacked, axis=2).reshape(len(rows), table.shape[1] * len(lacked)),
-        field.zeros(len(rows), 0), tuple(("x", *pair, 0) for _, pair in kept))
+        field.zeros(len(rows), 0), tuple(("x", *pair, 0) for pair in kept))
 
 
-def _lifted(session: SessionState, user: int, pair, cancel) -> SecrecyVerdict:
+def _lifted(session: SessionState, user: int, pair, cancel, row_of: dict) -> SecrecyVerdict:
     """The failing delivery witness of broadcast `pair` on the user's
-    one-position model, from its cache's `_cancel_rows`.
+    one-position model, from its cache's `_cancel_rows` and the broadcast
+    rows `row_of`.
 
     Its rows are placed by the layout of `SessionAnalyzer.user_model` at
     one position, without building it: the cache block (file-major, then
@@ -433,11 +437,10 @@ def _lifted(session: SessionState, user: int, pair, cancel) -> SecrecyVerdict:
     field = session.config.field
     cached = session.cached_rows[session.association.user_to_cache[user - 1] - 1]
     keys = sorted(session.user_keys[user])
-    broadcasts = list(session.transmissions)
     key_start = session.config.num_files * len(cached)
     x_start = key_start + len(keys)
-    witness = field.zeros(x_start + len(broadcasts))
-    labels = {x_start + broadcasts.index(pair): ("x", *pair, 0)}
+    witness = field.zeros(x_start + len(row_of))
+    labels = {x_start + row_of[pair]: ("x", *pair, 0)}
     if not session.pads_stripped:
         labels[key_start + keys.index(pair)] = ("key", *pair, 0)
     witness[list(labels)] = 1
@@ -476,6 +479,7 @@ def verify_session(session: SessionState) -> SecrecyReport:
     users = session.garray.column_users
     user_placement = {user: check_zero_information(placed, {1}) for user in users}
     table = _carried_shares(session)
+    row_of = {pair: r for r, pair in enumerate(session.transmissions)}
     user_delivery = {}
     # groups list the users cache by cache, in the G-array's column order
     for lam, group in enumerate(session.association.groups, start=1):
@@ -485,12 +489,12 @@ def verify_session(session: SessionState) -> SecrecyReport:
             # with the pads stripped every user keeps every broadcast, so the
             # users of a cache share one model
             if model is None or not session.pads_stripped:
-                model = _delivery_model(session, user, table, lacked)
+                model = _delivery_model(session, user, table, lacked, row_of)
             verdict = check_zero_information(model, all_files - {session.demands[user - 1]})
             if not verdict.holds:  # one broadcast ("x", s, i, 0), coefficient 1
                 cancel = _cancel_rows(session, lam) if cancel is None else cancel
                 (label, _), = verdict.witness_rows
-                verdict = _lifted(session, user, label[1:-1], cancel)
+                verdict = _lifted(session, user, label[1:-1], cancel, row_of)
             user_delivery[user] = verdict
     return SecrecyReport(
         cache_placement, user_placement, user_delivery, check_external_eavesdropper(session)

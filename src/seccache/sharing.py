@@ -23,9 +23,14 @@ coefficient matrix, so the share matrix and the inverse's rows are
 tabulated once per process; at l > 8 every product is a gather
 exp[log a + log b].  No scalar field product runs on this path.
 
-Sharing reads each file's subfiles and its Z random vectors as one (F, L)
-input, their concatenation, and unsharing takes the F shares as one
-(F, L) array, so neither side stacks a list of rows.
+The share matrix is the same for every file, so sharing a batch of k
+files is one product with an (F, k * L) input that holds the files side
+by side: file i's subfiles and its Z random vectors are columns
+i * L .. (i + 1) * L, and so are its shares in the product.  The input is
+written in place, its first F - Z rows by one pass of the codec over the
+batch's bytes and its last Z rows by one draw, so nothing stacks or
+concatenates rows.  Unsharing takes one file's F shares as one (F, L)
+array.
 
 Randomness comes from a NumPy Mersenne Twister (`np.random.MT19937`)
 seeded as CPython's `random.seed(int)` seeds its own, so a draw of W
@@ -109,18 +114,14 @@ def _cached_inverse(n: int, field: BinaryField) -> np.ndarray:
     return inv
 
 
-def encode_shares(subfiles, randomness, field: BinaryField) -> np.ndarray:
-    """Produce the F shares of F-Z subfiles and Z randomness vectors, as an
-    (F, L) array.
-
-    The input is one (F, L) array, the subfiles concatenated above the
-    randomness; share j is row j of cauchy_matrix(F, field) applied
-    symbol-wise to its columns.
-    """
-    subfiles, randomness = np.asarray(subfiles), np.asarray(randomness)
-    if subfiles.shape[1:] != randomness.shape[1:]:
-        raise ValueError("subfile and randomness symbol-lengths differ")
-    inputs = np.concatenate((subfiles, randomness))
+def encode_shares(inputs, field: BinaryField) -> np.ndarray:
+    """The F shares of one (F, X) input, its F - Z rows of subfiles above
+    its Z rows of randomness, as an (F, X) array: cauchy_matrix(F, field)
+    times the input, so column x of the shares depends on column x of the
+    input alone.  A list of equal-length rows is stacked first."""
+    inputs = np.asarray(inputs)
+    if inputs.ndim != 2:
+        raise ValueError(f"the input must be one (F, X) array, got shape {inputs.shape}")
     return field.matmul(cauchy_matrix(len(inputs), field), inputs)
 
 
@@ -138,7 +139,9 @@ def reconstruct_file(shares, meta: ShareMeta, field: BinaryField) -> np.ndarray:
 # -- byte <-> symbol codec --------------------------------------------------
 #
 # The one place that knows the layout: a byte string is read MSB-first as a
-# single bit stream, cut into l-bit symbols, and zero-padded at the end.
+# single bit stream, cut into l-bit symbols, and zero-padded at the end.  A
+# batch of files back to back is read as one stream per file, each padded
+# at its own end.
 # When l is a multiple of 8 a symbol is l/8 whole bytes, most significant
 # first, so the codec is a big-endian numpy view of the bytes.  Every other
 # width cuts symbols across byte boundaries, and only there do the bytes go
@@ -153,25 +156,41 @@ def _share_meta(data_bits: int, f: int, z: int, field: BinaryField) -> ShareMeta
     return ShareMeta(f, z, data_bits, padded, padded // ((f - z) * field.l))
 
 
+def _batch_meta(size: int, count: int, f: int, z: int, field: BinaryField) -> ShareMeta:
+    """One file's geometry in a batch of `count` equal-length files that
+    hold `size` bytes in all."""
+    if count < 1 or size % count:
+        raise ValueError(f"{size} bytes do not split into {count} equal files")
+    return _share_meta(8 * size // count, f, z, field)
+
+
+def _file_symbols(data: bytes, files: int, per_file: int, field: BinaryField) -> np.ndarray:
+    """The bit streams of `files` equal-length files, back to back in data,
+    as `per_file` l-bit symbols each, every file zero-padded at its own
+    end: a (files, per_file) array.  The bytes are copied only to pad
+    them, so at l = 8 or 16 unpadded files are a read-only view of data."""
+    size = len(data) // files
+    if per_file * field.l < 8 * size:
+        raise ValueError(f"{per_file} symbols of {field.l} bits cannot hold {size} bytes")
+    raw = np.frombuffer(data, np.uint8).reshape(files, size)
+    padded = -(-per_file * field.l // 8)
+    if padded > size:
+        # unpackbits leaves the bits past an empty input uninitialised, so
+        # the bytes are zero-padded to whole symbols first on both paths.
+        grown = np.zeros((files, padded), np.uint8)
+        grown[:, :size] = raw
+        raw = grown
+    if field.l % 8 == 0:
+        return raw.view(f">u{field.l // 8}")
+    bits = np.unpackbits(raw, axis=1, count=per_file * field.l)
+    weights = (1 << np.arange(field.l - 1, -1, -1)).astype(field.dtype)
+    return bits.reshape(files, per_file, field.l) @ weights
+
+
 def bytes_to_symbols(data: bytes, field: BinaryField, count: int) -> np.ndarray:
     """The bit stream of data as `count` l-bit symbols, zero-padded at the
     end, in a fresh writable array."""
-    if count * field.l < 8 * len(data):
-        raise ValueError(f"{count} symbols of {field.l} bits cannot hold {len(data)} bytes")
-    if field.l % 8 == 0:
-        width = field.l // 8
-        whole = -(-len(data) // width)
-        symbols = field.zeros(count)
-        symbols[:whole] = np.frombuffer(
-            bytes(data).ljust(whole * width, b"\0"), dtype=f">u{width}"
-        )
-        return symbols
-    # unpackbits leaves the bits past an empty input uninitialised, so the
-    # data is zero-padded to whole bytes first, as on the word path.
-    padded = bytes(data).ljust(-(-count * field.l // 8), b"\0")
-    bits = np.unpackbits(np.frombuffer(padded, dtype=np.uint8), count=count * field.l)
-    weights = (1 << np.arange(field.l - 1, -1, -1)).astype(field.dtype)
-    return bits.reshape(count, field.l) @ weights
+    return np.array(_file_symbols(data, 1, count, field)[0], field.dtype)
 
 
 def _symbol_bytes(symbols, field: BinaryField) -> np.ndarray:
@@ -192,16 +211,29 @@ def symbols_to_bytes(symbols, field: BinaryField) -> bytes:
 
 
 def bytes_to_subfiles(
-    data: bytes, f: int, z: int, field: BinaryField
+    data: bytes, f: int, z: int, field: BinaryField, count: int = 1, out=None
 ) -> tuple[np.ndarray, ShareMeta]:
-    """Split a byte string into F-Z equal subfiles, as an (F-Z, L) array.
+    """Split `count` equal-length files, back to back in data, into F-Z
+    equal subfiles each, as an (F-Z, count * L) array whose columns
+    i * L .. (i + 1) * L are file i's subfiles; the whole batch is one
+    pass of the codec.
 
-    The padded length is divisible by (F-Z) * l; the original length is kept
-    in the returned metadata and restored on reassembly.
+    Each file is zero-padded at its own end to a length divisible by
+    (F-Z) * l; the returned metadata is one file's, and keeps its
+    original length, which reassembly restores.  The symbols are written
+    into `out` when it is given, a C-contiguous array of that shape such
+    as the first rows of an encode input, and into a fresh array
+    otherwise.
     """
-    meta = _share_meta(8 * len(data), f, z, field)
-    symbols = bytes_to_symbols(data, field, meta.padded_bits // field.l)
-    return symbols.reshape(meta.num_subfiles, meta.symbols_per_share), meta
+    meta = _batch_meta(len(data), count, f, z, field)
+    length = meta.symbols_per_share
+    if out is None:
+        out = np.empty((f - z, count * length), field.dtype)
+    elif out.shape != (f - z, count * length) or not out.flags.c_contiguous:
+        raise ValueError(f"cannot write {count} files' subfiles into shape {out.shape}")
+    symbols = _file_symbols(data, count, meta.padded_bits // field.l, field)
+    out.reshape(f - z, count, length).swapaxes(0, 1)[...] = symbols.reshape(count, f - z, length)
+    return out, meta
 
 
 def subfiles_to_bytes(subfiles, meta: ShareMeta, field: BinaryField) -> bytes:
@@ -236,15 +268,28 @@ def random_vector(length: int, field: BinaryField, rng: np.random.MT19937) -> np
 
 
 def share_file(
-    data: bytes, num_shares: int, num_random: int, field: BinaryField, rng
+    data: bytes, num_shares: int, num_random: int, field: BinaryField, rng, count: int = 1
 ) -> tuple[np.ndarray, ShareMeta]:
-    """Encode one file into F shares; returns (shares, meta), the shares an
-    (F, L) array.  The Z randomness vectors are one draw of Z * L symbols,
-    mixed into the shares and dropped, since only the shares need them."""
-    subfiles, meta = bytes_to_subfiles(data, num_shares, num_random, field)
+    """Encode `count` equal-length files, back to back in data, into F
+    shares each; returns (shares, meta), the shares an (F, count * L)
+    array whose columns i * L .. (i + 1) * L are file i's, and meta one
+    file's geometry.
+
+    The (F, count * L) input is written in place: `bytes_to_subfiles`
+    puts every file's subfiles in its first F - Z rows, and one draw of
+    count * Z * L symbols, file after file, fills its last Z, so file i
+    gets the Z vectors the i-th of count draws of Z * L would give it.
+    One product shares the batch; the randomness goes with the input,
+    since only the shares need it."""
+    f, z = num_shares, num_random
+    meta = _batch_meta(len(data), count, f, z, field)
     length = meta.symbols_per_share
-    randomness = random_vector(num_random * length, field, rng).reshape(num_random, length)
-    return encode_shares(subfiles, randomness, field), meta
+    inputs = np.empty((f, count * length), field.dtype)
+    bytes_to_subfiles(data, f, z, field, count, inputs[: f - z])
+    inputs[f - z :].reshape(z, count, length).swapaxes(0, 1)[...] = random_vector(
+        count * z * length, field, rng
+    ).reshape(count, z, length)
+    return encode_shares(inputs, field), meta
 
 
 def unshare_file(shares, meta: ShareMeta, field: BinaryField) -> bytes:

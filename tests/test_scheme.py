@@ -4,13 +4,14 @@ keys, delivery, decoding, and the rate formula."""
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from seccache import BinaryField, Pda, mn_pda, validate, verify_session
+from seccache import BinaryField, Pda, mn_pda, scheme, sharing, validate, verify_session
 from seccache.field import _product_tables
 from seccache.secrecy import strip_pads
 from seccache.sharing import (
@@ -29,6 +30,8 @@ from seccache.scheme import (
     decode_all,
     decode_user,
     helper_memory_for,
+    helper_placement,
+    mersenne_twister,
     one_time_pad_session,
     rate_report,
     run_session,
@@ -349,9 +352,9 @@ def test_randomized_end_to_end_decode():
 
 
 def test_session_builds_each_product_table_once():
-    """On GF(2^8) run_session multiplies by one share matrix and decode_all
-    by its inverse's F - Z rows, once per file and once per user; each
-    matrix's product tables are built on first use only."""
+    """On GF(2^8) run_session multiplies by one share matrix, once per
+    batch of files, and decode_all by its inverse's F - Z rows, once per
+    user; each matrix's product tables are built on first use only."""
     pda = mn_pda(6, 2)
     config = small_config(pda, 18, 18, file_bytes=64)
     _product_tables.cache_clear()
@@ -360,6 +363,76 @@ def test_session_builds_each_product_table_once():
     assert _product_tables.cache_info().misses == 2
     for user, data in decoded.items():
         assert data == session.library[session.demands[user - 1] - 1]
+
+
+def test_placement_multiplies_and_draws_once_for_a_small_library():
+    """mn:6,2 with K = N = 18 and 64-byte files is one batch: placement
+    makes one share product and one draw from the "sharing" stream, and
+    key placement one more draw, so a per-file loop would show here."""
+    pda = mn_pda(6, 2)
+    config = small_config(pda, 18, 18, file_bytes=64)
+    products, draws = [], []
+    matmul = BinaryField.matmul
+
+    def recording_matmul(self, coeffs, symbols):
+        products.append(symbols.shape)
+        return matmul(self, coeffs, symbols)
+
+    def recording(module):
+        draw = module.random_vector
+
+        def random_vector(length, field, rng):
+            draws.append((module.__name__, length))
+            return draw(length, field, rng)
+        return mock.patch.object(module, "random_vector", random_vector)
+
+    with mock.patch.object(BinaryField, "matmul", recording_matmul), \
+            recording(sharing), recording(scheme):
+        session = run_session(pda, config, profile=(3,) * 6)
+    length = session.meta.symbols_per_share
+    assert products == [(15, 18 * length)]
+    assert draws == [("seccache.sharing", 18 * 5 * length),
+                     ("seccache.scheme", len(session.garray.pairs) * length)]
+
+
+def one_column_pda(f, z):
+    """A one-cache PDA of F rows whose first Z are stars."""
+    return Pda.from_grid(((None,),) * z + tuple((s,) for s in range(1, f - z + 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batched_placement_shares_each_file_as_share_file_does(data):
+    """helper_placement shares the library in batches, and each file's
+    shares are byte for byte the ones share_file gives it alone, drawing
+    from the same stream file after file; the stream ends in the same
+    state.  The batch limit is cut to a drawn number of files, so batches
+    of one file, of several and of all of them occur, and most file
+    lengths need padding."""
+    l = data.draw(st.integers(2, 16), label="l")
+    f = data.draw(st.integers(2, min(8, 2 ** (l - 1))), label="F")
+    z = data.draw(st.integers(1, f - 1), label="Z")
+    num_files = data.draw(st.integers(1, 9), label="N")
+    file_bytes = data.draw(st.integers(1, 40), label="file bytes")
+    per_batch = data.draw(st.integers(1, num_files), label="files per batch")
+    key = data.draw(st.integers(0, 2**64 - 1), label="key")
+    library = tuple(data.draw(st.binary(min_size=file_bytes, max_size=file_bytes))
+                    for _ in range(num_files))
+    field, pda = BinaryField(l), one_column_pda(f, z)
+    config = SystemConfig(1, 1, num_files, helper_memory_for(pda, num_files),
+                          file_bytes, field)
+    alone = mersenne_twister(key)
+    expected = [share_file(d, f, z, field, alone) for d in library]
+    # a limit just short of per_batch + 1 files' input
+    limit = (per_batch + 1) * f * expected[0][1].symbols_per_share - 1
+    batched = mersenne_twister(key)
+    with mock.patch.object(scheme, "WORDS_PER_CALL", limit):
+        shares, meta, _ = helper_placement(pda, config, library, batched)
+    assert meta == expected[0][1]
+    assert [s.shape for s in shares] == [s.shape for s, _ in expected]
+    assert [s.tobytes() for s in shares] == [s.tobytes() for s, _ in expected]
+    state, ref = batched.state["state"], alone.state["state"]
+    assert state["pos"] == ref["pos"] and np.array_equal(state["key"], ref["key"])
 
 
 def duplicate_payloads(session):
@@ -653,20 +726,37 @@ def traced_peak(build):
 
 
 def test_a_session_peaks_near_its_shares_keys_and_broadcasts():
-    # Measured at 3.10 times the library; 4.67 while the session kept every
+    # Measured at 2.67 times the library, what the finished session holds;
+    # 3.10 while sharing a file also held its subfiles and randomness apart
+    # from their stacked input, and 4.67 while the session kept every
     # file's sharing randomness and a key draw held 4 bytes per symbol.
     pda, config = memory_config()
     library = tuple(bytes([n]) * MEMORY_FILE_BYTES for n in range(4))
     session, peak = traced_peak(
         lambda: run_session(pda, config, library=library, profile=(1, 1, 1, 1))
     )
-    assert peak <= 3.15 * 4 * MEMORY_FILE_BYTES
+    assert peak <= 2.7 * 4 * MEMORY_FILE_BYTES
     assert not hasattr(session, "randomness")
 
 
+def test_a_session_of_many_small_files_peaks_near_its_shares_and_one_batch():
+    # 256 files of 16 KiB on mn:4,2, so a batch holds 7 files.  Measured at
+    # 2.36 times the library: the shares, twice the library, and one
+    # batch's input, product and draw, about 1.5 MiB whatever the library.
+    pda, num_files, file_bytes = mn_pda(4, 2), 256, 16 << 10
+    config = SystemConfig(4, 4, num_files, helper_memory_for(pda, num_files), file_bytes)
+    library = tuple(bytes([n % 256]) * file_bytes for n in range(num_files))
+    session, peak = traced_peak(
+        lambda: run_session(pda, config, library=library, profile=(1, 1, 1, 1))
+    )
+    assert len({id(s.base) for s in session.shares}) == -(-num_files // 7)
+    assert peak <= 2.45 * num_files * file_bytes
+
+
 def test_decoding_peaks_near_the_session_and_its_outputs():
-    # Measured at 4.27 times the library: the session's 2.67, three decoded
-    # files, and the last user's (F, L) shares with their product.  4.51
+    # Measured at 4.22 times the library: the session's 2.67, three decoded
+    # files, and the last user's (F, L) shares with their product; 4.27
+    # while a product's gather could hold 1 MiB.  4.51
     # while decoding stacked a list of shares and copied the symbols once
     # more on their way to bytes, and 4.42 when decode_user keeps its own
     # reference to the shares through the byte assembly.

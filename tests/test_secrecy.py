@@ -749,13 +749,14 @@ def test_carried_share_table_is_the_residual_model_in_other_columns(session):
     assert shapes == [(f, z)] * len(failing)
     all_files = set(range(1, config.num_files + 1))
     table = secrecy._carried_shares(session)
+    row_of = {pair: r for r, pair in enumerate(session.transmissions)}
     for user in session.garray.column_users:
         lam = cache_of[user - 1]
         r_lam, cancel = residual(session, lam)
         assert np.array_equal(secrecy._cancel_rows(session, lam), cancel)
         want = residual_delivery_model(session, user, r_lam)
         lacked = [j - 1 for j in range(1, f + 1) if j not in session.cached_rows[lam - 1]]
-        got = secrecy._delivery_model(session, user, table, lacked)
+        got = secrecy._delivery_model(session, user, table, lacked, row_of)
         assert got.row_labels == want.row_labels and got.rand_dim == 0
         # A_reference = A_table . blockdiag(S_lam), S_lam = R_lam at the
         # shares the cache lacks

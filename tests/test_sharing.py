@@ -152,7 +152,7 @@ def test_cached_inverse_inverts_the_share_matrix(gf8):
 
 def test_encode_all_zero_inputs(gf3):
     zero = gf3.zeros(3)
-    shares = encode_shares([zero, zero], [zero, zero], gf3)
+    shares = encode_shares([zero, zero, zero, zero], gf3)
     assert shares.shape == (4, 3) and not shares.any()
 
 
@@ -161,7 +161,7 @@ def test_encode_matches_naive_matvec(gf3):
     rng = random.Random(1)
     inputs = [np.array([rng.randrange(8) for _ in range(5)], dtype=gf3.dtype)
               for _ in range(4)]
-    shares = encode_shares(inputs[:2], inputs[2:], gf3)
+    shares = encode_shares(inputs, gf3)
     for j in range(4):
         for pos in range(5):
             expect = 0
@@ -173,7 +173,9 @@ def test_encode_matches_naive_matvec(gf3):
 def test_encode_dimension_mismatch(gf3):
     vec = np.array([1, 2], dtype=gf3.dtype)
     with pytest.raises(ValueError):
-        encode_shares([vec, vec], [vec, vec[:1]], gf3)
+        encode_shares([vec, vec, vec, vec[:1]], gf3)
+    with pytest.raises(ValueError, match=r"one \(F, X\) array"):
+        encode_shares(vec, gf3)
 
 
 def test_roundtrip_all_shapes_up_to_16():
@@ -184,7 +186,7 @@ def test_roundtrip_all_shapes_up_to_16():
         for z in range(1, f):
             subs = [data_rng.randint(256, size=2).astype(field.dtype) for _ in range(f - z)]
             rand = [random_vector(2, field, rng) for _ in range(z)]
-            shares = encode_shares(subs, rand, field)
+            shares = encode_shares([*subs, *rand], field)
             back = reconstruct_file(shares, ShareMeta(f, z, 0, 0, 2), field)
             assert back.shape == (f - z, 2) and (back == np.stack(subs)).all()
 
@@ -196,7 +198,7 @@ def test_roundtrip_random_inputs_repeated(gf3):
     for _ in range(100):
         subs = [data_rng.randint(8, size=3).astype(gf3.dtype) for _ in range(2)]
         rand = [random_vector(3, gf3, rng) for _ in range(2)]
-        back = reconstruct_file(encode_shares(subs, rand, gf3), meta, gf3)
+        back = reconstruct_file(encode_shares([*subs, *rand], gf3), meta, gf3)
         assert all((a == b).all() for a, b in zip(subs, back))
 
 
@@ -338,6 +340,44 @@ def test_codec_matches_reference(l, data, shape):
         assert sub.dtype == ref.dtype and np.array_equal(sub, ref)
         assert symbols_to_bytes(sub, field) == ref_symbols_to_bytes(ref, field)
     assert subfiles_to_bytes(subs, meta, field) == data
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.integers(2, 16), data=st.data())
+def test_a_batch_is_shared_as_its_files_are_alone(l, data):
+    """share_file over `count` files back to back is each file shared on
+    its own: the reference codec's subfiles, each padded at its own end,
+    above the file's own draw of Z * L symbols, the draws file after file,
+    times the share matrix; each file's shares are its column block."""
+    field = BinaryField(l)
+    f, z = data.draw(shapes.filter(lambda s: 2 * s[0] <= field.order), label="F, Z")
+    count = data.draw(st.integers(1, 9), label="count")
+    size = data.draw(st.integers(0, 40), label="file bytes")
+    files = [data.draw(st.binary(min_size=size, max_size=size)) for _ in range(count)]
+    key = data.draw(st.integers(0, 2**64 - 1), label="key")
+    rng = mersenne_twister(key)
+    block, meta = share_file(b"".join(files), f, z, field, rng, count)
+    ref = mersenne_twister(key)
+    length = meta.symbols_per_share
+    assert block.shape == (f, count * length)
+    for i, data_i in enumerate(files):
+        subs, ref_meta = ref_bytes_to_subfiles(data_i, f, z, field)
+        rand = random_vector(z * length, field, ref).reshape(z, length)
+        assert meta == ref_meta
+        assert np.array_equal(block[:, i * length : (i + 1) * length],
+                              encode_shares([*subs, *rand], field))
+    assert rng.state["state"]["pos"] == ref.state["state"]["pos"]
+    assert np.array_equal(rng.state["state"]["key"], ref.state["state"]["key"])
+
+
+def test_a_batch_must_split_into_equal_files(gf8):
+    rng = mersenne_twister(1)
+    with pytest.raises(ValueError, match="do not split into 2 equal files"):
+        share_file(b"abc", 4, 2, gf8, rng, 2)
+    with pytest.raises(ValueError, match="do not split into 0 equal files"):
+        share_file(b"abc", 4, 2, gf8, rng, 0)
+    with pytest.raises(ValueError, match="into shape"):
+        bytes_to_subfiles(b"abcd", 4, 2, gf8, 2, out=gf8.zeros(2, 3))
 
 
 @settings(max_examples=150, deadline=None)
