@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import zip_longest
@@ -82,13 +83,24 @@ def _parse_pda_source(source: str) -> tuple[str, Pda]:
 
 
 def _load_library(directory: str, num_files: int, file_bytes: int) -> tuple[bytes, ...]:
-    paths = sorted(p for p in Path(directory).iterdir() if p.is_file())
-    if len(paths) != num_files:
-        raise ValueError(f"library dir holds {len(paths)} files, expected {num_files}")
-    for path in paths:  # every size is checked before any file is read
-        if (size := path.stat().st_size) != file_bytes:
-            raise ValueError(f"library file {path} holds {size} bytes, expected {file_bytes}")
-    return tuple(p.read_bytes() for p in paths)
+    """The files of directory in name order, from one scandir: every size
+    is checked against file_bytes, from its entry's stat, before any file
+    is read."""
+    with os.scandir(directory) as entries:
+        files = sorted((e for e in entries if e.is_file()), key=lambda e: e.name)
+    if len(files) != num_files:
+        raise ValueError(f"library dir holds {len(files)} files, expected {num_files}")
+    for entry in files:
+        if (size := entry.stat().st_size) != file_bytes:
+            raise ValueError(
+                f"library file {Path(entry.path)} holds {size} bytes, expected {file_bytes}"
+            )
+    return tuple(_read(entry.path) for entry in files)
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as file:
+        return file.read()
 
 
 def _is_int(value) -> bool:

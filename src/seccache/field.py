@@ -183,9 +183,9 @@ class BinaryField:
         columns so that the gathered words and their int64 indices, C *
         (padded R + 8) bytes per symbol, stay within _GATHER_BUDGET_BYTES
         (512 KiB).  The symbols are bound-checked before the gather.  With
-        one coefficient column (C = 1, as in the M = 0 scheme's 1 x 1
-        product) the symbols are the row indices themselves: no offset is
-        added and there is nothing to XOR together.
+        one coefficient column (C = 1, as in the secrecy module's cancel
+        rows at Z = 1) the symbols are the row indices themselves: no
+        offset is added and there is nothing to XOR together.
 
         At l > 8, where a table per coefficient would not pay for itself,
         the C terms of a row are XORed in one coefficient column at a time,

@@ -542,6 +542,13 @@ def one_time_pad_session(
     placement and delivery are run_session's: each user's unit cache holds
     one uniform key, and the server broadcasts demanded file XOR key, once
     per user.  The rate is exactly K.
+
+    The (1, 0) sharing is the identity, so a file's one share is its
+    symbols.  The library is converted in batches, as helper_placement
+    shares it: as many whole files as fit in WORDS_PER_CALL symbols, and
+    at least one, each batch one `bytes_to_symbols` call, so the codec
+    never holds more than one batch's bits.  shares[n] is row n of its
+    batch's (k, L) symbols, a (1, L) view.
     """
     if config.helper_memory != 0:
         raise ValueError("the one-time-pad baseline is the M = 0 scheme")
@@ -553,6 +560,13 @@ def one_time_pad_session(
 
     field = config.field
     meta = _share_meta(8 * config.file_bytes, 1, 0, field)
+    length = meta.symbols_per_share
+    per_batch = max(1, WORDS_PER_CALL // length)
+    shares = []
+    for start in range(0, len(library), per_batch):
+        batch = library[start : start + per_batch]
+        block = bytes_to_symbols(b"".join(batch), field, length, len(batch))
+        shares += [block[i : i + 1] for i in range(len(batch))]
     columns, pair_occurrences = {}, {}
     for lam, group in enumerate(association.groups, start=1):
         for i, user in enumerate(group, start=1):
@@ -563,7 +577,7 @@ def one_time_pad_session(
         GArray(columns, pair_occurrences),
         RateReport(config.num_users, Fraction(config.num_users), per_s),
         config=config, pda=None, association=association, meta=meta, library=library,
-        shares=[bytes_to_symbols(d, field, meta.symbols_per_share)[None] for d in library],
+        shares=shares,
         cached_rows=tuple(() for _ in range(config.num_caches)),
         demands=demands,
     )

@@ -21,7 +21,11 @@ unsharing are one `BinaryField.matmul` each: at l <= 8 it multiplies
 in one gather of word-padded product rows that are cached per
 coefficient matrix, so the share matrix and the inverse's rows are
 tabulated once per process; at l > 8 every product is a gather
-exp[log a + log b].  No scalar field product runs on this path.
+exp[log a + log b].  No scalar field product runs on this path.  At
+F = 1 (so Z = 0, the M = 0 scheme's whole-file share) the matrix is
+[1/(0 + 1)] = [1], so sharing and unsharing are the identity instead:
+the one-row input is the share, and the share is the subfile, with no
+product and no inverse.
 
 The share matrix is the same for every file, so sharing a batch of k
 files is one product with an (F, k * L) input that holds the files side
@@ -118,20 +122,27 @@ def encode_shares(inputs, field: BinaryField) -> np.ndarray:
     """The F shares of one (F, X) input, its F - Z rows of subfiles above
     its Z rows of randomness, as an (F, X) array: cauchy_matrix(F, field)
     times the input, so column x of the shares depends on column x of the
-    input alone.  A list of equal-length rows is stacked first."""
+    input alone.  A list of equal-length rows is stacked first.  At F = 1
+    the matrix is [1], and the result is the (1, X) input itself, not a
+    copy."""
     inputs = np.asarray(inputs)
     if inputs.ndim != 2:
         raise ValueError(f"the input must be one (F, X) array, got shape {inputs.shape}")
+    if len(inputs) == 1:
+        return inputs
     return field.matmul(cauchy_matrix(len(inputs), field), inputs)
 
 
 def reconstruct_file(shares, meta: ShareMeta, field: BinaryField) -> np.ndarray:
     """Solve the sharing for its inputs and return the F - Z subfiles, as
     an (F - Z, L) array; needs all F shares, an (F, L) array (a list of
-    rows is stacked first)."""
+    rows is stacked first).  At F = 1 the inverse is [1], and the result
+    is the (1, L) shares themselves, not a copy."""
     shares = np.asarray(shares)
     if len(shares) != meta.num_shares:
         raise ValueError(f"need all {meta.num_shares} shares, got {len(shares)}")
+    if meta.num_shares == 1:
+        return shares
     rows = _cached_inverse(meta.num_shares, field)[: meta.num_subfiles]
     return field.matmul(rows, shares)
 
@@ -156,12 +167,18 @@ def _share_meta(data_bits: int, f: int, z: int, field: BinaryField) -> ShareMeta
     return ShareMeta(f, z, data_bits, padded, padded // ((f - z) * field.l))
 
 
+def _file_bytes(size: int, count: int) -> int:
+    """The length of each of `count` equal-length files that hold `size`
+    bytes in all."""
+    if count < 1 or size % count:
+        raise ValueError(f"{size} bytes do not split into {count} equal files")
+    return size // count
+
+
 def _batch_meta(size: int, count: int, f: int, z: int, field: BinaryField) -> ShareMeta:
     """One file's geometry in a batch of `count` equal-length files that
     hold `size` bytes in all."""
-    if count < 1 or size % count:
-        raise ValueError(f"{size} bytes do not split into {count} equal files")
-    return _share_meta(8 * size // count, f, z, field)
+    return _share_meta(8 * _file_bytes(size, count), f, z, field)
 
 
 def _file_symbols(data: bytes, files: int, per_file: int, field: BinaryField) -> np.ndarray:
@@ -169,7 +186,7 @@ def _file_symbols(data: bytes, files: int, per_file: int, field: BinaryField) ->
     as `per_file` l-bit symbols each, every file zero-padded at its own
     end: a (files, per_file) array.  The bytes are copied only to pad
     them, so at l = 8 or 16 unpadded files are a read-only view of data."""
-    size = len(data) // files
+    size = _file_bytes(len(data), files)
     if per_file * field.l < 8 * size:
         raise ValueError(f"{per_file} symbols of {field.l} bits cannot hold {size} bytes")
     raw = np.frombuffer(data, np.uint8).reshape(files, size)
@@ -187,10 +204,14 @@ def _file_symbols(data: bytes, files: int, per_file: int, field: BinaryField) ->
     return bits.reshape(files, per_file, field.l) @ weights
 
 
-def bytes_to_symbols(data: bytes, field: BinaryField, count: int) -> np.ndarray:
-    """The bit stream of data as `count` l-bit symbols, zero-padded at the
-    end, in a fresh writable array."""
-    return np.array(_file_symbols(data, 1, count, field)[0], field.dtype)
+def bytes_to_symbols(data: bytes, field: BinaryField, count: int, files: int = 1) -> np.ndarray:
+    """The bit streams of `files` equal-length files, back to back in data,
+    as `count` l-bit symbols each, every file zero-padded at its own end:
+    a fresh writable (files, count) array, row i file i's symbols.  The
+    whole batch is one pass of the codec, whose result is copied only
+    when it is a view of the bytes."""
+    symbols = _file_symbols(data, files, count, field)
+    return symbols if symbols.flags.owndata else np.array(symbols, field.dtype)
 
 
 def _symbol_bytes(symbols, field: BinaryField) -> np.ndarray:
@@ -295,7 +316,8 @@ def share_file(
 def unshare_file(shares, meta: ShareMeta, field: BinaryField) -> bytes:
     """Recover the original bytes from all F shares.  The shares are let go
     before the bytes are assembled, so a caller that hands over its only
-    reference to them frees them there."""
+    reference to them frees them there.  At F = 1 the share is the
+    subfile, so it is held until the bytes are assembled from it."""
     subfiles = reconstruct_file(shares, meta, field)
     del shares
     return subfiles_to_bytes(subfiles, meta, field)

@@ -430,7 +430,7 @@ def test_a_library_file_of_the_wrong_size_is_refused_before_any_is_read(
     def no_read(path):
         raise AssertionError(f"{path} was read")
 
-    monkeypatch.setattr(Path, "read_bytes", no_read)
+    monkeypatch.setattr(cli, "_read", no_read)
     out = tmp_path / "run"
     assert run(["simulate", "--pda", "mn:4,2", "--profile", "1,1,1,1", "--files", 4,
                 "--bytes", 8, "--library", lib, "--out", out]) == 1

@@ -695,8 +695,55 @@ def test_zero_memory_sessions_decode_at_rate_k_with_one_pad_per_user(session):
     for (lam, i), payload in session.transmissions.items():
         user = association.groups[lam - 1][i - 1]
         demanded = session.library[session.demands[user - 1] - 1]
-        plain = bytes_to_symbols(demanded, config.field, session.meta.symbols_per_share)
+        plain = bytes_to_symbols(demanded, config.field, session.meta.symbols_per_share)[0]
         assert np.array_equal(payload, plain ^ session.user_keys[user][(lam, i)])
+
+
+def test_the_zero_memory_scheme_runs_no_field_product(monkeypatch):
+    """The (0, 1) sharing is the identity, so on the bulk shape (six caches
+    of three users, K = N = 18) the M = 0 session is placed and decoded
+    bit-exactly with BinaryField.matmul unreachable."""
+    def no_product(self, coeffs, symbols):
+        raise RuntimeError("field product in the M = 0 scheme")
+
+    monkeypatch.setattr(BinaryField, "matmul", no_product)
+    config = SystemConfig(6, 18, 18, Fraction(0), 64, seed=3)
+    session = one_time_pad_session(config, profile=(3,) * 6)
+    assert decode_all(session) == {
+        user: session.library[d - 1] for user, d in enumerate(session.demands, start=1)
+    }
+
+
+@pytest.mark.parametrize(
+    "num_files, file_bytes, l, calls",
+    [
+        (18, 8 << 10, 8, 1),  # the bulk shape: ceil(18 * 8192 / 2^18)
+        (40, 16 << 10, 8, 3),  # ceil(40 * 16384 / 2^18)
+        (20, 48 << 10, 12, 3),  # ceil(20 * 32768 / 2^18), bit-level codec
+        (40, 16 << 10, 16, 2),  # ceil(40 * 8192 / 2^18)
+        (2, (1 << 18) + 8, 8, 2),  # a file larger than a batch goes alone
+    ],
+)
+def test_the_zero_memory_placement_makes_one_codec_call_per_batch(
+        monkeypatch, num_files, file_bytes, l, calls):
+    """The library is converted as helper_placement shares it: one codec
+    call per batch of whole files that fits in WORDS_PER_CALL symbols, at
+    least one file each, and each file's share is its row of the batch."""
+    batches = []
+
+    def counted(data, field, count, files=1):
+        batches.append(files)
+        return bytes_to_symbols(data, field, count, files)
+
+    monkeypatch.setattr(scheme, "bytes_to_symbols", counted)
+    config = SystemConfig(1, 2, num_files, Fraction(0), file_bytes, BinaryField(l), seed=4)
+    library = tuple(bytes([n]) * (file_bytes - 1) + b"\x81" for n in range(num_files))
+    session = one_time_pad_session(config, library=library)
+    assert len(batches) == calls and sum(batches) == num_files
+    length = session.meta.symbols_per_share
+    for data, share in zip(library, session.shares):
+        assert share.shape == (1, length)
+        assert np.array_equal(share, bytes_to_symbols(data, config.field, length))
 
 
 # -- memory ----------------------------------------------------------------------
@@ -751,6 +798,22 @@ def test_a_session_of_many_small_files_peaks_near_its_shares_and_one_batch():
     )
     assert len({id(s.base) for s in session.shares}) == -(-num_files // 7)
     assert peak <= 2.45 * num_files * file_bytes
+
+
+def test_a_zero_memory_session_peaks_near_its_shares_and_one_batch():
+    # 64 files of 48 KiB at GF(2^12), 32768 symbols a file, so a batch
+    # holds 8 files and the bit-level codec runs 8 times.  Measured at 4.46
+    # times the library through decode_all: the shares, 4/3 of the library,
+    # and one batch's unpacked bits, 3 bytes a bit, about 9 MiB whatever
+    # the library; 26.3 with one codec pass over the whole library.
+    num_files, file_bytes = 64, 48 << 10
+    config = SystemConfig(1, 4, num_files, Fraction(0), file_bytes, BinaryField(12), seed=2)
+    library = tuple(bytes([n]) * file_bytes for n in range(num_files))
+    decoded, peak = traced_peak(
+        lambda: decode_all(one_time_pad_session(config, library=library))
+    )
+    assert decoded == {user: library[user - 1] for user in range(1, 5)}
+    assert peak <= 4.5 * num_files * file_bytes
 
 
 def test_decoding_peaks_near_the_session_and_its_outputs():

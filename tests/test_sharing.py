@@ -202,6 +202,29 @@ def test_roundtrip_random_inputs_repeated(gf3):
         assert all((a == b).all() for a, b in zip(subs, back))
 
 
+@settings(max_examples=100, deadline=None)
+@given(l=st.integers(2, 16), data=st.data())
+def test_the_one_share_sharing_is_the_identity(l, data):
+    """At F = 1 (Z = 0) the share matrix and its inverse are [1]: the share
+    is the (1, X) input and the subfile is the share, the arrays
+    themselves, equal to the products by both matrices."""
+    field = BinaryField(l)
+    length = data.draw(st.integers(0, 64))
+    symbols = data.draw(st.lists(st.integers(0, field.order - 1),
+                                 min_size=length, max_size=length))
+    row = np.array(symbols, field.dtype).reshape(1, length)
+    shares = encode_shares(row, field)
+    assert shares is row
+    assert np.array_equal(shares, field.matmul(cauchy_matrix(1, field), row))
+    length = row.shape[1]
+    meta = ShareMeta(1, 0, length * l, length * l, length)
+    subfiles = reconstruct_file(shares, meta, field)
+    assert subfiles is row
+    assert np.array_equal(subfiles, field.matmul(_cached_inverse(1, field), row))
+    with pytest.raises(ValueError, match="need all 1 shares"):
+        reconstruct_file(np.vstack([row, row]), meta, field)
+
+
 def test_reconstruct_needs_all_shares(gf3):
     rng = mersenne_twister(3)
     shares, meta = share_file(b"abc", 4, 2, gf3, rng)
@@ -415,16 +438,18 @@ def test_one_byte_symbols_become_bytes_in_one_copy():
 @pytest.mark.parametrize("length", [1, 3, 301])
 def test_bytes_to_symbols_is_a_fresh_writable_array(l, length):
     field = BinaryField(l)
-    data = ODD_BYTES[:length]
-    count = -(-8 * length // l) + 2  # two symbols of padding past the data
-    symbols = bytes_to_symbols(data, field, count)
-    assert symbols.dtype == field.dtype and symbols.shape == (count,)
+    files = (ODD_BYTES[:length], ODD_BYTES[:length][::-1])
+    data = b"".join(files)
+    count = -(-8 * length // l) + 2  # two symbols of padding past each file
+    symbols = bytes_to_symbols(data, field, count, len(files))
+    assert symbols.dtype == field.dtype and symbols.shape == (2, count)
     assert symbols.flags.writeable
     assert not np.shares_memory(symbols, np.frombuffer(data, dtype=np.uint8))
-    assert symbols_to_bytes(symbols, field)[:length] == data
-    assert not symbols[-2:].any()
+    for row, file in zip(symbols, files):
+        assert symbols_to_bytes(row, field)[:length] == file
+    assert not symbols[:, -2:].any()
     symbols[:] = 0
-    assert data == ODD_BYTES[:length]
+    assert data == b"".join(files)
 
 
 @settings(max_examples=100, deadline=None)
@@ -432,17 +457,27 @@ def test_bytes_to_symbols_is_a_fresh_writable_array(l, length):
 @example(l=3, data=b"", extra=4)
 @example(l=12, data=b"", extra=4)
 def test_bytes_to_symbols_pads_with_zero_symbols(l, data, extra):
-    """Symbols past the data are zero, at every width and for empty data."""
+    """Symbols past each file's data are zero, at every width and for
+    empty data; a batch of the data and its reverse is one row each."""
     field = BinaryField(l)
     count = -(-8 * len(data) // l) + extra
-    value = int.from_bytes(data, "big") << (count * l - 8 * len(data))
-    expect = [(value >> (count - 1 - t) * l) & (field.order - 1) for t in range(count)]
-    assert bytes_to_symbols(data, field, count).tolist() == expect
+
+    def expect(file):
+        value = int.from_bytes(file, "big") << (count * l - 8 * len(file))
+        return [(value >> (count - 1 - t) * l) & (field.order - 1) for t in range(count)]
+
+    assert bytes_to_symbols(data, field, count).tolist() == [expect(data)]
+    batch = bytes_to_symbols(data + data[::-1], field, count, 2)
+    assert batch.tolist() == [expect(data), expect(data[::-1])]
 
 
 def test_bytes_to_symbols_rejects_a_short_count(gf8):
     with pytest.raises(ValueError):
         bytes_to_symbols(b"\x01\x02", gf8, 1)
+    with pytest.raises(ValueError):
+        bytes_to_symbols(b"\x01\x02\x03\x04", gf8, 1, 2)
+    with pytest.raises(ValueError, match="equal files"):
+        bytes_to_symbols(b"\x01\x02\x03", gf8, 2, 2)
 
 
 # -- table-driven product and one-call draws against scalar references -------------
