@@ -36,6 +36,7 @@ from .scheme import (
     build_g_array,
     decode_all,
     decode_user,
+    decode_users,
     deliver,
     helper_memory_for,
     one_time_pad_session,
@@ -92,6 +93,7 @@ __all__ = [
     "one_time_pad_session",
     "deliver",
     "decode_user",
+    "decode_users",
     "decode_all",
     "LinearObservationModel",
     "SecrecyVerdict",

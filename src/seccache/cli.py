@@ -33,7 +33,8 @@ from .field import BinaryField
 from .pda import Pda, PdaError, PdaFormatError, load_pda, mn_pda, save_pda
 from .scheme import (
     SystemConfig,
-    decode_user,
+    decode_user,  # not called here: perfbench/tracing.py patches cli.decode_user
+    decode_users,
     helper_memory_for,
     one_time_pad_session,
     rate_report,
@@ -92,15 +93,37 @@ def _load_library(directory: str, num_files: int, file_bytes: int) -> tuple[byte
         raise ValueError(f"library dir holds {len(files)} files, expected {num_files}")
     for entry in files:
         if (size := entry.stat().st_size) != file_bytes:
-            raise ValueError(
-                f"library file {Path(entry.path)} holds {size} bytes, expected {file_bytes}"
-            )
-    return tuple(_read(entry.path) for entry in files)
+            raise _size_error(entry.path, size, file_bytes)
+    return tuple(_read(entry.path, file_bytes) for entry in files)
 
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as file:
-        return file.read()
+def _size_error(path: str, size: int, file_bytes: int) -> ValueError:
+    return ValueError(f"library file {Path(path)} holds {size} bytes, expected {file_bytes}")
+
+
+def _read(path: str, size: int) -> bytes:
+    """The file's bytes, from one read of size + 1 bytes: any other
+    length than size, as in a file that changed since its stat, raises the
+    size error."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.read(fd, size + 1)
+        if len(data) != size:
+            raise _size_error(path, os.fstat(fd).st_size, size)
+    finally:
+        os.close(fd)
+    return data
+
+
+def _write(path: Path, text: str) -> None:
+    """Make text, UTF-8 encoded, the whole content of the file at path."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(text.encode())
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
 
 
 def _is_int(value) -> bool:
@@ -162,24 +185,35 @@ def _session_from_manifest(manifest):
 
 
 def _decode_checks(session) -> dict[int, bool]:
-    """Whether each user decodes exactly the file it demanded."""
-    return {
-        user: decode_user(session, user) == session.library[session.demands[user - 1] - 1]
-        for user in session.garray.column_users
-    }
+    """Whether each user decodes exactly the file it demanded.  The users
+    are decoded together, a batch at a time, and each file is let go once
+    it is compared."""
+    library, demands, checks = session.library, session.demands, {}
+    for user, data in decode_users(session, session.garray.column_users):
+        checks[user] = data == library[demands[user - 1] - 1]
+        del data  # not held while the next batch is decoded
+    return checks
 
 
 def _run_artifacts(session, decoded: dict[int, bool], full_payloads: bool) -> dict[str, str]:
     """The text of a run directory's transmissions.log, decode.txt and
-    rate.json; payloads are capped at PAYLOAD_CAP_BYTES unless full_payloads."""
-    lines = []
-    for pair, payload in session.transmissions.items():
-        blob = symbols_to_bytes(payload, session.config.field)
-        shown = blob if full_payloads else blob[:PAYLOAD_CAP_BYTES]
-        suffix = (
-            f" (+{len(blob) - len(shown)} bytes)" if len(shown) < len(blob) else ""
-        )
-        lines.append(f"X{pair[0]},{pair[1]} {shown.hex()}{suffix}")
+    rate.json; payloads are capped at PAYLOAD_CAP_BYTES unless full_payloads.
+
+    The broadcasts become bytes in one pass of the codec over all of them.
+    A capped payload's bytes are those of its first symbols alone, so only
+    the symbols that hold PAYLOAD_CAP_BYTES bytes are converted."""
+    l, length = session.config.field.l, session.meta.symbols_per_share
+    total = -(-length * l // 8)  # the bytes of one broadcast
+    shown = total if full_payloads else min(total, PAYLOAD_CAP_BYTES)
+    width = min(length, -(-8 * shown // l))
+    payloads = [payload[:width] for payload in session.transmissions.values()]
+    blob = symbols_to_bytes(payloads, session.config.field)
+    step = len(blob) // len(payloads)
+    suffix = f" (+{total - shown} bytes)" if shown < total else ""
+    lines = [
+        f"X{s},{i} {blob[n * step : n * step + shown].hex()}{suffix}"
+        for n, (s, i) in enumerate(session.transmissions)
+    ]
     decode_lines = [
         f"user {user}: {'OK' if good else 'MISMATCH'}" for user, good in decoded.items()
     ]
@@ -302,11 +336,11 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     decoded = _decode_checks(session)
     for name, text in _run_artifacts(session, decoded, args.full_payloads).items():
-        (out / name).write_text(text)
+        _write(out / name, text)
 
     ok = all(decoded.values())
     rate = session.rate

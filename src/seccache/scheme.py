@@ -24,6 +24,12 @@ Phases, in order:
                           pair's key; each participant strips the key and
                           its cached shares to recover one new share.
 
+Decoding (`decode_users`) is each user's: every share it lacks is one
+broadcast with the pair's key and the other participants' cached shares
+XORed away, and all F shares invert the sharing.  Users are decoded in
+batches, as placement shares files: one product and one codec pass per
+batch of whole users.
+
 The M = 0 one-time-pad scheme (`one_time_pad_session`) is the same
 procedure with F = 1 and Z = 0: it has its own placement and one-row G-array,
 and shares phases 3 and 4 with `run_session`.  A session does not store the
@@ -40,6 +46,7 @@ All rate and memory arithmetic is exact (fractions.Fraction).
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -480,32 +487,77 @@ def run_session(
     )
 
 
-def decode_user(session: SessionState, user: int) -> bytes:
-    """Recover the user's demanded file from its caches and the broadcasts.
+def decode_users(session: SessionState, users) -> Iterator[tuple[int, bytes]]:
+    """Recover each of the users' demanded files from its caches and the
+    broadcasts: (user, file) pairs in the order given.
 
-    Every share it lacks is unlocked by one transmission: XOR away the
+    Every share a user lacks is unlocked by one transmission: XOR away the
     pair's key and the other participants' shares (which sit in this
     user's helper cache, by the PDA's cross-star structure), then invert
-    the sharing once all F shares are present.  The F shares are gathered
-    in one fresh (F, L) array, each row XORed in place, and handed over
-    whole to `unshare_file`, which lets it go before the bytes are
-    assembled.
+    the sharing once all F shares are present.  The users are decoded in
+    batches, as helper_placement shares files: as many whole users as fit
+    in WORDS_PER_CALL symbols of (F, k * L) shares, and at least one.  A
+    batch's shares are one fresh array, user i's in columns
+    i * L .. (i + 1) * L, each block recovered in place, and they go whole
+    to `unshare_file`: one product and one codec pass for the batch, the
+    shares let go before the bytes are assembled.  Each file is a slice
+    of its batch's bytes.  The batches are decoded as the pairs are
+    read, so a caller that lets each file go holds one batch's at a time.
+
+    Raises ValueError, before anything is decoded, for a user outside
+    1..K or one listed twice.
     """
-    return unshare_file(_user_shares(session, user), session.meta, session.config.field)
+    return _decoded_batches(session, _listed_users(session, users))
 
 
-def _user_shares(session: SessionState, user: int) -> np.ndarray:
-    """All F shares of the user's demanded file, as a fresh (F, L) array:
-    the cached rows copied from its helper cache, and each other row j the
-    broadcast of entry (j, user) with the pair's key and the other
-    participants' cached shares XORed away in place.  Only this array is
-    written; the session's shares, keys and broadcasts are read."""
+def _listed_users(session: SessionState, users) -> tuple[int, ...]:
+    """The users as a tuple; ValueError names one outside 1..K or one
+    listed twice."""
+    users = tuple(users)
+    num_users, seen = session.association.num_users, set()
+    for user in users:
+        if not 1 <= user <= num_users:
+            raise ValueError(f"user {user} is not one of the users 1..{num_users}")
+        if user in seen:
+            raise ValueError(f"user {user} is listed twice")
+        seen.add(user)
+    return users
+
+
+def _decoded_batches(session: SessionState, users: tuple[int, ...]):
+    """(user, file) for each user, decoding one batch at a time."""
+    meta, field = session.meta, session.config.field
+    size = meta.data_bits // 8
+    per_batch = max(1, WORDS_PER_CALL // (meta.num_shares * meta.symbols_per_share))
+    for start in range(0, len(users), per_batch):
+        batch = users[start : start + per_batch]
+        data = unshare_file(_batch_shares(session, batch), meta, field, len(batch))
+        for i, user in enumerate(batch):
+            yield user, data[i * size : (i + 1) * size]
+        del data  # not held while the next batch is decoded
+
+
+def _batch_shares(session: SessionState, users: tuple[int, ...]) -> np.ndarray:
+    """All F shares of each user's demanded file, side by side in one fresh
+    (F, k * L) array, user i's in columns i * L .. (i + 1) * L.  Only this
+    array is written; the session's shares, keys and broadcasts are read."""
+    length = session.meta.symbols_per_share
+    out = np.empty((session.meta.num_shares, len(users) * length), session.config.field.dtype)
+    for i, user in enumerate(users):
+        _user_shares(session, user, out[:, i * length : (i + 1) * length])
+    return out
+
+
+def _user_shares(session: SessionState, user: int, recovered: np.ndarray) -> None:
+    """Write all F shares of the user's demanded file into recovered, an
+    (F, L) array: the cached rows copied from its helper cache, and each
+    other row j the broadcast of entry (j, user) with the pair's key and
+    the other participants' cached shares XORed away in place."""
     garray, shares = session.garray, session.shares
     lam = session.association.user_to_cache[user - 1]
     own = shares[session.demands[user - 1] - 1]
     cached = set(session.cached_rows[lam - 1])
 
-    recovered = np.empty_like(own)
     for j in cached:
         recovered[j - 1] = own[j - 1]
     keys = session.user_keys[user]
@@ -523,10 +575,19 @@ def _user_shares(session: SessionState, user: int) -> np.ndarray:
             if j not in cached:
                 raise RuntimeError("participant share not in this user's cache")
             row ^= shares[session.demands[other - 1] - 1][j - 1]
-    return recovered
+
+
+def decode_user(session: SessionState, user: int) -> bytes:
+    """The user's demanded file: the one-user case of `decode_users`, a
+    batch of one, taken without the batching loop."""
+    users = _listed_users(session, (user,))
+    return unshare_file(_batch_shares(session, users), session.meta, session.config.field)
 
 
 def decode_all(session: SessionState) -> dict[int, bytes]:
+    # One decode_user call per user, not one decode_users call, only
+    # because perfbench pins scheme.decode_user.calls at one per user of a
+    # bulk operation; ROADMAP item 1a re-pins it on the decoded users.
     return {
         user: decode_user(session, user) for user in session.garray.column_users
     }

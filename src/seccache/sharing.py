@@ -7,10 +7,11 @@ secrecy module); all F shares reconstruct it exactly.
 
 Symbols are field elements (see field.BinaryField).  Subfiles and shares
 are 2-D numpy arrays, one row of L symbols per vector.  Bytes become
-symbols in one codec, `bytes_to_symbols`/`symbols_to_bytes`: when l is a
-multiple of 8 a symbol is l/8 whole bytes, so the codec is a big-endian
-numpy view of them (copied into a fresh, writable array); other widths
-cut symbols across byte boundaries and keep a bit-level unpack/pack path.
+symbols in one codec, `bytes_to_symbols`/`symbols_to_bytes`, and each way
+takes a batch of equal-length files in one pass: when l is a multiple of
+8 a symbol is l/8 whole bytes, so the codec is a big-endian numpy view of
+them (copied into a fresh, writable array); other widths cut symbols
+across byte boundaries and keep a bit-level unpack/pack path.
 
 The share matrix is not an argument: F and the field fix it as
 cauchy_matrix(F, field), a cached read-only array built by one exp/log
@@ -33,8 +34,12 @@ by side: file i's subfiles and its Z random vectors are columns
 i * L .. (i + 1) * L, and so are its shares in the product.  The input is
 written in place, its first F - Z rows by one pass of the codec over the
 batch's bytes and its last Z rows by one draw, so nothing stacks or
-concatenates rows.  Unsharing takes one file's F shares as one (F, L)
-array.
+concatenates rows.  Unsharing is the same in reverse: a batch's F shares
+side by side, one (F, k * L) array, are one product with the inverse's
+F - Z rows, and the (F - Z, k * L) subfiles are one pass of the codec
+back to bytes, `_symbol_files`, the batch form of symbols -> bytes: it
+turns each row of a (k, n) array into one file's bit stream, padded at
+its own end, so the k files' bytes are back to back in its result.
 
 Randomness comes from a NumPy Mersenne Twister (`np.random.MT19937`)
 seeded as CPython's `random.seed(int)` seeds its own, so a draw of W
@@ -135,9 +140,11 @@ def encode_shares(inputs, field: BinaryField) -> np.ndarray:
 
 def reconstruct_file(shares, meta: ShareMeta, field: BinaryField) -> np.ndarray:
     """Solve the sharing for its inputs and return the F - Z subfiles, as
-    an (F - Z, L) array; needs all F shares, an (F, L) array (a list of
-    rows is stacked first).  At F = 1 the inverse is [1], and the result
-    is the (1, L) shares themselves, not a copy."""
+    an (F - Z, X) array; needs all F shares, an (F, X) array (a list of
+    rows is stacked first), so column x of the subfiles depends on column
+    x of the shares alone and a batch of files side by side is one
+    product.  At F = 1 the inverse is [1], and the result is the (1, X)
+    shares themselves, not a copy."""
     shares = np.asarray(shares)
     if len(shares) != meta.num_shares:
         raise ValueError(f"need all {meta.num_shares} shares, got {len(shares)}")
@@ -204,6 +211,20 @@ def _file_symbols(data: bytes, files: int, per_file: int, field: BinaryField) ->
     return bits.reshape(files, per_file, field.l) @ weights
 
 
+def _symbol_files(symbols, field: BinaryField) -> np.ndarray:
+    """The inverse of `_file_symbols`: each row of l-bit symbols as one
+    file's bit stream, zero-padded at its own end, a uint8 row of
+    ceil(n * l / 8) bytes; a 1-D array is one row.  At l = 8 that is the
+    symbols themselves, not a copy."""
+    symbols = np.asarray(symbols, field.dtype)
+    if field.l % 8 == 0:
+        return symbols.astype(f">u{field.l // 8}", copy=False).view(np.uint8)
+    shifts = np.arange(field.l - 1, -1, -1, dtype=field.dtype)
+    bits = symbols[..., None] >> shifts
+    bits &= 1
+    return np.packbits(bits.reshape(*symbols.shape[:-1], symbols.shape[-1] * field.l), axis=-1)
+
+
 def bytes_to_symbols(data: bytes, field: BinaryField, count: int, files: int = 1) -> np.ndarray:
     """The bit streams of `files` equal-length files, back to back in data,
     as `count` l-bit symbols each, every file zero-padded at its own end:
@@ -214,21 +235,12 @@ def bytes_to_symbols(data: bytes, field: BinaryField, count: int, files: int = 1
     return symbols if symbols.flags.owndata else np.array(symbols, field.dtype)
 
 
-def _symbol_bytes(symbols, field: BinaryField) -> np.ndarray:
-    """The bit stream of l-bit symbols as a uint8 array, zero-padded at the
-    end.  At l = 8 that is the symbols themselves, not a copy."""
-    symbols = np.asarray(symbols, field.dtype)
-    if field.l % 8 == 0:
-        return symbols.astype(f">u{field.l // 8}", copy=False).view(np.uint8)
-    shifts = np.arange(field.l - 1, -1, -1, dtype=field.dtype)
-    bits = symbols[:, None] >> shifts
-    bits &= 1
-    return np.packbits(bits)
-
-
 def symbols_to_bytes(symbols, field: BinaryField) -> bytes:
-    """The bit stream of l-bit symbols as bytes, zero-padded at the end."""
-    return _symbol_bytes(symbols, field).tobytes()
+    """The bit stream of l-bit symbols as bytes, zero-padded at the end.  A
+    (k, n) array, or a list of k rows of n symbols, gives its k rows'
+    streams back to back, each padded at its own end, from one pass of the
+    codec."""
+    return _symbol_files(symbols, field).tobytes()
 
 
 def bytes_to_subfiles(
@@ -257,10 +269,16 @@ def bytes_to_subfiles(
     return out, meta
 
 
-def subfiles_to_bytes(subfiles, meta: ShareMeta, field: BinaryField) -> bytes:
-    """Inverse of bytes_to_subfiles: reassemble bits and strip the padding,
-    copying the kept bytes once."""
-    return _symbol_bytes(np.ravel(subfiles), field)[: meta.data_bits // 8].tobytes()
+def subfiles_to_bytes(subfiles, meta: ShareMeta, field: BinaryField, count: int = 1) -> bytes:
+    """Inverse of bytes_to_subfiles: the `count` files whose subfiles are
+    the column blocks of an (F-Z, count * L) array, back to back, each
+    with its padding stripped.  The whole batch is one pass of the codec,
+    and the kept bytes are copied once; one file's subfiles are read in
+    place, a batch's are first laid out file by file."""
+    length = meta.symbols_per_share
+    files = np.asarray(subfiles).reshape(meta.num_subfiles, count, length).swapaxes(0, 1)
+    files = files.reshape(count, meta.num_subfiles * length)
+    return _symbol_files(files, field)[:, : meta.data_bits // 8].tobytes()
 
 
 WORDS_PER_CALL = 1 << 18  # most words a draw takes in one random_words call
@@ -313,11 +331,14 @@ def share_file(
     return encode_shares(inputs, field), meta
 
 
-def unshare_file(shares, meta: ShareMeta, field: BinaryField) -> bytes:
-    """Recover the original bytes from all F shares.  The shares are let go
-    before the bytes are assembled, so a caller that hands over its only
-    reference to them frees them there.  At F = 1 the share is the
-    subfile, so it is held until the bytes are assembled from it."""
+def unshare_file(shares, meta: ShareMeta, field: BinaryField, count: int = 1) -> bytes:
+    """Recover `count` files, back to back, from all F shares of each: an
+    (F, count * L) array whose columns i * L .. (i + 1) * L are file i's,
+    as share_file returns them.  One product unshares the batch, and the
+    shares are let go before the bytes are assembled, so a caller that
+    hands over its only reference to them frees them there.  At F = 1 the
+    share is the subfile, so it is held until the bytes are assembled from
+    it."""
     subfiles = reconstruct_file(shares, meta, field)
     del shares
-    return subfiles_to_bytes(subfiles, meta, field)
+    return subfiles_to_bytes(subfiles, meta, field, count)

@@ -4,12 +4,13 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from seccache import cli, pda as pda_module, scheme
+from seccache import BinaryField, cli, pda as pda_module, scheme
 from seccache.cli import main
 from seccache.pda import Pda, save_pda
-from tests.conftest import WORKED_GRID, WORKED_PROFILE
+from tests.conftest import WORKED_GRID, WORKED_PROFILE, make_worked_session
 
 GOLDEN_MN3_1 = Path(__file__).parent / "data" / "golden" / "mn3_1"
 
@@ -427,7 +428,7 @@ def test_a_library_file_of_the_wrong_size_is_refused_before_any_is_read(
     for i in range(4):
         (lib / f"file{i}.bin").write_bytes(bytes(9))
 
-    def no_read(path):
+    def no_read(path, size):
         raise AssertionError(f"{path} was read")
 
     monkeypatch.setattr(cli, "_read", no_read)
@@ -438,6 +439,33 @@ def test_a_library_file_of_the_wrong_size_is_refused_before_any_is_read(
         f"error: library file {lib / 'file0.bin'} holds 9 bytes, expected 8\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("held", [7, 9, 64])
+def test_a_library_file_that_changed_size_since_its_stat_is_refused(tmp_path, held):
+    path = tmp_path / "file0.bin"
+    path.write_bytes(bytes(held))
+    with pytest.raises(ValueError) as refused:
+        cli._read(str(path), 8)
+    assert str(refused.value) == f"library file {path} holds {held} bytes, expected 8"
+    path.write_bytes(b"12345678")
+    assert cli._read(str(path), 8) == b"12345678"
+
+
+def test_the_decode_checks_of_a_run_are_one_product(monkeypatch):
+    """All 21 users of the worked example fit one batch: their decode
+    checks are one product of the inverse's F - Z rows with the (F, 21 L)
+    shares, and every user decodes its file."""
+    session = make_worked_session()
+    shapes, product = [], BinaryField.matmul
+
+    def counted(field, coeffs, symbols):
+        shapes.append((np.shape(coeffs), symbols.shape))
+        return product(field, coeffs, symbols)
+
+    monkeypatch.setattr(BinaryField, "matmul", counted)
+    assert cli._decode_checks(session) == {user: True for user in range(1, 22)}
+    assert shapes == [((2, 4), (4, 21 * session.meta.symbols_per_share))]
 
 
 def test_unsorted_profile_records_cache_order(tmp_path):
