@@ -253,17 +253,23 @@ def rate_report(pda: Pda, profile) -> RateReport:
 # -- phase implementations -----------------------------------------------------
 
 
+def _batches(items, symbols: int) -> list:
+    """The items in order, in batches of as many whole items of `symbols`
+    symbols as fit in WORDS_PER_CALL (read at each call), at least one."""
+    step = max(1, WORDS_PER_CALL // symbols)
+    return [items[start : start + step] for start in range(0, len(items), step)]
+
+
 def helper_placement(pda: Pda, config: SystemConfig, library, rng):
     """Share every file and map star rows to cache contents.
 
     Returns (shares, meta, cached_rows): shares[n] is the (F, L) share
     array of file n+1, row j its share j+1; cached_rows[lam-1] lists the
     1-based share rows every cache lam stores (for all files, per PDA
-    column lam).  The files are shared in batches, file order kept, each
-    one share_file call: as many whole files as fit in WORDS_PER_CALL
-    symbols of input, and at least one, so a file larger than that is
-    shared alone.  shares[n] is file n+1's column block of its batch's
-    product.  No sharing randomness outlives its batch's share_file call.
+    column lam).  The files are shared in `_batches` of F * L symbols a
+    file, one share_file call each, so a larger file is shared alone.
+    shares[n] is file n+1's column block of its batch's product.  No
+    sharing randomness outlives its batch's share_file call.
     """
     p = pda.params
     m, n = config.helper_memory, config.num_files
@@ -275,10 +281,8 @@ def helper_placement(pda: Pda, config: SystemConfig, library, rng):
     f, z, field = p.num_rows, p.stars_per_column, config.field
     meta = _share_meta(8 * config.file_bytes, f, z, field)
     length = meta.symbols_per_share
-    per_batch = max(1, WORDS_PER_CALL // (f * length))
     shares = []
-    for start in range(0, len(library), per_batch):
-        batch = library[start : start + per_batch]
+    for batch in _batches(library, f * length):
         block = share_file(b"".join(batch), f, z, field, rng, len(batch))[0]
         shares += [block[:, i : i + length] for i in range(0, block.shape[1], length)]
     cached_rows = tuple(pda.star_rows(lam) for lam in range(1, p.num_caches + 1))
@@ -495,14 +499,13 @@ def decode_users(session: SessionState, users) -> Iterator[tuple[int, bytes]]:
     pair's key and the other participants' shares (which sit in this
     user's helper cache, by the PDA's cross-star structure), then invert
     the sharing once all F shares are present.  The users are decoded in
-    batches, as helper_placement shares files: as many whole users as fit
-    in WORDS_PER_CALL symbols of (F, k * L) shares, and at least one.  A
-    batch's shares are one fresh array, user i's in columns
-    i * L .. (i + 1) * L, each block recovered in place, and they go whole
-    to `unshare_file`: one product and one codec pass for the batch, the
-    shares let go before the bytes are assembled.  Each file is a slice
-    of its batch's bytes.  The batches are decoded as the pairs are
-    read, so a caller that lets each file go holds one batch's at a time.
+    `_batches` of F * L share symbols a user.  A batch's shares are one
+    fresh array, user i's in columns i * L .. (i + 1) * L, each block
+    recovered in place, and they go whole to `unshare_file`: one product
+    and one codec pass for the batch, the shares let go before the bytes
+    are assembled.  Each file is a slice of its batch's bytes.  The
+    batches are decoded as the pairs are read, so a caller that lets each
+    file go holds one batch's at a time.
 
     Raises ValueError, before anything is decoded, for a user outside
     1..K or one listed twice.
@@ -528,9 +531,7 @@ def _decoded_batches(session: SessionState, users: tuple[int, ...]):
     """(user, file) for each user, decoding one batch at a time."""
     meta, field = session.meta, session.config.field
     size = meta.data_bits // 8
-    per_batch = max(1, WORDS_PER_CALL // (meta.num_shares * meta.symbols_per_share))
-    for start in range(0, len(users), per_batch):
-        batch = users[start : start + per_batch]
+    for batch in _batches(users, meta.num_shares * meta.symbols_per_share):
         data = unshare_file(_batch_shares(session, batch), meta, field, len(batch))
         for i, user in enumerate(batch):
             yield user, data[i * size : (i + 1) * size]
@@ -605,11 +606,10 @@ def one_time_pad_session(
     per user.  The rate is exactly K.
 
     The (1, 0) sharing is the identity, so a file's one share is its
-    symbols.  The library is converted in batches, as helper_placement
-    shares it: as many whole files as fit in WORDS_PER_CALL symbols, and
-    at least one, each batch one `bytes_to_symbols` call, so the codec
-    never holds more than one batch's bits.  shares[n] is row n of its
-    batch's (k, L) symbols, a (1, L) view.
+    symbols.  The library is converted in `_batches` of L symbols a file,
+    each batch one `bytes_to_symbols` call, so the codec never holds more
+    than one batch's bits.  shares[n] is row n of its batch's (k, L)
+    symbols, a (1, L) view.
     """
     if config.helper_memory != 0:
         raise ValueError("the one-time-pad baseline is the M = 0 scheme")
@@ -622,10 +622,8 @@ def one_time_pad_session(
     field = config.field
     meta = _share_meta(8 * config.file_bytes, 1, 0, field)
     length = meta.symbols_per_share
-    per_batch = max(1, WORDS_PER_CALL // length)
     shares = []
-    for start in range(0, len(library), per_batch):
-        batch = library[start : start + per_batch]
+    for batch in _batches(library, length):
         block = bytes_to_symbols(b"".join(batch), field, length, len(batch))
         shares += [block[i : i + 1] for i in range(len(batch))]
     columns, pair_occurrences = {}, {}

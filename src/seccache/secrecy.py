@@ -24,10 +24,9 @@ position-major, every full-width model is therefore kron(I_L, M1), where L
 is the number of symbols per share and M1 is the model of one position.
 Ranks scale by L, so rank([B | A_protected]) = rank(B) holds at all L
 positions exactly when it holds for M1, and a witness for M1 is a witness
-at any one position.  `verify_session` decides every check on M1
-(`SessionAnalyzer(session, positions=1)`) or a reduction of it, at a cost
-that does not depend on the file size; the full-width model
-(`positions=None`) is what the tests compare it with.
+at any one position.  `verify_session` decides every check on a
+reduction of M1, at a cost that does not depend on the file size; the
+tests compare it with M1 and the full-width model (`SessionAnalyzer`).
 
 The models order rows and columns with the position innermost.
 Elimination on a full-width model then performs M1's elimination L times
@@ -61,7 +60,11 @@ broadcast carries: a clean session takes no elimination and no product.
   lacks.  Times blockdiag(S_lam) it is the R_lam model, so both give the
   same verdict and the same first exposing broadcast.
 - Eavesdropper.  It holds no key, so with the pads on every broadcast
-  drops out and its model has no rows.  With them stripped it runs on M1.
+  drops out and its model has no rows.  With them stripped, M1 is the
+  carried-share table M times blockdiag(C_w) in A and blockdiag(C_v) in
+  B (whose key columns are zero).  [C_w | C_v] is invertible, so where
+  phi B = 0, phi A != 0 exactly when phi M != 0: the check takes M for
+  A, and its one [B | I] elimination gives M1's verdict and witness.
 
 A failing delivery check's reduced witness is one kept broadcast, the
 first that exposes a protected file, and it lifts to M1 in closed form:
@@ -213,8 +216,8 @@ class SessionAnalyzer:
     blocks (per-cache shares, transmissions) across observers.  The models
     cover the first `positions` symbol positions of every share, key and
     broadcast (all of them for None), position innermost; at `positions=1`
-    they are M1 (see the module docstring), which the stripped eavesdropper
-    check uses."""
+    they are M1 (see the module docstring), which the tests check every
+    verdict against."""
 
     def __init__(self, session: SessionState, positions: int | None = None):
         if positions is not None and positions < 1:
@@ -322,9 +325,6 @@ class SessionAnalyzer:
             blocks.append(self.delivery_block())
         return self._assemble(blocks)
 
-    def eavesdropper_model(self) -> LinearObservationModel:
-        return self._assemble([self.delivery_block()])
-
 
 def _no_rows(field: BinaryField, num_files: int, width: int) -> LinearObservationModel:
     """What a check reduces to once every observation has cancelled or
@@ -335,13 +335,19 @@ def _no_rows(field: BinaryField, num_files: int, width: int) -> LinearObservatio
 
 def check_external_eavesdropper(session: SessionState) -> SecrecyVerdict:
     """Broadcast-only observer; every file is protected.  Decided on no rows
-    with the pads on and on the one-position model with them stripped,
+    with the pads on and on the carried-share table with them stripped,
     which is exact (see the module docstring)."""
-    num_files = session.config.num_files
+    field, meta, num_files = session.config.field, session.meta, session.config.num_files
+    model = _no_rows(field, num_files, meta.num_subfiles)
     if session.pads_stripped:
-        model = SessionAnalyzer(session, positions=1).eavesdropper_model()
-    else:
-        model = _no_rows(session.config.field, num_files, session.meta.num_subfiles)
+        f, z, rows = meta.num_shares, meta.num_random, len(session.transmissions)
+        table, rand = _carried_shares(session), field.zeros(rows, num_files, z)
+        p, n, j = np.nonzero(table)
+        np.bitwise_xor.at(rand, (p, n), cauchy_matrix(f, field)[j, f - z :])
+        model = LinearObservationModel(
+            field, num_files, f, table.reshape(rows, num_files * f),
+            rand.reshape(rows, num_files * z),
+            tuple(("x", *pair, 0) for pair in session.transmissions))
     return check_zero_information(model, range(1, num_files + 1))
 
 
@@ -425,10 +431,10 @@ def _delivery_model(
         field.zeros(len(rows), 0), tuple(("x", *pair, 0) for pair in kept))
 
 
-def _lifted(session: SessionState, user: int, pair, cancel, row_of: dict) -> SecrecyVerdict:
+def _lifted(session: SessionState, user: int, pair, cancel, table, row_of: dict) -> SecrecyVerdict:
     """The failing delivery witness of broadcast `pair` on the user's
-    one-position model, from its cache's `_cancel_rows` and the broadcast
-    rows `row_of`.
+    one-position model, from its cache's `_cancel_rows`, the carried-share
+    table and the broadcast rows `row_of`.
 
     Its rows are placed by the layout of `SessionAnalyzer.user_model` at
     one position, without building it: the cache block (file-major, then
@@ -444,12 +450,10 @@ def _lifted(session: SessionState, user: int, pair, cancel, row_of: dict) -> Sec
     if not session.pads_stripped:
         labels[key_start + keys.index(pair)] = ("key", *pair, 0)
     witness[list(labels)] = 1
-    for row, other in session.garray.pair_occurrences[pair]:
-        n = session.demands[other - 1]
-        for k, (j, coeff) in enumerate(zip(cached, cancel[row - 1])):
-            r = (n - 1) * len(cached) + k
-            witness[r] ^= coeff
-            labels[r] = ("share", n, j, 0)
+    for n, j in np.argwhere(table[row_of[pair]]).tolist():  # share j + 1 of file n + 1
+        start = n * len(cached)
+        witness[start : start + len(cached)] ^= cancel[j]
+        labels.update((start + k, ("share", n + 1, c, 0)) for k, c in enumerate(cached))
     rows = tuple((labels[r], int(witness[r])) for r in np.flatnonzero(witness))
     return SecrecyVerdict(False, witness, rows)
 
@@ -459,12 +463,11 @@ def verify_session(session: SessionState) -> SecrecyReport:
     placement secrecy, per-user delivery secrecy (all files but the
     demanded one), and the broadcast-only eavesdropper.
 
-    Each check is decided by one `check_zero_information` call on the
-    smallest model exactly equivalent to its one-position model (see the
-    module docstring): placement on no rows, delivery on the carried-share
-    table, and the eavesdropper on no rows, or on the one-position model
-    with the pads stripped.  Raises RuntimeError, naming the cache, when a
-    cache does not list Z distinct share rows in 1..F.
+    Each check is one `check_zero_information` call on the smallest model
+    exactly equivalent to its one-position model (see the module
+    docstring): no rows for placement and the eavesdropper with the pads
+    on, the carried-share table otherwise.  Raises RuntimeError, naming
+    the cache, when a cache does not list Z distinct share rows in 1..F.
     """
     config, meta = session.config, session.meta
     f, z = meta.num_shares, meta.num_random
@@ -494,7 +497,7 @@ def verify_session(session: SessionState) -> SecrecyReport:
             if not verdict.holds:  # one broadcast ("x", s, i, 0), coefficient 1
                 cancel = _cancel_rows(session, lam) if cancel is None else cancel
                 (label, _), = verdict.witness_rows
-                verdict = _lifted(session, user, label[1:-1], cancel, row_of)
+                verdict = _lifted(session, user, label[1:-1], cancel, table, row_of)
             user_delivery[user] = verdict
     return SecrecyReport(
         cache_placement, user_placement, user_delivery, check_external_eavesdropper(session)

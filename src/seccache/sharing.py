@@ -215,10 +215,10 @@ def _symbol_files(symbols, field: BinaryField) -> np.ndarray:
     """The inverse of `_file_symbols`: each row of l-bit symbols as one
     file's bit stream, zero-padded at its own end, a uint8 row of
     ceil(n * l / 8) bytes; a 1-D array is one row.  At l = 8 that is the
-    symbols themselves, not a copy."""
+    symbols themselves, not a copy, when their rows are contiguous."""
     symbols = np.asarray(symbols, field.dtype)
     if field.l % 8 == 0:
-        return symbols.astype(f">u{field.l // 8}", copy=False).view(np.uint8)
+        return symbols.astype(f">u{field.l // 8}", order="C", copy=False).view(np.uint8)
     shifts = np.arange(field.l - 1, -1, -1, dtype=field.dtype)
     bits = symbols[..., None] >> shifts
     bits &= 1
@@ -286,11 +286,10 @@ WORDS_PER_CALL = 1 << 18  # most words a draw takes in one random_words call
 
 def random_words(count: int, rng: np.random.MT19937) -> np.ndarray:
     """The next `count` 32-bit Mersenne Twister words of rng, in draw order,
-    as a fresh uint32 array.  They are the words `count` calls of
-    getrandbits(32) give on a random.Random seeded alike.  `random_raw`
-    returns each word in a uint64, so a call holds a temporary of 8 bytes
-    a word, at most 2 MiB for WORDS_PER_CALL words."""
-    return rng.random_raw(count).astype(np.uint32)
+    as a fresh uint64 array, `random_raw`'s, 8 bytes a word and at most
+    2 MiB for WORDS_PER_CALL words.  They are the words `count` calls of
+    getrandbits(32) give on a random.Random seeded alike."""
+    return rng.random_raw(count)
 
 
 def random_vector(length: int, field: BinaryField, rng: np.random.MT19937) -> np.ndarray:

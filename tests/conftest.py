@@ -3,9 +3,9 @@ the test-side oracles (scalar inverse, elimination and vector-matrix
 product, polynomial irreducibility, the association of a user-to-cache
 assignment, the distribution-enumeration secrecy oracle, a session's
 actual variable values, the simplified unit-cache bound, the dense
-observation models of a share subset and of a cache, and the R_lam
-delivery reduction that the carried-share table is checked against), a
-cache tamper that keeps verify running, and
+observation models of a share subset, of a cache and of the
+eavesdropper, and the R_lam delivery reduction that the carried-share
+table is checked against), a cache tamper that keeps verify running, and
 Hypothesis strategies for random valid PDAs that are not MN and for
 sessions of those PDAs and of the M = 0 scheme."""
 
@@ -303,6 +303,12 @@ def cache_model(analyzer, cache):
     if not 1 <= cache <= analyzer.session.config.num_caches:
         raise ValueError(f"cache {cache} out of range")
     return analyzer._assemble([analyzer.cache_block(cache)])
+
+
+def eavesdropper_model(analyzer):
+    """The dense model of every broadcast symbol, at the analyzer's
+    positions: all the broadcast-only eavesdropper sees."""
+    return analyzer._assemble([analyzer.delivery_block()])
 
 
 def residual(session, cache):

@@ -44,6 +44,7 @@ from tests.conftest import (
     WORKED_G_COLUMNS,
     WORKED_GRID,
     cache_model,
+    eavesdropper_model,
     enumerate_independence,
     gf_vec_mat,
     make_worked_session,
@@ -201,14 +202,14 @@ def _tiny_oracle_instances():
     out.append((an.user_model(1, include_delivery=False), {1, 2}))
     out.append((cache_model(an, 1), {1, 2}))
     out.append((cache_model(an, 2), {1, 2}))
-    out.append((an.eavesdropper_model(), {1, 2}))
+    out.append((eavesdropper_model(an), {1, 2}))
 
     sabotaged = tiny((2, 0), 2, strip_pads=True, demands=(1, 2))
     sab = SessionAnalyzer(sabotaged, positions=1)
     out.append((sab.user_model(1, include_delivery=True), {2}))
     out.append((sab.user_model(2, include_delivery=True), {1}))
     out.append((sab.user_model(2, include_delivery=False), {1, 2}))
-    out.append((sab.eavesdropper_model(), {1, 2}))
+    out.append((eavesdropper_model(sab), {1, 2}))
     return out
 
 

@@ -2,9 +2,9 @@
 field arithmetic stays inside the field module, the byte <-> symbol codec
 lives in the sharing module, sessions are built in one place, randomness
 comes from NumPy's Mersenne Twister as raw words in bounded calls, the
-G-array is read by user, the secrecy verdicts read no payload, the package
-never imports the tests' oracles, and every function it defines has a caller
-in the program."""
+G-array is read by user, the secrecy verdicts read no payload and build no
+dense model, the package never imports the tests' oracles, and every
+function it defines has a caller in the program."""
 
 import ast
 from pathlib import Path
@@ -155,6 +155,28 @@ def test_secrecy_reads_no_payload():
              if file == "secrecy.py" and isinstance(node, ast.Attribute)
              and node.attr in {"shares", "library"}]
     assert not found, f"secrecy verdicts follow from structure alone: {found}"
+
+
+def test_the_package_builds_no_dense_model():
+    """Every verdict is decided on the carried-share table or on a model
+    with no rows; SessionAnalyzer's dense per-symbol models are what the
+    tests compare them with, and no module of the package builds one."""
+    found = calls_named(package_nodes(), "SessionAnalyzer")
+    assert not found, f"verify decides on the carried-share table: {found}"
+
+
+def test_secrecy_reads_the_pairs_only_through_the_carried_share_table():
+    """secrecy.py reads which shares a broadcast carries from
+    GArray.pair_occurrences only in _carried_shares, and in the dense
+    SessionAnalyzer models; every check and witness reads the table."""
+    tree = ast.parse((PACKAGE / "secrecy.py").read_text())
+    allowed = {id(node) for scope in ast.walk(tree)
+               if isinstance(scope, (ast.FunctionDef, ast.ClassDef))
+               and scope.name in {"_carried_shares", "SessionAnalyzer"}
+               for node in ast.walk(scope)}
+    found = [f"secrecy.py:{node.lineno}" for node in ast.walk(tree)
+             if spelled(node) == "pair_occurrences" and id(node) not in allowed]
+    assert not found, f"read the carried-share table, not the pairs: {found}"
 
 
 def test_small_field_matmul_gathers_all_columns_at_once():

@@ -869,8 +869,9 @@ def test_a_session_peaks_near_its_shares_keys_and_broadcasts():
 
 def test_a_session_of_many_small_files_peaks_near_its_shares_and_one_batch():
     # 256 files of 16 KiB on mn:4,2, so a batch holds 7 files.  Measured at
-    # 2.36 times the library: the shares, twice the library, and one
-    # batch's input, product and draw, about 1.5 MiB whatever the library.
+    # 2.28 times the library: the shares, twice the library, and one
+    # batch's input, product and draw, about 1.1 MiB whatever the library;
+    # 2.36 while each draw also copied its words to uint32.
     pda, num_files, file_bytes = mn_pda(4, 2), 256, 16 << 10
     config = SystemConfig(4, 4, num_files, helper_memory_for(pda, num_files), file_bytes)
     library = tuple(bytes([n % 256]) * file_bytes for n in range(num_files))
@@ -878,7 +879,7 @@ def test_a_session_of_many_small_files_peaks_near_its_shares_and_one_batch():
         lambda: run_session(pda, config, library=library, profile=(1, 1, 1, 1))
     )
     assert len({id(s.base) for s in session.shares}) == -(-num_files // 7)
-    assert peak <= 2.45 * num_files * file_bytes
+    assert peak <= 2.3 * num_files * file_bytes
 
 
 def test_a_zero_memory_session_peaks_near_its_shares_and_one_batch():

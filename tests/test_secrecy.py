@@ -32,6 +32,7 @@ from tests.conftest import (
     brute_force_secrecy,
     cache_model,
     complementary_cache,
+    eavesdropper_model,
     enumerate_independence,
     gf_vec_mat,
     make_worked_session,
@@ -210,14 +211,17 @@ def test_eavesdropper_holds_on_worked_example(worked_session):
     assert check_external_eavesdropper(worked_session).holds
 
 
-def test_eavesdropper_fails_when_pads_stripped():
+def mn_6_1_stripped_session():
     # 6 caches, t=1: each demanded file sheds F-Z = 5 shares against only
     # Z = 1 randomness symbol, so unpadded broadcasts must leak.
     pda = mn_pda(6, 1)
     config = SystemConfig(6, 6, 6, helper_memory_for(pda, 6), 1,
                           field=BinaryField(8), seed=4)
-    session = secrecy.strip_pads(run_session(pda, config, profile=(1,) * 6))
-    verdict = check_external_eavesdropper(session)
+    return secrecy.strip_pads(run_session(pda, config, profile=(1,) * 6))
+
+
+def test_eavesdropper_fails_when_pads_stripped():
+    verdict = check_external_eavesdropper(mn_6_1_stripped_session())
     assert not verdict.holds
 
 
@@ -243,7 +247,7 @@ def test_no_transmissions_is_vacuously_secret():
     session = tiny_session((1, 1), l=3)
     session.transmissions.clear()
     analyzer = SessionAnalyzer(session)
-    model = analyzer.eavesdropper_model()
+    model = eavesdropper_model(analyzer)
     assert model.obs_dim == 0
     assert check_zero_information(model, [1, 2]).holds
     assert verify_session(session).all_hold
@@ -436,7 +440,7 @@ def dense_report(session, positions=None):
         {u: check_zero_information(analyzer.user_model(u, True),
                                    set(all_files) - {session.demands[u - 1]})
          for u in users},
-        check_zero_information(analyzer.eavesdropper_model(), all_files),
+        check_zero_information(eavesdropper_model(analyzer), all_files),
     )
 
 
@@ -480,7 +484,7 @@ def test_full_width_model_is_identity_kron_one_position_model(session):
     for full, m1 in [
         *((analyzer.user_model(u, True), one.user_model(u, True))
           for u in session.garray.column_users),
-        (analyzer.eavesdropper_model(), one.eavesdropper_model()),
+        (eavesdropper_model(analyzer), eavesdropper_model(one)),
     ]:
         rows = position_major(full.obs_dim, width)
         eye = np.eye(width, dtype=full.obs_files.dtype)
@@ -707,12 +711,13 @@ def test_pads_on_witnesses_place_keys_in_sorted_order(worked_session, cache):
 
 
 @st.composite
-def delivery_sessions(draw):
+def delivery_sessions(draw, stripped=None):
     """A random PDA, M = 0 or worked-example session, demands repeating at
     times, with one cache given shares it lacked (`complementary_cache`) at
-    times, and with or without its pads.  With the pads on, a tampered
-    cache's users fail only where another user's demand differs, which the
-    worked example's 21 distinct demands ensure."""
+    times, and with or without its pads (drawn when `stripped` is None).
+    With the pads on, a tampered cache's users fail only where another
+    user's demand differs, which the worked example's 21 distinct demands
+    ensure."""
     session = draw(st.one_of(
         zero_memory_sessions(),
         random_pda_sessions(),
@@ -721,7 +726,9 @@ def delivery_sessions(draw):
     if session.meta.num_random and draw(st.booleans()):
         cache = draw(st.integers(1, session.config.num_caches))
         session = complementary_cache(session, cache)
-    return secrecy.strip_pads(session) if draw(st.booleans()) else session
+    if stripped is None:
+        stripped = draw(st.booleans())
+    return secrecy.strip_pads(session) if stripped else session
 
 
 @settings(max_examples=60, deadline=None,
@@ -771,3 +778,46 @@ def test_carried_share_table_is_the_residual_model_in_other_columns(session):
         if not verdict.holds:
             broadcasts = [row for row in verdict.witness_rows if row[0][0] == "x"]
             assert broadcasts == list(reference.witness_rows)
+
+
+def dense_eavesdropper_check(session):
+    """The broadcast-only check on the dense one-position model."""
+    model = eavesdropper_model(SessionAnalyzer(session, positions=1))
+    return check_zero_information(model, range(1, session.config.num_files + 1))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(session=delivery_sessions(stripped=True))
+@example(session=make_worked_session(strip_pads=True))
+@example(session=secrecy.strip_pads(complementary_cache(make_worked_session(), 3)))
+@example(session=mn_6_1_stripped_session())
+def test_stripped_eavesdropper_on_the_table_is_the_dense_check(session):
+    reduced, dense = check_external_eavesdropper(session), dense_eavesdropper_check(session)
+    assert reduced.holds == dense.holds
+    assert reduced.witness_summary() == dense.witness_summary()
+    if not dense.holds:
+        assert np.array_equal(reduced.witness, dense.witness)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_worked_session(strip_pads=True),
+    lambda: secrecy.strip_pads(complementary_cache(make_worked_session(), 2)),
+    mn_6_1_stripped_session,
+], ids=["worked", "complementary", "mn-6-1"])
+def test_a_stripped_verify_builds_no_dense_model(monkeypatch, make):
+    session = make()
+    want = report_checks(dense_report(session, positions=1))
+
+    def no_dense_model(*args, **kwargs):
+        raise AssertionError("verify builds no dense model")
+
+    monkeypatch.setattr(secrecy, "SessionAnalyzer", no_dense_model)
+    got = report_checks(verify_session(session))
+    assert not all(v.holds for _, v in got)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, reduced), (_, dense) in zip(got, want):
+        assert reduced.holds == dense.holds, name
+        assert reduced.witness_summary() == dense.witness_summary(), name
+        if not dense.holds:
+            assert np.array_equal(reduced.witness, dense.witness), name

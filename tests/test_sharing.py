@@ -403,6 +403,16 @@ def test_a_batch_must_split_into_equal_files(gf8):
         bytes_to_subfiles(b"abcd", 4, 2, gf8, 2, out=gf8.zeros(2, 3))
 
 
+@pytest.mark.parametrize("l", [8, 16])
+def test_a_batch_of_one_symbol_files_is_reassembled(l):
+    # with one symbol a subfile, each file's subfiles are a strided column
+    # of the batch, not a contiguous row
+    field, files = BinaryField(l), b"\xe5\x17\x80"
+    subfiles, meta = bytes_to_subfiles(files, 8, 4, field, count=3)
+    assert subfiles.shape == (4, 3) and meta.symbols_per_share == 1
+    assert subfiles_to_bytes(subfiles, meta, field, count=3) == files
+
+
 @settings(max_examples=150, deadline=None)
 @given(l=st.integers(2, 16), symbols=st.lists(st.integers(0, 2**16 - 1), max_size=40))
 @example(l=8, symbols=[0xA5])
@@ -620,7 +630,7 @@ def test_mersenne_twister_draws_the_words_of_random_random(key, sizes):
     assert same_state(rng, ref)
     for size in sizes:
         words = random_words(size, rng)
-        assert words.dtype == np.uint32
+        assert words.dtype == np.uint64
         assert words.tolist() == [ref.getrandbits(32) for _ in range(size)]
         assert same_state(rng, ref)
 
@@ -633,7 +643,7 @@ def test_raw_words_are_the_words_randint_drew(key):
     rng = mersenne_twister(key)
     for size in (5000, 1, 0, 623):
         words = random_words(size, rng)
-        assert words.dtype == np.uint32
+        assert words.dtype == np.uint64
         assert np.array_equal(words, legacy.randint(2**32, size=size, dtype=np.uint32))
 
 
