@@ -206,13 +206,12 @@ def _run_artifacts(session, decoded: dict[int, bool], full_payloads: bool) -> di
     total = -(-length * l // 8)  # the bytes of one broadcast
     shown = total if full_payloads else min(total, PAYLOAD_CAP_BYTES)
     width = min(length, -(-8 * shown // l))
-    payloads = [payload[:width] for payload in session.transmissions.values()]
-    blob = symbols_to_bytes(payloads, session.config.field)
-    step = len(blob) // len(payloads)
+    blob = symbols_to_bytes(session.transmissions[:, :width], session.config.field)
+    step = len(blob) // len(session.transmissions)
     suffix = f" (+{total - shown} bytes)" if shown < total else ""
     lines = [
         f"X{s},{i} {blob[n * step : n * step + shown].hex()}{suffix}"
-        for n, (s, i) in enumerate(session.transmissions)
+        for n, (s, i) in enumerate(session.garray.pairs)
     ]
     decode_lines = [
         f"user {user}: {'OK' if good else 'MISMATCH'}" for user, good in decoded.items()

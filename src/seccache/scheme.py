@@ -16,12 +16,13 @@ Phases, in order:
                           integer s tagged as the pair (s, i), i the user's
                           rank within the cache.  Pair (s, i) sits at the
                           (row, user) of each occurrence of s whose cache
-                          has an i-th user.  One uniform one-time-pad key is
-                          generated per distinct pair and stored by exactly
-                          the users whose columns carry that pair.
-  4. delivery           - for each distinct pair, the server broadcasts the
-                          XOR of the participants' demanded shares and the
-                          pair's key; each participant strips the key and
+                          has an i-th user.  One uniform one-time-pad key
+                          per distinct pair is row p of the (P, L) key
+                          block, pairs in sorted order, and each user
+                          stores the rows of the pairs its column carries.
+  4. delivery           - row p of the (P, L) broadcast block is the XOR
+                          of pair p's participants' demanded shares and key
+                          row p; each participant strips the key and
                           its cached shares to recover one new share.
 
 Decoding (`decode_users`) is each user's: every share it lacks is one
@@ -48,6 +49,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 
@@ -192,7 +194,8 @@ class GArray:
     columns[user] is the user's F entries (None for a star), users in
     cache-major, group order, the order of decode.txt and of verify's
     per-user lines; pair_occurrences[pair] lists the pair's 1-based
-    (row, user) positions, pairs in sorted order."""
+    (row, user) positions, pairs in sorted order: `pairs`, the row order of
+    the key and broadcast blocks, where pair_index[pair] is the pair's row."""
 
     columns: dict[int, tuple[Pair | None, ...]]
     pair_occurrences: dict[Pair, tuple[tuple[int, int], ...]]
@@ -201,9 +204,13 @@ class GArray:
     def column_users(self) -> tuple[int, ...]:
         return tuple(self.columns)
 
-    @property
+    @cached_property
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(self.pair_occurrences)
+
+    @cached_property
+    def pair_index(self) -> dict[Pair, int]:
+        return {pair: p for p, pair in enumerate(self.pairs)}
 
 
 def build_g_array(pda: Pda, association: Association) -> GArray:
@@ -299,37 +306,35 @@ def helper_placement(pda: Pda, config: SystemConfig, library, rng):
 def user_key_placement(
     garray: GArray, symbols_per_share: int, field: BinaryField, rng
 ):
-    """One uniform key per distinct pair, drawn in pair order; user k stores
-    the keys of the pairs in its own column (exactly F - Z of them).
+    """One uniform key per distinct pair: (key_pool, user_keys).
 
-    Every key comes from one draw of P * L symbols, P pairs in pair order,
-    so key p is row p of a read-only (P, L) block, the same symbols as P
-    draws of L one after the other."""
-    pairs = garray.pairs
-    block = random_vector(len(pairs) * symbols_per_share, field, rng)
-    block = block.reshape(len(pairs), symbols_per_share)
-    block.setflags(write=False)
-    key_pool = dict(zip(pairs, block))
+    key_pool is one draw of P * L symbols as a read-only (P, L) block, row
+    p the key of garray.pairs[p], the same symbols as P draws of L one
+    after the other.  user_keys[k] is the tuple of the rows user k stores,
+    one per entry of its column (exactly F - Z), in the column's row order."""
+    pairs, index = garray.pairs, garray.pair_index
+    key_pool = random_vector(len(pairs) * symbols_per_share, field, rng)
+    key_pool = key_pool.reshape(len(pairs), symbols_per_share)
+    key_pool.setflags(write=False)
     user_keys = {
-        user: {entry: key_pool[entry] for entry in column if entry is not None}
+        user: tuple([index[entry] for entry in column if entry is not None])
         for user, column in garray.columns.items()
     }
     return key_pool, user_keys
 
 
-def deliver(garray: GArray, shares, demands, key_pool) -> dict[Pair, np.ndarray]:
-    """One broadcast per distinct pair (s-major order): the XOR of every
-    participant's demanded share with the pair's key."""
+def deliver(garray: GArray, shares, demands, key_pool) -> np.ndarray:
+    """The read-only (P, L) broadcast block, in pair order: row p the XOR of
+    every participant's demanded share with key row p."""
     num_files = len(shares)
     for user in garray.columns:
         if not 1 <= demands[user - 1] <= num_files:
             raise ValueError(f"user {user} demands unknown file {demands[user - 1]}")
-    out: dict[Pair, np.ndarray] = {}
-    for pair, occurrences in garray.pair_occurrences.items():
-        acc = key_pool[pair].copy()
+    out = key_pool.copy()
+    for acc, occurrences in zip(out, garray.pair_occurrences.values()):
         for row, user in occurrences:
             acc ^= shares[demands[user - 1] - 1][row - 1]
-        out[pair] = acc
+    out.setflags(write=False)
     return out
 
 
@@ -345,10 +350,10 @@ class SessionState:
     shares: list
     cached_rows: tuple[tuple[int, ...], ...]
     garray: GArray
-    key_pool: dict[Pair, np.ndarray]
-    user_keys: dict[int, dict[Pair, np.ndarray]]
+    key_pool: np.ndarray  # read-only (P, L), row p the key of garray.pairs[p]
+    user_keys: dict[int, tuple[int, ...]]  # each user's key rows, in column order
     demands: tuple[int, ...]
-    transmissions: dict[Pair, np.ndarray]
+    transmissions: np.ndarray  # read-only (P, L), row p the broadcast of pair p
     rate: RateReport
     # True only on the verifier's sabotaged copy, whose broadcasts carry no keys.
     pads_stripped: bool = False
@@ -552,24 +557,25 @@ def _batch_shares(session: SessionState, users: tuple[int, ...]) -> np.ndarray:
 def _user_shares(session: SessionState, user: int, recovered: np.ndarray) -> None:
     """Write all F shares of the user's demanded file into recovered, an
     (F, L) array: the cached rows copied from its helper cache, and each
-    other row j the broadcast of entry (j, user) with the pair's key and
-    the other participants' cached shares XORed away in place."""
-    garray, shares = session.garray, session.shares
+    other row j from broadcast row p, p the row of the entry at (j, user),
+    with key row p and the other participants' shares XORed away in place."""
+    garray, shares, sent = session.garray, session.shares, session.transmissions
+    if len(sent) != len(garray.pairs):
+        raise RuntimeError(f"{len(sent)} broadcasts sent for {len(garray.pairs)} pairs")
     lam = session.association.user_to_cache[user - 1]
     own = shares[session.demands[user - 1] - 1]
     cached = set(session.cached_rows[lam - 1])
 
     for j in cached:
         recovered[j - 1] = own[j - 1]
-    keys = session.user_keys[user]
+    keys = set(session.user_keys[user])
     for row, entry in zip(recovered, garray.columns[user]):
         if entry is None:
             continue
-        if entry not in session.transmissions:
-            raise RuntimeError(f"transmission {entry} missing")
-        if entry not in keys:
+        p = garray.pair_index[entry]
+        if p not in keys:
             raise RuntimeError(f"user {user} lacks key {entry}")
-        np.bitwise_xor(session.transmissions[entry], keys[entry], out=row)
+        np.bitwise_xor(sent[p], session.key_pool[p], out=row)
         for j, other in garray.pair_occurrences[entry]:
             if other == user:
                 continue

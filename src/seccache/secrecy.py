@@ -235,12 +235,8 @@ class SessionAnalyzer:
         self.spf = self.nsub * self.fsym
         self.file_dim = self.num_files * self.spf
         self.vdim = self.num_files * self.nrand * self.fsym
-        self.pairs = session.garray.pairs
+        self.pairs = session.garray.pairs  # key row p's columns start at vdim + p * fsym
         self.rand_dim = self.vdim + len(self.pairs) * self.fsym
-        self._key_col = {
-            pair: self.vdim + idx * self.fsym
-            for idx, pair in enumerate(self.pairs)
-        }
         self._enc = cauchy_matrix(meta.num_shares, session.config.field)
         self._cache_blocks: dict[int, tuple] = {}
         self._delivery_block: tuple | None = None
@@ -283,27 +279,26 @@ class SessionAnalyzer:
         keys = sorted(self.session.user_keys[user])
         a, b = self._rows(len(keys) * self.fsym)
         labels = []
-        for r0, pair in enumerate(keys):
+        for r0, p in enumerate(keys):
             for pos in range(self.fsym):
                 r = r0 * self.fsym + pos
-                b[r, self._key_col[pair] + pos] = 1
-                labels.append(("key", *pair, pos))
+                b[r, self.vdim + p * self.fsym + pos] = 1
+                labels.append(("key", *self.pairs[p], pos))
         return a, b, tuple(labels)
 
     def delivery_block(self):
         """Rows for every broadcast symbol (shared by all observers)."""
         if self._delivery_block is None:
             session = self.session
-            pairs = list(session.transmissions)
-            a, b = self._rows(len(pairs) * self.fsym)
+            a, b = self._rows(len(self.pairs) * self.fsym)
             labels = []
-            for r0, pair in enumerate(pairs):
+            for p, pair in enumerate(self.pairs):
                 for pos in range(self.fsym):
-                    r = r0 * self.fsym + pos
+                    r = p * self.fsym + pos
                     for row, user in session.garray.pair_occurrences[pair]:
                         self._add_share(a[r], b[r], session.demands[user - 1], row, pos)
                     if not session.pads_stripped:
-                        b[r, self._key_col[pair] + pos] ^= 1
+                        b[r, self.vdim + p * self.fsym + pos] ^= 1
                     labels.append(("x", *pair, pos))
             self._delivery_block = (a, b, tuple(labels))
         return self._delivery_block
@@ -340,14 +335,15 @@ def check_external_eavesdropper(session: SessionState) -> SecrecyVerdict:
     field, meta, num_files = session.config.field, session.meta, session.config.num_files
     model = _no_rows(field, num_files, meta.num_subfiles)
     if session.pads_stripped:
-        f, z, rows = meta.num_shares, meta.num_random, len(session.transmissions)
+        pairs = session.garray.pairs
+        f, z, rows = meta.num_shares, meta.num_random, len(pairs)
         table, rand = _carried_shares(session), field.zeros(rows, num_files, z)
         p, n, j = np.nonzero(table)
         np.bitwise_xor.at(rand, (p, n), cauchy_matrix(f, field)[j, f - z :])
         model = LinearObservationModel(
             field, num_files, f, table.reshape(rows, num_files * f),
             rand.reshape(rows, num_files * z),
-            tuple(("x", *pair, 0) for pair in session.transmissions))
+            tuple(("x", *pair, 0) for pair in pairs))
     return check_zero_information(model, range(1, num_files + 1))
 
 
@@ -376,10 +372,13 @@ class SecrecyReport:
 
 def strip_pads(session: SessionState) -> SessionState:
     """Sabotage for secrecy testing: a copy of the session whose broadcasts
-    carry no one-time pads.  The input session is left untouched."""
-    transmissions = {
-        pair: x ^ session.key_pool[pair] for pair, x in session.transmissions.items()
-    }
+    carry no one-time pads, the broadcast block XOR the key block.  The
+    input session is left untouched; ValueError if its pads are already
+    stripped, since stripping them again would put them back."""
+    if session.pads_stripped:
+        raise ValueError("the session's pads are already stripped")
+    transmissions = session.transmissions ^ session.key_pool
+    transmissions.setflags(write=False)
     return replace(session, transmissions=transmissions, pads_stripped=True)
 
 
@@ -400,57 +399,53 @@ def _cancel_rows(session: SessionState, cache: int) -> np.ndarray:
 
 
 def _carried_shares(session: SessionState) -> np.ndarray:
-    """The carried-share table, P x N x F, broadcasts in transmission order:
-    1 where a broadcast carries share j of file n, at most once (C3)."""
+    """The carried-share table, P x N x F, broadcasts in pair order: 1 where
+    a broadcast carries share j of file n, at most once (C3)."""
     occurrences, demands = session.garray.pair_occurrences, session.demands
-    cells = [(p, demands[user - 1] - 1, row - 1) for p, pair in enumerate(session.transmissions)
-             for row, user in occurrences[pair]]
-    shape = len(session.transmissions), session.config.num_files, session.meta.num_shares
+    cells = [(p, demands[user - 1] - 1, row - 1) for p, occ in enumerate(occurrences.values())
+             for row, user in occ]
+    shape = len(occurrences), session.config.num_files, session.meta.num_shares
     table = session.config.field.zeros(*shape)
     table[tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)] = 1
     return table
 
 
 def _delivery_model(
-    session: SessionState, user: int, table: np.ndarray, lacked: list[int],
-    row_of: dict,
+    session: SessionState, user: int, table: np.ndarray, lacked: list[int]
 ) -> LinearObservationModel:
     """The user's delivery check with its cache and keys eliminated: the
     carried-share table at the broadcasts the user cannot discard and at
     the shares its cache lacks (0-based `lacked`).  With the pads stripped
-    those are all the broadcasts; otherwise they are the broadcasts of the
-    keys the user holds, looked up in `row_of`, each broadcast's row in
-    transmission order, and kept in that order."""
-    field = session.config.field
-    kept = list(row_of) if session.pads_stripped else sorted(
-        (pair for pair in session.user_keys[user] if pair in row_of), key=row_of.__getitem__)
-    rows = [row_of[pair] for pair in kept]
+    those are all the broadcasts; otherwise they are the rows of the keys
+    the user holds, in row order."""
+    field, pairs = session.config.field, session.garray.pairs
+    rows = range(len(pairs)) if session.pads_stripped else sorted(session.user_keys[user])
     return LinearObservationModel(
         field, session.config.num_files, len(lacked),
         np.take(table[rows], lacked, axis=2).reshape(len(rows), table.shape[1] * len(lacked)),
-        field.zeros(len(rows), 0), tuple(("x", *pair, 0) for pair in kept))
+        field.zeros(len(rows), 0), tuple(("x", *pairs[p], 0) for p in rows))
 
 
-def _lifted(session: SessionState, user: int, pair, cancel, table, row_of: dict) -> SecrecyVerdict:
+def _lifted(session: SessionState, user: int, pair, cancel, table) -> SecrecyVerdict:
     """The failing delivery witness of broadcast `pair` on the user's
-    one-position model, from its cache's `_cancel_rows`, the carried-share
-    table and the broadcast rows `row_of`.
+    one-position model, from its cache's `_cancel_rows` and the
+    carried-share table, read at the pair's row.
 
     Its rows are placed by the layout of `SessionAnalyzer.user_model` at
     one position, without building it: the cache block (file-major, then
-    the cached rows), the user's sorted keys, then every broadcast in
-    transmission order."""
-    field = session.config.field
+    the cached rows), the user's key rows in row order, then every
+    broadcast in pair order."""
+    field, p = session.config.field, session.garray.pair_index[pair]
     cached = session.cached_rows[session.association.user_to_cache[user - 1] - 1]
     keys = sorted(session.user_keys[user])
     key_start = session.config.num_files * len(cached)
     x_start = key_start + len(keys)
-    witness = field.zeros(x_start + len(row_of))
-    labels = {x_start + row_of[pair]: ("x", *pair, 0)}
+    witness = field.zeros(x_start + len(table))
+    labels = {x_start + p: ("x", *pair, 0)}
     if not session.pads_stripped:
-        labels[key_start + keys.index(pair)] = ("key", *pair, 0)
+        labels[key_start + keys.index(p)] = ("key", *pair, 0)
     witness[list(labels)] = 1
-    for n, j in np.argwhere(table[row_of[pair]]).tolist():  # share j + 1 of file n + 1
+    for n, j in np.argwhere(table[p]).tolist():  # share j + 1 of file n + 1
         start = n * len(cached)
         witness[start : start + len(cached)] ^= cancel[j]
         labels.update((start + k, ("share", n + 1, c, 0)) for k, c in enumerate(cached))
@@ -482,7 +477,6 @@ def verify_session(session: SessionState) -> SecrecyReport:
     users = session.garray.column_users
     user_placement = {user: check_zero_information(placed, {1}) for user in users}
     table = _carried_shares(session)
-    row_of = {pair: r for r, pair in enumerate(session.transmissions)}
     user_delivery = {}
     # groups list the users cache by cache, in the G-array's column order
     for lam, group in enumerate(session.association.groups, start=1):
@@ -492,12 +486,12 @@ def verify_session(session: SessionState) -> SecrecyReport:
             # with the pads stripped every user keeps every broadcast, so the
             # users of a cache share one model
             if model is None or not session.pads_stripped:
-                model = _delivery_model(session, user, table, lacked, row_of)
+                model = _delivery_model(session, user, table, lacked)
             verdict = check_zero_information(model, all_files - {session.demands[user - 1]})
             if not verdict.holds:  # one broadcast ("x", s, i, 0), coefficient 1
                 cancel = _cancel_rows(session, lam) if cancel is None else cancel
                 (label, _), = verdict.witness_rows
-                verdict = _lifted(session, user, label[1:-1], cancel, table, row_of)
+                verdict = _lifted(session, user, label[1:-1], cancel, table)
             user_delivery[user] = verdict
     return SecrecyReport(
         cache_placement, user_placement, user_delivery, check_external_eavesdropper(session)

@@ -215,12 +215,11 @@ def variable_assignment(analyzer):
         random_vector(meta.num_random * length, field, rng).reshape(meta.num_random, length)
         for _ in session.library
     ]
-    keys = [session.key_pool[pair][None] for pair in analyzer.pairs]
 
     def flat(blocks):
         return np.concatenate([blk[:, : analyzer.fsym].ravel() for blk in blocks])
 
-    return flat(subfiles), flat([*randomness, *keys])
+    return flat(subfiles), flat([*randomness, session.key_pool])
 
 
 def enumerate_independence(model, protected, max_symbols=12, max_states=1 << 22):
@@ -336,8 +335,9 @@ def residual_delivery_model(session, user, r_lam):
     randomness columns."""
     field = session.config.field
     width = r_lam.shape[1]
-    keys = session.user_keys[user]
-    pairs = [p for p in session.transmissions if session.pads_stripped or p in keys]
+    keys = set(session.user_keys[user])
+    pairs = [pair for p, pair in enumerate(session.garray.pairs)
+             if session.pads_stripped or p in keys]
     a = field.zeros(len(pairs), session.config.num_files * width)
     for r, pair in enumerate(pairs):
         for row, other in session.garray.pair_occurrences[pair]:

@@ -52,7 +52,8 @@ def m0_digest(l: int) -> str:
         file_bytes=5, field=BinaryField(l), seed=7,
     )
     session = one_time_pad_session(config, profile=(1, 3, 2))
-    listing = [(pair, payload.tolist()) for pair, payload in session.transmissions.items()]
+    listing = [(pair, payload.tolist())
+               for pair, payload in zip(session.garray.pairs, session.transmissions)]
     return hashlib.sha256(repr(listing).encode()).hexdigest()
 
 

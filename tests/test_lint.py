@@ -2,9 +2,10 @@
 field arithmetic stays inside the field module, the byte <-> symbol codec
 lives in the sharing module, sessions are built in one place, randomness
 comes from NumPy's Mersenne Twister as raw words in bounded calls, the
-G-array is read by user, the secrecy verdicts read no payload and build no
-dense model, the package never imports the tests' oracles, and every
-function it defines has a caller in the program."""
+G-array is read by user, pairs map to rows in one place, the secrecy
+verdicts read no payload and build no dense model, the package never
+imports the tests' oracles, and every function it defines has a caller in
+the program."""
 
 import ast
 from pathlib import Path
@@ -177,6 +178,34 @@ def test_secrecy_reads_the_pairs_only_through_the_carried_share_table():
     found = [f"secrecy.py:{node.lineno}" for node in ast.walk(tree)
              if spelled(node) == "pair_occurrences" and id(node) not in allowed]
     assert not found, f"read the carried-share table, not the pairs: {found}"
+
+
+PAIR_SEQUENCES = {"pairs", "pair_occurrences", "transmissions"}
+
+
+def maps_pairs_to_rows(node) -> bool:
+    """Whether a node is a dict comprehension over enumerate(...) of the
+    pairs, the pair occurrences or the broadcasts: a pair -> row map."""
+    return isinstance(node, ast.DictComp) and any(
+        isinstance(gen.iter, ast.Call) and spelled(gen.iter.func) == "enumerate"
+        and any(spelled(n) in PAIR_SEQUENCES for arg in gen.iter.args for n in ast.walk(arg))
+        for gen in node.generators
+    )
+
+
+def test_pairs_map_to_rows_in_one_place():
+    """GArray.pair_index is the one pair -> row map: the key and broadcast
+    blocks are in pair order, so every other reader takes a pair's row
+    from it or walks the pairs in order, and builds no map of its own."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owned = {id(node) for scope in ast.walk(tree)
+                 if isinstance(scope, ast.ClassDef) and scope.name == "GArray"
+                 for node in ast.walk(scope)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if maps_pairs_to_rows(node) and id(node) not in owned]
+    assert not found, f"read a pair's row from GArray.pair_index: {found}"
 
 
 def test_small_field_matmul_gathers_all_columns_at_once():

@@ -217,10 +217,15 @@ def test_worked_memory_ratio_is_half():
     assert Fraction(m, m + 21) == Fraction(2, 4)
 
 
+def held_pairs(session, user):
+    """The pairs of the key rows the user stores."""
+    return [session.garray.pairs[p] for p in session.user_keys[user]]
+
+
 def test_key_placement(worked_session):
-    assert sorted(worked_session.user_keys[1]) == [(1, 1), (2, 1)]
-    assert sorted(worked_session.user_keys[21]) == [(3, 1), (4, 1)]
-    assert sorted(worked_session.user_keys[12]) == [(2, 1), (3, 1)]
+    assert sorted(held_pairs(worked_session, 1)) == [(1, 1), (2, 1)]
+    assert sorted(held_pairs(worked_session, 21)) == [(3, 1), (4, 1)]
+    assert sorted(held_pairs(worked_session, 12)) == [(2, 1), (3, 1)]
     for user in range(1, 22):
         assert len(worked_session.user_keys[user]) == 2  # F - Z keys each
 
@@ -236,21 +241,21 @@ def test_keys_are_one_read_only_draw_in_pair_order(session):
     # one draw of P * L symbols equals P draws of L, pair after pair
     field, length = session.config.field, session.meta.symbols_per_share
     rng = _stream(session.config.seed, "keys")
-    assert list(session.key_pool) == list(session.garray.pairs)
-    for pair, key in session.key_pool.items():
+    assert len(session.key_pool) == len(session.garray.pairs)
+    for key in session.key_pool:
         assert np.array_equal(key, random_vector(length, field, rng))
         assert not key.flags.writeable
         with pytest.raises(ValueError):
             key[0] = 0
-    for keys in session.user_keys.values():
-        assert all(key is session.key_pool[pair] for pair, key in keys.items())
+    for user, column in session.garray.columns.items():
+        assert held_pairs(session, user) == [entry for entry in column if entry is not None]
 
 
 def test_key_budget_is_one_file(worked_session):
     meta = worked_session.meta
     per_user_bits = sum(
-        len(key) * worked_session.config.field.l
-        for key in worked_session.user_keys[1].values()
+        len(worked_session.key_pool[p]) * worked_session.config.field.l
+        for p in worked_session.user_keys[1]
     )
     assert per_user_bits == meta.padded_bits  # M_U * B
 
@@ -267,7 +272,7 @@ def xor_vectors(*vecs):
 
 def test_worked_delivery_count_and_order(worked_session):
     assert len(worked_session.transmissions) == 20
-    assert list(worked_session.transmissions) == [
+    assert list(worked_session.garray.pairs) == [
         (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
         (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
         (3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
@@ -277,7 +282,8 @@ def test_worked_delivery_count_and_order(worked_session):
 
 def test_worked_transmission_compositions(worked_session):
     s = worked_session
-    shares, keys = s.shares, s.key_pool
+    shares, keys = s.shares, dict(zip(s.garray.pairs, s.key_pool))
+    sent = dict(zip(s.garray.pairs, s.transmissions))
     expected = {
         (1, 1): xor_vectors(shares[0][2], shares[6][1], shares[15][0], keys[(1, 1)]),
         (1, 6): xor_vectors(shares[5][2], keys[(1, 6)]),
@@ -287,7 +293,33 @@ def test_worked_transmission_compositions(worked_session):
         (4, 3): xor_vectors(shares[17][3], keys[(4, 3)]),
     }
     for pair, want in expected.items():
-        assert (s.transmissions[pair] == want).all(), pair
+        assert (sent[pair] == want).all(), pair
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(session=st.one_of(random_pda_sessions(), zero_memory_sessions()))
+def test_keys_and_broadcasts_are_read_only_blocks_in_pair_order(session):
+    """Row p of the key and broadcast blocks belongs to garray.pairs[p]:
+    broadcast row p is key row p XOR the demanded shares of the pair's
+    participants, and a user's key rows are the pair_index of its column's
+    entries, in row order.  l runs over 2..16."""
+    garray, shares, demands = session.garray, session.shares, session.demands
+    assert [garray.pair_index[pair] for pair in garray.pairs] == list(range(len(garray.pairs)))
+    for p, pair in enumerate(garray.pairs):
+        want = session.key_pool[p].copy()
+        for row, user in garray.pair_occurrences[pair]:
+            want ^= shares[demands[user - 1] - 1][row - 1]
+        assert np.array_equal(session.transmissions[p], want)
+    for user, column in garray.columns.items():
+        rows = tuple(garray.pair_index[entry] for entry in column if entry is not None)
+        assert session.user_keys[user] == rows
+        assert all(type(p) is int for p in session.user_keys[user])
+    shape = (len(garray.pairs), session.meta.symbols_per_share)
+    for block in (session.key_pool, session.transmissions, strip_pads(session).transmissions):
+        assert isinstance(block, np.ndarray) and block.shape == shape
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] ^= 1
 
 
 def test_single_user_single_transmission():
@@ -296,7 +328,7 @@ def test_single_user_single_transmission():
     session = run_session(pda, config, profile=(1, 1))
     assert len(session.transmissions) == 1
     # the only pair is (1, 1); payload is share ^ key for each participant
-    (pair,) = session.transmissions
+    (pair,) = session.garray.pairs
     assert pair == (1, 1)
 
 
@@ -378,13 +410,13 @@ def test_a_user_listed_twice_is_refused(make):
 
 
 def without_broadcast(session):
-    return replace(session, transmissions={
-        pair: x for pair, x in session.transmissions.items() if pair != (1, 1)
-    })
+    row = session.garray.pair_index[(1, 1)]
+    return replace(session, transmissions=np.delete(session.transmissions, row, axis=0))
 
 
 def without_key(session):
-    keys = {pair: k for pair, k in session.user_keys[1].items() if pair != (1, 1)}
+    row = session.garray.pair_index[(1, 1)]
+    keys = tuple(p for p in session.user_keys[1] if p != row)
     return replace(session, user_keys={**session.user_keys, 1: keys})
 
 
@@ -395,7 +427,7 @@ def without_cached_row(session):
 
 
 @pytest.mark.parametrize("tamper, message", [
-    (without_broadcast, r"transmission \(1, 1\) missing"),
+    (without_broadcast, r"19 broadcasts sent for 20 pairs"),
     (without_key, r"user 1 lacks key \(1, 1\)"),
     (without_cached_row, "participant share not in this user's cache"),
 ])
@@ -592,7 +624,7 @@ def test_dedicated_cache_reduction():
     session = run_session(pda, config, profile=(1, 1, 1, 1))
     p = pda.params
     assert session.rate.rate == Fraction(p.num_ints, p.num_rows - p.stars_per_column)
-    assert set(session.transmissions) == {(s, 1) for s in range(1, p.num_ints + 1)}
+    assert set(session.garray.pairs) == {(s, 1) for s in range(1, p.num_ints + 1)}
     for s in range(1, p.num_ints + 1):
         # participants of (s, 1) are exactly the PDA occurrences of s
         got = {
@@ -773,11 +805,13 @@ def test_zero_memory_sessions_decode_at_rate_k_with_one_pad_per_user(session):
     assert len(session.transmissions) == session.rate.num_transmissions == config.num_users
     assert session.rate.rate == Fraction(config.num_users)
     assert session.rate.per_s_multiplicity == tuple(n for n in association.profile if n)
-    for (lam, i), payload in session.transmissions.items():
+    for (lam, i), payload in zip(session.garray.pairs, session.transmissions):
         user = association.groups[lam - 1][i - 1]
         demanded = session.library[session.demands[user - 1] - 1]
         plain = bytes_to_symbols(demanded, config.field, session.meta.symbols_per_share)[0]
-        assert np.array_equal(payload, plain ^ session.user_keys[user][(lam, i)])
+        (row,) = session.user_keys[user]
+        assert session.garray.pairs[row] == (lam, i)
+        assert np.array_equal(payload, plain ^ session.key_pool[row])
 
 
 def test_the_zero_memory_scheme_runs_no_field_product(monkeypatch):
@@ -949,7 +983,7 @@ def test_the_synthetic_library_peaks_at_its_output_plus_one_file():
 
 
 def payload_blob(session):
-    return b"".join(bytes(v.tolist()) for v in session.transmissions.values())
+    return b"".join(bytes(v.tolist()) for v in session.transmissions)
 
 
 def test_same_seed_same_bytes():
@@ -992,22 +1026,19 @@ def drawn_arrays(session):
         for data in session.library
     ]
     length = meta.symbols_per_share
-    block = random_vector(len(garray.pairs) * length, config.field,
-                          _stream(config.seed, "keys"))
-    keys = dict(zip(garray.pairs, block.reshape(-1, length)))
-    broadcasts = {}
-    for pair, occurrences in garray.pair_occurrences.items():
-        payload = keys[pair].copy()
+    keys = random_vector(len(garray.pairs) * length, config.field,
+                         _stream(config.seed, "keys")).reshape(-1, length)
+    broadcasts = keys.copy()
+    for payload, occurrences in zip(broadcasts, garray.pair_occurrences.values()):
         for row, user in occurrences:
             payload ^= shares[session.demands[user - 1] - 1][row - 1]
-        broadcasts[pair] = payload
     return shares, keys, broadcasts
 
 
 def array_bytes(shares, keys, broadcasts):
     return ([s.tobytes() for s in shares],
-            {pair: k.tobytes() for pair, k in keys.items()},
-            {pair: x.tobytes() for pair, x in broadcasts.items()})
+            [k.tobytes() for k in keys],
+            [x.tobytes() for x in broadcasts])
 
 
 @pytest.mark.parametrize("l", [8, 16])

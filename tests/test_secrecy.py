@@ -124,10 +124,10 @@ def test_model_reproduces_actual_session_values(worked_session):
             expect = s.shares[n - 1][j - 1][pos]
         elif kind == "key":
             si, i, pos = rest
-            expect = s.key_pool[(si, i)][pos]
+            expect = s.key_pool[s.garray.pair_index[(si, i)]][pos]
         else:
             si, i, pos = rest
-            expect = s.transmissions[(si, i)][pos]
+            expect = s.transmissions[s.garray.pair_index[(si, i)]][pos]
         assert int(value) == int(expect), label
 
 
@@ -226,26 +226,41 @@ def test_eavesdropper_fails_when_pads_stripped():
 
 
 def test_strip_pads_returns_a_padless_copy(worked_session):
-    sent = {pair: x.copy() for pair, x in worked_session.transmissions.items()}
+    sent = worked_session.transmissions.copy()
     stripped = secrecy.strip_pads(worked_session)
     assert stripped.pads_stripped and not worked_session.pads_stripped
-    assert worked_session.transmissions.keys() == sent.keys()
-    for pair, x in sent.items():
-        assert np.array_equal(worked_session.transmissions[pair], x)
+    assert worked_session.transmissions.shape == sent.shape
+    for p, x in enumerate(sent):
+        assert np.array_equal(worked_session.transmissions[p], x)
     # each stripped payload is the XOR of the participants' demanded shares
     garray = worked_session.garray
-    assert stripped.transmissions.keys() == garray.pair_occurrences.keys()
-    for pair, occurrences in garray.pair_occurrences.items():
-        want = np.zeros_like(sent[pair])
+    assert len(stripped.transmissions) == len(garray.pair_occurrences)
+    for p, occurrences in enumerate(garray.pair_occurrences.values()):
+        want = np.zeros_like(sent[p])
         for row, user in occurrences:
             demand = worked_session.demands[user - 1]
             want ^= worked_session.shares[demand - 1][row - 1]
-        assert np.array_equal(stripped.transmissions[pair], want)
+        assert np.array_equal(stripped.transmissions[p], want)
+
+
+def test_strip_pads_refuses_a_stripped_session():
+    # Stripping twice would put the pads back under a stripped flag: every
+    # user of mn:4,2 with one user per cache would decode, and verify would
+    # report the leaks of a session that has none.
+    pda = mn_pda(4, 2)
+    config = SystemConfig(4, 4, 4, helper_memory_for(pda, 4), 2,
+                          field=BinaryField(8), seed=3)
+    stripped = secrecy.strip_pads(run_session(pda, config, profile=(1, 1, 1, 1)))
+    with pytest.raises(ValueError, match="^the session's pads are already stripped$"):
+        secrecy.strip_pads(stripped)
 
 
 def test_no_transmissions_is_vacuously_secret():
     session = tiny_session((1, 1), l=3)
-    session.transmissions.clear()
+    none = session.key_pool[:0]
+    session = replace(session, garray=replace(session.garray, pair_occurrences={}),
+                      key_pool=none, transmissions=none,
+                      user_keys={user: () for user in session.user_keys})
     analyzer = SessionAnalyzer(session)
     model = eavesdropper_model(analyzer)
     assert model.obs_dim == 0
@@ -509,7 +524,8 @@ def test_verify_session_matches_the_full_width_report(session):
 
 
 @EXACTNESS
-@given(session=small_sessions().map(secrecy.strip_pads))
+@given(session=small_sessions().map(
+    lambda session: session if session.pads_stripped else secrecy.strip_pads(session)))
 def test_one_position_witness_lifts_to_the_full_width_model(session):
     width = session.meta.symbols_per_share
     analyzer = SessionAnalyzer(session)
@@ -756,14 +772,13 @@ def test_carried_share_table_is_the_residual_model_in_other_columns(session):
     assert shapes == [(f, z)] * len(failing)
     all_files = set(range(1, config.num_files + 1))
     table = secrecy._carried_shares(session)
-    row_of = {pair: r for r, pair in enumerate(session.transmissions)}
     for user in session.garray.column_users:
         lam = cache_of[user - 1]
         r_lam, cancel = residual(session, lam)
         assert np.array_equal(secrecy._cancel_rows(session, lam), cancel)
         want = residual_delivery_model(session, user, r_lam)
         lacked = [j - 1 for j in range(1, f + 1) if j not in session.cached_rows[lam - 1]]
-        got = secrecy._delivery_model(session, user, table, lacked, row_of)
+        got = secrecy._delivery_model(session, user, table, lacked)
         assert got.row_labels == want.row_labels and got.rand_dim == 0
         # A_reference = A_table . blockdiag(S_lam), S_lam = R_lam at the
         # shares the cache lacks
