@@ -8,10 +8,11 @@ at least
     ( s*floor(N/s) - 1 - (lambda_s - 1) M - (s - 1) M_U ) / (floor(N/s) - 1)
 
 where lambda_s is the cache serving the s-th user when users are counted
-cache-by-cache down the nonincreasing profile.  Negative terms are
-clamped at zero.  The scheme gives every user exactly one file of keys,
-so the user memory M_U is 1 throughout, and each term equals
-s - (lambda_s - 1) M / (floor(N/s) - 1).
+cache-by-cache down the loads, largest first.  The bound needs no cache
+labels, so every function here takes the loads in any order and reads
+them largest first itself.  Negative terms are clamped at zero.  The
+scheme gives every user exactly one file of keys, so the user memory M_U
+is 1 throughout, and each term equals s - (lambda_s - 1) M / (floor(N/s) - 1).
 
 Everything is exact rational arithmetic; decimals appear only when
 rendering CSV.
@@ -21,39 +22,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .pda import Pda, check_mn_size, mn_pda
-from .scheme import helper_memory_for, nonincreasing, rate_report
+from .scheme import helper_memory_for, rate_report
+
+
+def _cache_of_each_user(profile):
+    """lambda_1, lambda_2, ...: the users counted cache by cache down the
+    loads, largest first, each user giving its cache's rank."""
+    loads = sorted(profile, reverse=True)
+    return (lam for lam, load in enumerate(loads, start=1) for _ in range(load))
 
 
 def lambda_of_s(profile, s: int) -> int:
-    """Cache of the s-th user under cache-major enumeration: the smallest
-    label whose cumulative load reaches s."""
-    profile = nonincreasing(profile)
+    """Cache of the s-th user under cache-major enumeration down the loads,
+    largest first: the smallest rank whose cumulative load reaches s."""
+    profile = tuple(profile)
     if not 1 <= s <= sum(profile):
         raise ValueError(f"s={s} out of range [1, {sum(profile)}]")
-    running = 0
-    for lam, load in enumerate(profile, start=1):
-        running += load
-        if running >= s:
-            return lam
-    raise RuntimeError("unreachable: s <= sum(profile)")
+    return next(islice(_cache_of_each_user(profile), s - 1, None))
 
 
 def cutset_terms(num_files: int, helper_memory, profile) -> list[tuple[int, Fraction]]:
     """The (s, value) bound terms at M_U = 1, each clamped at zero, for the
-    K = sum(profile) users of a nonincreasing profile.  The users are
-    counted cache by cache once, which gives every lambda_s in one pass."""
+    K = sum(profile) users, the loads in any order.  The users are counted
+    cache by cache once, which gives every lambda_s in one pass."""
     if num_files < 1:
         raise ValueError("need at least one file")
-    profile = nonincreasing(profile)
+    profile = tuple(profile)
     num_users = sum(profile)
     if num_users < 1:
         raise ValueError("need at least one user")
     m = Fraction(helper_memory)
     if m < 0:
         raise ValueError("helper memory cannot be negative")
-    cache_of_user = (lam for lam, load in enumerate(profile, start=1) for _ in range(load))
+    cache_of_user = _cache_of_each_user(profile)
     terms = []
     for s, lam_s in zip(range(1, min(num_files // 2, num_users) + 1), cache_of_user):
         per = num_files // s  # floor(N/s) >= 2 on this range
@@ -63,8 +67,8 @@ def cutset_terms(num_files: int, helper_memory, profile) -> list[tuple[int, Frac
 
 
 def cutset_bound(num_files: int, helper_memory, profile) -> Fraction:
-    """Best cut over all admissible s for the K = sum(profile) users of a
-    nonincreasing profile; 0 when N < 2 leaves no valid cut."""
+    """Best cut over all admissible s for the K = sum(profile) users, the
+    loads in any order; 0 when N < 2 leaves no valid cut."""
     terms = cutset_terms(num_files, helper_memory, profile)
     if not terms:
         return Fraction(0)
@@ -111,8 +115,9 @@ class SweepPoint:
 
 def sweep(num_files: int, profile, pdas: dict[str, Pda]) -> list[SweepPoint]:
     """One point per PDA (memory induced by Z/F = M/(M+N)) plus the M = 0
-    one-time-pad baseline at rate K, sorted by memory then rate."""
-    profile = tuple(sorted(profile, reverse=True))
+    one-time-pad baseline at rate K, sorted by memory then rate;
+    profile[lam - 1] is the load of every PDA's column lam."""
+    profile = tuple(profile)
     num_caches = len(profile)
     points = [
         SweepPoint(

@@ -149,13 +149,14 @@ def _check_manifest(manifest) -> None:
                 raise ValueError(f"manifest.json: {key!r} must be {kind}")
 
 
-def _config(pda: Pda, profile, num_files: int, file_bytes: int, field_bits: int, seed: int):
+def _config(num_caches: int, helper_memory, profile, num_files: int, file_bytes: int,
+            field_bits: int, seed: int):
     """The SystemConfig of a run's inputs; its checks precede any build."""
     return SystemConfig(
-        num_caches=pda.num_caches,
+        num_caches=num_caches,
         num_users=sum(profile),
         num_files=num_files,
-        helper_memory=helper_memory_for(pda, num_files),
+        helper_memory=helper_memory,
         file_bytes=file_bytes,
         field=BinaryField(field_bits),
         seed=seed,
@@ -168,8 +169,8 @@ def _session_from_manifest(manifest):
     _check_manifest(manifest)
     pda = load_pda(manifest["pda_text"])
     config = _config(
-        pda, manifest["profile"], manifest["num_files"], manifest["file_bytes"],
-        manifest["field_bits"], manifest["seed"],
+        pda.num_caches, helper_memory_for(pda, manifest["num_files"]), manifest["profile"],
+        manifest["num_files"], manifest["file_bytes"], manifest["field_bits"], manifest["seed"],
     )
     if manifest["field_poly"] != config.field.poly:
         raise ValueError(f"manifest.json: 'field_poly' must be {config.field.poly}")
@@ -286,7 +287,8 @@ def cmd_simulate(args) -> int:
     if len(profile) != pda.num_caches:
         raise ValueError("profile length must equal the PDA's column count")
     # The config's checks, the library cap among them, precede the K demands.
-    config = _config(pda, profile, args.files, args.bytes, args.field, args.seed)
+    config = _config(pda.num_caches, helper_memory_for(pda, args.files), profile, args.files,
+                     args.bytes, args.field, args.seed)
     demands = _parse_demands(args.demands, config.num_users, args.files)
     # The manifest records the run's raw inputs, and the session is derived
     # from them exactly as verify derives it.  --out is deliberately not
@@ -384,7 +386,7 @@ def cmd_verify(args) -> int:
 
 def cmd_rate(args) -> int:
     _, pda = _parse_pda_source(args.pda)
-    profile = tuple(sorted(_parse_profile(args.profile), reverse=True))
+    profile = _parse_profile(args.profile)
     if len(profile) != pda.num_caches:
         raise ValueError("profile length must equal the PDA's column count")
     report = rate_report(pda, profile)
@@ -398,7 +400,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    profile = tuple(sorted(_parse_profile(args.profile), reverse=True))
+    profile = _parse_profile(args.profile)
     try:
         memory = Fraction(args.memory)
     except ZeroDivisionError:
@@ -412,7 +414,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    profile = tuple(sorted(_parse_profile(args.profile), reverse=True))
+    profile = _parse_profile(args.profile)
     pdas = mn_sweep_pdas(len(profile))
     for extra in args.pda or []:
         pda_id, pda = _parse_pda_source(extra)
@@ -428,18 +430,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    profile = tuple(sorted(_parse_profile(args.profile), reverse=True))
-    num_users = sum(profile)
-    config = SystemConfig(
-        num_caches=len(profile),
-        num_users=num_users,
-        num_files=args.files,
-        helper_memory=Fraction(0),
-        file_bytes=args.bytes,
-        field=BinaryField(args.field),
-        seed=args.seed,
-    )
-    demands = _parse_demands(args.demands, num_users, args.files)
+    profile = _parse_profile(args.profile)
+    config = _config(len(profile), Fraction(0), profile, args.files, args.bytes, args.field,
+                     args.seed)
+    demands = _parse_demands(args.demands, config.num_users, args.files)
     session = one_time_pad_session(config, profile=profile, demands=demands)
     ok = all(_decode_checks(session).values())
     print(f"rate {session.rate.rate} with {session.rate.num_transmissions} transmissions")

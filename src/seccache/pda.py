@@ -175,11 +175,6 @@ class Pda:
                     found[e - 1].append((j, k))
         return tuple(map(tuple, found))
 
-    @cached_property
-    def taus(self) -> tuple[int, ...]:
-        """tau(s) for s = 1, ..., S: the column of s's first occurrence."""
-        return tuple(occ[0][1] for occ in self.occurrences)
-
     def permute_columns(self, order) -> "Pda":
         """New PDA whose column i is this one's column order[i-1] (1-based).
 

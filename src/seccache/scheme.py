@@ -7,10 +7,12 @@ Phases, in order:
                           that F fixes, one product per batch of files;
                           cache lam stores the shares whose PDA rows are
                           stars in column lam.
-  2. association        - users attach to caches; caches are relabeled so
-                          the per-cache user counts (the profile) are
-                          nonincreasing, and the PDA columns are permuted
-                          the same way.
+  2. association        - users attach to caches; caches are relabeled by
+                          their user counts (the profile), largest first,
+                          and the PDA columns are permuted the same way.
+                          The labels fix only the output order: integer s
+                          costs the largest load among its columns under
+                          any labeling (eq. 7).
   3. user key placement - the PDA is expanded into G, one column of F
                           entries per user: its cache's PDA column with
                           integer s tagged as the pair (s, i), i the user's
@@ -124,14 +126,6 @@ def worst_case_demands(num_users: int, num_files: int) -> tuple[int, ...]:
     return tuple(range(1, num_users + 1))
 
 
-def nonincreasing(profile) -> tuple[int, ...]:
-    """The profile as a tuple; ValueError unless its loads never rise."""
-    profile = tuple(profile)
-    if any(a < b for a, b in zip(profile, profile[1:])):
-        raise ValueError("profile must be nonincreasing")
-    return profile
-
-
 @dataclass(frozen=True)
 class Association:
     """User-to-cache attachment after load-sorted relabeling.
@@ -147,7 +141,8 @@ class Association:
     cache_order: tuple[int, ...]
 
     def __post_init__(self):
-        nonincreasing(self.profile)
+        if any(a < b for a, b in zip(self.profile, self.profile[1:])):
+            raise ValueError("profile must be nonincreasing")
         if sum(self.profile) != len(self.user_to_cache):
             raise ValueError("profile does not sum to the user count")
         for lam, group in enumerate(self.groups, start=1):
@@ -213,14 +208,21 @@ class GArray:
         return {pair: p for p, pair in enumerate(self.pairs)}
 
 
+def _largest_loads(pda: Pda, profile: tuple[int, ...]) -> tuple[int, ...]:
+    """For s = 1, ..., S, the largest load among the caches whose columns
+    hold s, profile[lam - 1] being cache lam's load: eq. 7's charge for s,
+    whatever order the loads are listed in."""
+    return tuple([max([profile[lam - 1] for _, lam in occ]) for occ in pda.occurrences])
+
+
 def build_g_array(pda: Pda, association: Association) -> GArray:
     """G of the PDA whose column lam is cache lam of the association;
     empty caches contribute no users.
 
-    Integer s gives the pairs (s, 1), ..., (s, profile[tau(s) - 1]), the
-    largest load among its columns because the profile is nonincreasing,
-    and pair (s, i) sits at each occurrence (j, lam) of s whose cache has
-    an i-th user, groups[lam - 1][i - 1]."""
+    Integer s gives the pairs (s, 1), ..., (s, top), top the largest load
+    among the caches whose columns hold s, and pair (s, i) sits at each
+    occurrence (j, lam) of s whose cache has an i-th user,
+    groups[lam - 1][i - 1]."""
     if association.num_caches != pda.num_caches:
         raise ValueError("association and PDA disagree on the cache count")
     groups, profile = association.groups, association.profile
@@ -230,8 +232,8 @@ def build_g_array(pda: Pda, association: Association) -> GArray:
             columns[user] = tuple([None if e is None else (e, i) for e in base])
     pair_occurrences = {
         (s, i): tuple([(j, groups[lam - 1][i - 1]) for j, lam in occ if i <= profile[lam - 1]])
-        for s, (occ, tau_s) in enumerate(zip(pda.occurrences, pda.taus), start=1)
-        for i in range(1, profile[tau_s - 1] + 1)
+        for s, (occ, top) in enumerate(zip(pda.occurrences, _largest_loads(pda, profile)), start=1)
+        for i in range(1, top + 1)
     }
     return GArray(columns, pair_occurrences)
 
@@ -247,12 +249,15 @@ class RateReport:
 
 
 def rate_report(pda: Pda, profile) -> RateReport:
+    """The rate of eq. 7 for the PDA with profile[lam - 1] users at the
+    cache of column lam: integer s costs the largest of its columns'
+    loads.  The loads may come in any order; the report is the one a
+    session of this PDA and profile sends."""
     profile = tuple(profile)
     if len(profile) != pda.num_caches:
         raise ValueError("profile length must equal the cache count")
-    nonincreasing(profile)
     p = pda.params
-    per_s = tuple(profile[k - 1] for k in pda.taus)
+    per_s = _largest_loads(pda, profile)
     total = sum(per_s)
     return RateReport(total, Fraction(total, p.num_rows - p.stars_per_column), per_s)
 

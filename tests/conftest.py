@@ -2,8 +2,8 @@
 the test-side oracles (scalar inverse, elimination and vector-matrix
 product, polynomial irreducibility, the association of a user-to-cache
 assignment, the distribution-enumeration secrecy oracle, a session's
-actual variable values, the simplified unit-cache bound, the dense
-observation models of a share subset, of a cache and of the
+actual variable values, the eq. 7 rate, the simplified unit-cache bound,
+the dense observation models of a share subset, of a cache and of the
 eavesdropper, and the R_lam delivery reduction that the carried-share
 table is checked against), a cache tamper that keeps verify running, and
 Hypothesis strategies for random valid PDAs that are not MN and for
@@ -360,6 +360,23 @@ def complementary_cache(session, cache):
     rows = list(session.cached_rows)
     rows[cache - 1] = tuple(sorted([*lacked, *held][: session.meta.num_random]))
     return replace(session, cached_rows=tuple(rows))
+
+
+def eq7_loads(pda, profile):
+    """Test-side eq. 7 charges, from a scan of the grid: for each integer
+    s, the top load among the caches whose columns contain it, the loads
+    in column order."""
+    return tuple(
+        max(profile[k] for row in pda.entries for k, e in enumerate(row) if e == s)
+        for s in range(1, pda.params.num_ints + 1)
+    )
+
+
+def eq7_oracle(pda, profile):
+    """Test-side re-derivation of the worst-case rate: the eq. 7 charges
+    over the F - Z symbols of a share."""
+    p = pda.params
+    return Fraction(sum(eq7_loads(pda, profile)), p.num_rows - p.stars_per_column)
 
 
 def unit_cache_bound_terms(num_files, num_users, helper_memory, profile):

@@ -46,6 +46,7 @@ from tests.conftest import (
     cache_model,
     eavesdropper_model,
     enumerate_independence,
+    eq7_oracle,
     gf_vec_mat,
     make_worked_session,
     share_subset_model,
@@ -84,17 +85,6 @@ def battery():
         )
         sessions.append(run_session(pda, config, profile=tuple(buckets)))
     return sessions
-
-
-def eq7_oracle(pda, profile):
-    """Test-side re-derivation of the worst-case rate: for each integer,
-    the top load among the caches whose columns contain it."""
-    p = pda.params
-    total = 0
-    for s in range(1, p.num_ints + 1):
-        cols = {k for _, k in pda.occurrences[s - 1]}
-        total += max(profile[k - 1] for k in cols)
-    return Fraction(total, p.num_rows - p.stars_per_column)
 
 
 def test_criterion_01_worked_example_regression():

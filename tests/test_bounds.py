@@ -42,8 +42,7 @@ def test_lambda_of_s_uniform_and_bounds():
     assert lambda_of_s((3, 2, 0), 5) == 2  # s = K hits the last nonempty cache
     with pytest.raises(ValueError):
         lambda_of_s(ones, 5)
-    with pytest.raises(ValueError):
-        lambda_of_s((1, 2), 1)  # not nonincreasing
+    assert lambda_of_s((1, 2), 1) == 1  # the loads are read largest first
 
 
 def test_lambda_of_s_nondecreasing():
@@ -76,15 +75,34 @@ def test_cutset_terms_take_each_lambda_of_s(profile, num_files, memory):
         assert value == max(want, Fraction(0))
 
 
-@pytest.mark.parametrize("use", [
-    lambda profile: lambda_of_s(profile, 1),
-    lambda profile: cutset_terms(4, 1, profile),
-    lambda profile: Association(profile, ((1,), (2, 3)), (1, 2, 2), (1, 2)),
-    lambda profile: rate_report(mn_pda(2, 1), profile),
+@settings(max_examples=200, deadline=None)
+@given(
+    loads=st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(lambda loads: sum(loads) > 0),
+    num_files=st.integers(1, 60),
+    memory=st.fractions(min_value=0, max_value=40, max_denominator=9),
+)
+def test_the_bound_reads_the_loads_largest_first_in_any_order(loads, num_files, memory):
+    ordered = tuple(sorted(loads, reverse=True))
+    assert cutset_bound(num_files, memory, loads) == cutset_bound(num_files, memory, ordered)
+    for s in range(1, sum(loads) + 1):
+        assert lambda_of_s(loads, s) == cumulative_oracle(ordered, s)
+
+
+@pytest.mark.parametrize("use,ordered", [
+    (lambda profile: lambda_of_s(profile, 1), False),
+    (lambda profile: cutset_terms(4, 1, profile), False),
+    (lambda profile: Association(profile, ((1,), (2, 3)), (1, 2, 2), (1, 2)), True),
+    (lambda profile: rate_report(mn_pda(2, 1), profile), False),
 ], ids=["lambda_of_s", "cutset_terms", "Association", "rate_report"])
-def test_every_profile_reader_needs_it_nonincreasing(use):
-    with pytest.raises(ValueError, match="^profile must be nonincreasing$"):
-        use((1, 2))
+def test_every_profile_reader_needs_it_nonincreasing(use, ordered):
+    """Of the profile's readers, only the association, which relabels the
+    caches by load, needs the loads nonincreasing; the others take them in
+    any order, and (1, 2) gives what (2, 1) gives."""
+    if ordered:
+        with pytest.raises(ValueError, match="^profile must be nonincreasing$"):
+            use((1, 2))
+    else:
+        assert use((1, 2)) == use((2, 1))
 
 
 def test_bound_at_zero_memory_is_min_half_n_k():

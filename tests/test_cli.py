@@ -289,6 +289,24 @@ def test_rate_command(worked_pda_file, capsys):
     assert "rate 10" in capsys.readouterr().out
 
 
+def test_rate_and_sweep_charge_what_simulate_sends(worked_pda_file, tmp_path, capsys):
+    """The loads of --profile are those of the PDA's columns in order, for
+    every command: rate and the sweep's PDA row charge each integer the
+    largest load among its columns, as the 21 broadcasts of simulate do,
+    and the bound reads the loads largest first."""
+    profile = "1,2,3,4,5,6"
+    assert run(["rate", "--pda", worked_pda_file, "--profile", profile]) == 0
+    assert capsys.readouterr().out == "rate 21/2 (10.5) = 21/2, F=4\n"
+    assert run(["sweep", "--profile", profile, "--files", 42, "--pda", worked_pda_file]) == 0
+    assert "42,10.5,6,4,file:worked.pda" in capsys.readouterr().out.splitlines()
+    assert run(["bound", "--profile", profile, "--files", 42, "--memory", 21]) == 0
+    assert capsys.readouterr().out == "bound 6 (6)\n"
+    assert run(["simulate", "--pda", worked_pda_file, "--profile", profile, "--files", 21,
+                "--out", tmp_path / "run"]) == 0
+    simulated = capsys.readouterr().out.splitlines()[0]
+    assert simulated == "simulated: 21 transmissions, rate 21/2 (10.5), F=4"
+
+
 def test_bound_command(capsys):
     assert run(["bound", "--profile", "6,5,4,3,2,1", "--files", "42",
                 "--memory", "21"]) == 0

@@ -2,10 +2,10 @@
 field arithmetic stays inside the field module, the byte <-> symbol codec
 lives in the sharing module, sessions are built in one place, randomness
 comes from NumPy's Mersenne Twister as raw words in bounded calls, the
-G-array is read by user, pairs map to rows in one place, the secrecy
-verdicts read no payload and build no dense model, the package never
-imports the tests' oracles, and every function it defines has a caller in
-the program."""
+G-array is read by user, pairs map to rows in one place, only the
+association orders a profile by load, the secrecy verdicts read no
+payload and build no dense model, the package never imports the tests'
+oracles, and every function it defines has a caller in the program."""
 
 import ast
 from pathlib import Path
@@ -206,6 +206,29 @@ def test_pairs_map_to_rows_in_one_place():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if maps_pairs_to_rows(node) and id(node) not in owned]
     assert not found, f"read a pair's row from GArray.pair_index: {found}"
+
+
+def test_the_load_order_is_decided_by_the_association():
+    """Each integer of a PDA costs the largest load among its columns under
+    any cache labels, so Association, which relabels the caches by load, is
+    the one code that makes or checks a nonincreasing profile: no other
+    code raises its error, and outside bounds.py, which reads the loads
+    largest first for lambda_s, no call sorts in reverse."""
+    message = "profile must be nonincreasing"
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owned = {id(node) for scope in ast.walk(tree)
+                 if isinstance(scope, ast.ClassDef) and scope.name == "Association"
+                 for node in ast.walk(scope)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and id(node) not in owned
+                  and message in ast.unparse(node)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if path.name != "bounds.py" and isinstance(node, ast.Call)
+                  and spelled(node.func) == "sorted"
+                  and any(kw.arg == "reverse" for kw in node.keywords)]
+    assert not found, f"only the association orders a profile by load: {found}"
 
 
 def test_small_field_matmul_gathers_all_columns_at_once():

@@ -1,6 +1,5 @@
-"""PDA validation, the subset-family constructor, the tau table, and text I/O."""
+"""PDA validation, the subset-family constructor, the occurrence table, and text I/O."""
 
-import random
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -165,22 +164,6 @@ def test_s_at_most_lambda_times_f_minus_z():
             assert p.num_ints <= p.num_caches * (p.num_rows - p.stars_per_column)
 
 
-def test_tau_on_worked_grid(worked_pda):
-    assert worked_pda.taus == (1, 1, 2, 4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(pda=random_pdas())
-def test_tau_table_matches_the_per_integer_scan(pda):
-    """The one-pass table equals, for every s, the first column whose scan
-    finds s."""
-    scan = tuple(
-        next(k for k, column in enumerate(zip(*pda.entries), start=1) if s in column)
-        for s in range(1, pda.params.num_ints + 1)
-    )
-    assert pda.taus == scan
-
-
 @settings(max_examples=60, deadline=None)
 @given(pda=random_pdas())
 def test_occurrence_table_matches_the_per_integer_scan(pda):
@@ -194,15 +177,6 @@ def test_occurrence_table_matches_the_per_integer_scan(pda):
             if pda.entries[j - 1][k - 1] == s
         )
         assert pda.occurrences[s - 1] == scan
-
-
-def test_tau_invariant_under_row_permutation(worked_pda):
-    rng = random.Random(0)
-    rows = list(WORKED_GRID)
-    for _ in range(10):
-        rng.shuffle(rows)
-        shuffled = Pda.from_grid(tuple(rows))
-        assert shuffled.taus == worked_pda.taus
 
 
 def test_occurrence_subgrids_are_scaled_identity():

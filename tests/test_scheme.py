@@ -45,6 +45,8 @@ from tests.conftest import (
     WORKED_PROFILE,
     associate_by_assignment,
     draw_users,
+    eq7_loads,
+    eq7_oracle,
     make_worked_session,
     random_pda_sessions,
     random_pdas,
@@ -614,6 +616,25 @@ def test_rate_matches_delivery_count_random():
         assert session.rate.rate == Fraction(
             len(session.transmissions), p.num_rows - p.stars_per_column
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_each_integer_costs_its_largest_load_in_any_order(data):
+    """Eq. 7 with the loads in any order, empty caches included: the report
+    charges each integer the largest load among its columns, stays the same
+    when the columns and the loads are permuted together, and counts the
+    broadcasts that a session of that PDA and profile sends."""
+    pda = data.draw(random_pdas())
+    profile, num_files, demands = draw_users(data.draw, pda.num_caches)
+    report = rate_report(pda, profile)
+    assert report.per_s_multiplicity == eq7_loads(pda, profile)
+    assert report.rate == eq7_oracle(pda, profile)
+    order = data.draw(st.permutations(range(1, pda.num_caches + 1)))
+    assert rate_report(pda.permute_columns(order), [profile[c - 1] for c in order]) == report
+    config = small_config(pda, num_files, len(demands), file_bytes=1)
+    session = run_session(pda, config, profile=profile, demands=demands)
+    assert len(session.transmissions) == report.num_transmissions
 
 
 def test_dedicated_cache_reduction():
