@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .pda import Pda, check_mn_size, mn_pda
+from .pda import Pda, check_mn_size, mn_pda, one_row_pda
 from .scheme import helper_memory_for, rate_report
 
 
@@ -114,21 +114,14 @@ class SweepPoint:
 
 
 def sweep(num_files: int, profile, pdas: dict[str, Pda]) -> list[SweepPoint]:
-    """One point per PDA (memory induced by Z/F = M/(M+N)) plus the M = 0
-    one-time-pad baseline at rate K, sorted by memory then rate;
-    profile[lam - 1] is the load of every PDA's column lam."""
+    """One point per PDA (memory induced by Z/F = M/(M+N)), the M = 0
+    one-time-pad baseline first as the one-row PDA "m0-baseline" (memory 0,
+    rate K, F = 1), sorted by memory then rate; profile[lam - 1] is the load
+    of every PDA's column lam."""
     profile = tuple(profile)
     num_caches = len(profile)
-    points = [
-        SweepPoint(
-            memory=Fraction(0),
-            rate_achievable=Fraction(sum(profile)),
-            rate_lower_bound=cutset_bound(num_files, 0, profile),
-            subpacketization=1,
-            pda_id="m0-baseline",
-        )
-    ]
-    for pda_id, pda in pdas.items():
+    points = []
+    for pda_id, pda in {"m0-baseline": one_row_pda(num_caches), **pdas}.items():
         if pda.num_caches != num_caches:
             raise ValueError(
                 f"PDA {pda_id!r} has {pda.num_caches} columns, profile has {num_caches}"

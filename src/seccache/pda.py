@@ -1,4 +1,4 @@
-"""Placement delivery arrays: type, validator, subset-family constructor, I/O.
+"""Placement delivery arrays: type, validator, constructors, I/O.
 
 A PDA is an F x Lambda grid whose entries are either a star or an integer
 in [1, S].  Stars mark cached shares; equal integers mark XOR-multicast
@@ -8,6 +8,9 @@ opportunities.  Validity means:
   C2: the integers are exactly 1..S with no gaps;
   C3: equal integers lie in distinct rows and columns, and the two cross
       positions of any such pair are stars.
+
+A valid PDA also has a star (Z > 0); the starless `one_row_pda` of the
+M = 0 scheme is built, never read from input.
 
 Rows and columns are 1-based in every public coordinate this module
 reports, matching the usual array-as-printed convention.
@@ -66,13 +69,13 @@ class PdaFormatError(ValueError):
 class PdaParams:
     num_caches: int  # Lambda
     num_rows: int  # F (subpacketization)
-    stars_per_column: int  # Z
+    stars_per_column: int  # Z; 0 only for one_row_pda
     num_ints: int  # S
 
     def __post_init__(self):
-        if not 0 < self.stars_per_column < self.num_rows:
+        if not 0 <= self.stars_per_column < self.num_rows:
             raise PdaError(
-                f"need 0 < Z < F, got Z={self.stars_per_column}, F={self.num_rows}"
+                f"need 0 <= Z < F, got Z={self.stars_per_column}, F={self.num_rows}"
             )
         # Holds for every valid PDA; a failure means the validator is broken.
         if self.num_ints > self.num_caches * (self.num_rows - self.stars_per_column):
@@ -105,7 +108,8 @@ def validate(grid) -> PdaParams:
 
     Raises C1Violation, C2Violation or C3Violation pinpointing the first
     failure; Z is inferred from the star counts, S from the largest
-    integer (which must leave no gaps below it).
+    integer (which must leave no gaps below it).  A grid that passes C1-C3
+    with no star (Z = 0) is refused too: M = 0 is the one-row PDA's.
     """
     rows = _normalize_grid(grid)
     f, lam = len(rows), len(rows[0])
@@ -135,12 +139,14 @@ def validate(grid) -> PdaParams:
             if rows[j1 - 1][k2 - 1] is not STAR or rows[j2 - 1][k1 - 1] is not STAR:
                 raise C3Violation(s, (j1, k1), (j2, k2))
 
+    if z == 0:
+        raise PdaError(f"need 0 < Z < F, got Z=0, F={f}")
     return PdaParams(lam, f, z, s_max)
 
 
 @dataclass(frozen=True)
 class Pda:
-    """A validated placement delivery array."""
+    """A validated placement delivery array, or `one_row_pda`'s."""
 
     entries: Grid
     params: PdaParams
@@ -197,6 +203,13 @@ def check_mn_size(num_caches: int, t: int) -> None:
             f"mn:{num_caches},{t} has {cells} cells (C({num_caches},{t}) rows x "
             f"{num_caches} columns); at most {MN_MAX_CELLS} can be built"
         )
+
+
+def one_row_pda(num_caches: int) -> Pda:
+    """The subset-family PDA at t = 0: one row 1 ... Lambda, no star
+    (F = 1, Z = 0, S = Lambda).  C1-C3 hold, so the grid is not validated,
+    which would refuse it for having no star."""
+    return Pda((tuple(range(1, num_caches + 1)),), PdaParams(num_caches, 1, 0, num_caches))
 
 
 def mn_pda(num_caches: int, t: int) -> Pda:

@@ -34,10 +34,10 @@ batches, as placement shares files: one product and one codec pass per
 batch of whole users.
 
 The M = 0 one-time-pad scheme (`one_time_pad_session`) is the same
-procedure with F = 1 and Z = 0: it has its own placement and one-row G-array,
-and shares phases 3 and 4 with `run_session`.  A session does not store the
-share matrix: it is cauchy_matrix(F, field), which the sharing and the
-verifier each build from F.
+procedure on the one-row PDA 1 ... Lambda (F = 1, Z = 0): only its
+placement differs.  A session does not store the share matrix: it is
+cauchy_matrix(F, field), which the sharing and the verifier each build
+from F.
 
 Relabeling caches after placement is pure bookkeeping: the share-to-cache
 map never depends on the association, so sorting labels by load first and
@@ -59,7 +59,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .field import BinaryField
-from .pda import Pda
+from .pda import Pda, one_row_pda
 from .sharing import (
     WORDS_PER_CALL,
     ShareMeta,
@@ -348,7 +348,7 @@ class SessionState:
     """Everything one end-to-end run produces; inputs to decode/verify."""
 
     config: SystemConfig
-    pda: Pda | None  # canonical (column-permuted); None for the M=0 baseline
+    pda: Pda  # canonical (column-permuted); the one-row PDA for M = 0
     association: Association
     meta: ShareMeta
     library: tuple[bytes, ...]
@@ -610,11 +610,10 @@ def one_time_pad_session(
 ) -> SessionState:
     """The M = 0 scheme: no helper content, one whole-file pad per user.
 
-    Files are kept whole (F = 1 share, Z = 0, no sharing randomness) and the
-    G-array has one row, giving user i of cache lam the pair (lam, i).  Key
-    placement and delivery are run_session's: each user's unit cache holds
-    one uniform key, and the server broadcasts demanded file XOR key, once
-    per user.  The rate is exactly K.
+    run_session's procedure on `one_row_pda`, built after the relabeling
+    and not permuted, so user i of cache lam gets the pair (lam, i): one
+    key per user, one broadcast of demanded file XOR key per user, rate K.
+    Only the placement differs: files are kept whole, with no randomness.
 
     The (1, 0) sharing is the identity, so a file's one share is its
     symbols.  The library is converted in `_batches` of L symbols a file,
@@ -637,17 +636,9 @@ def one_time_pad_session(
     for batch in _batches(library, length):
         block = bytes_to_symbols(b"".join(batch), field, length, len(batch))
         shares += [block[i : i + 1] for i in range(len(batch))]
-    columns, pair_occurrences = {}, {}
-    for lam, group in enumerate(association.groups, start=1):
-        for i, user in enumerate(group, start=1):
-            columns[user] = ((lam, i),)
-            pair_occurrences[(lam, i)] = ((1, user),)
-    per_s = tuple(load for load in association.profile if load > 0)
+    pda = one_row_pda(config.num_caches)
     return _keys_and_delivery(
-        GArray(columns, pair_occurrences),
-        RateReport(config.num_users, Fraction(config.num_users), per_s),
-        config=config, pda=None, association=association, meta=meta, library=library,
-        shares=shares,
-        cached_rows=tuple(() for _ in range(config.num_caches)),
-        demands=demands,
+        build_g_array(pda, association), rate_report(pda, association.profile),
+        config=config, pda=pda, association=association, meta=meta, library=library,
+        shares=shares, cached_rows=((),) * config.num_caches, demands=demands,
     )

@@ -357,6 +357,29 @@ def test_bad_query_inputs_are_errors(args, message, capsys):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+STARLESS = "3 1 0 3\n1 2 3\n"  # the one-row PDA of M = 0, never read from input
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--pda", "{pda}", "--profile", "1,1,1", "--files", 3, "--out", "{run}"],
+    ["rate", "--pda", "{pda}", "--profile", "1,1,1"],
+    ["sweep", "--profile", "1,1,1", "--files", 3, "--pda", "{pda}"],
+    ["pda", "show", "--pda", "{pda}"],
+], ids=lambda args: args[0] if args[0] != "pda" else "pda-show")
+def test_a_starless_grid_is_refused_on_every_input_path(args, tmp_path, capsys):
+    path = tmp_path / "starless.pda"
+    path.write_text(STARLESS)
+    assert run(["pda", "validate", path]) == 1
+    assert capsys.readouterr().out == "invalid: need 0 < Z < F, got Z=0, F=1\n"
+    argv = [str(a).format(pda=path, run=tmp_path / "run") for a in args]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need 0 < Z < F, got Z=0, F=1\n"
+    assert not (tmp_path / "run").exists()
+    assert run(["rate", "--pda", "mn:3,0", "--profile", "1,1,1"]) == 1
+    assert capsys.readouterr().err == "error: t must be in [1, 2], got 0\n"
+
+
 def test_sweep_refuses_too_many_caches_before_building_a_grid(monkeypatch, capsys):
     """The largest grid, C(25,12) x 25 cells, is refused before mn:25,1 is built."""
     def no_subsets(*args):

@@ -1,11 +1,12 @@
 """Source rules for the package: invariants raise real exceptions, scalar
 field arithmetic stays inside the field module, the byte <-> symbol codec
-lives in the sharing module, sessions are built in one place, randomness
-comes from NumPy's Mersenne Twister as raw words in bounded calls, the
-G-array is read by user, pairs map to rows in one place, only the
-association orders a profile by load, the secrecy verdicts read no
-payload and build no dense model, the package never imports the tests'
-oracles, and every function it defines has a caller in the program."""
+lives in the sharing module, sessions, G-arrays, rates and sweep rows are
+each built in one place, randomness comes from NumPy's Mersenne Twister as
+raw words in bounded calls, the G-array is read by user, pairs map to rows
+in one place, only the association orders a profile by load, the secrecy
+verdicts read no payload and build no dense model, the package never
+imports the tests' oracles, and every function it defines has a caller in
+the program."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,20 @@ def test_sessions_are_built_in_one_place():
     assert len(built) == 1, f"every scheme shares one session constructor: {built}"
     derived = calls_named([(f, n) for f, n in nodes if f == "cli.py"], "run_session")
     assert len(derived) == 1, f"simulate and verify derive sessions alike: {derived}"
+
+
+def test_g_arrays_rates_and_sweep_points_are_built_in_one_place():
+    """The M = 0 scheme and sweep row are the procedure on the one-row PDA,
+    so G comes from build_g_array, a rate from rate_report and a sweep row
+    from sweep's one loop over the PDAs."""
+    owners = {"GArray": ("scheme.py", "build_g_array"),
+              "RateReport": ("scheme.py", "rate_report"),
+              "SweepPoint": ("bounds.py", "sweep")}
+    for name, owner in owners.items():
+        built = calls_named(package_nodes(), name)
+        assert len(built) == 1 and not calls_outside(name, {owner}), (
+            f"{name} is built only in {owner[1]}: {built}"
+        )
 
 
 def test_bit_packing_stays_in_the_codec():

@@ -16,8 +16,10 @@ from seccache.pda import (
     Pda,
     PdaError,
     PdaFormatError,
+    PdaParams,
     load_pda,
     mn_pda,
+    one_row_pda,
     save_pda,
     validate,
 )
@@ -99,6 +101,31 @@ def test_gapped_integers_fail_c2():
 def test_no_star_grid_rejected():
     with pytest.raises(PdaError):
         validate(((1, 2),))
+
+
+@pytest.mark.parametrize("num_caches", range(1, 6))
+def test_one_row_pda_is_the_subset_family_at_t_zero(num_caches):
+    """One row 1 ... Lambda with no star; validate passes C1-C3 on it and
+    refuses it only for having no star."""
+    pda = one_row_pda(num_caches)
+    assert pda.params == PdaParams(num_caches, 1, 0, num_caches)
+    assert pda.entries == (tuple(range(1, num_caches + 1)),)
+    assert pda.occurrences == tuple(((1, s),) for s in range(1, num_caches + 1))
+    assert all(pda.star_rows(lam) == () for lam in range(1, num_caches + 1))
+    with pytest.raises(PdaError) as exc:
+        validate(pda.entries)
+    assert type(exc.value) is PdaError
+    assert str(exc.value) == "need 0 < Z < F, got Z=0, F=1"
+
+
+def test_starless_input_is_refused():
+    with pytest.raises(PdaError, match=r"need 0 < Z < F, got Z=0, F=1"):
+        load_pda("3 1 0 3\n1 2 3\n")
+    with pytest.raises(PdaError, match=r"need 0 < Z < F, got Z=0, F=2"):
+        validate(((1, 2), (3, 4)))
+    for z, f in ((-1, 2), (2, 2), (3, 2), (1, 1)):
+        with pytest.raises(PdaError, match=f"got Z={z}, F={f}"):
+            PdaParams(2, f, z, 1)
 
 
 def test_bad_entries_rejected():

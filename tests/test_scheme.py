@@ -13,7 +13,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seccache import BinaryField, Pda, cli, mn_pda, scheme, sharing, validate, verify_session
+from seccache.bounds import cutset_bound, sweep
 from seccache.field import _product_tables
+from seccache.pda import one_row_pda
 from seccache.secrecy import strip_pads
 from seccache.sharing import (
     _cached_inverse,
@@ -825,7 +827,9 @@ def test_zero_memory_sessions_decode_at_rate_k_with_one_pad_per_user(session):
         assert data == session.library[session.demands[user - 1] - 1]
     assert len(session.transmissions) == session.rate.num_transmissions == config.num_users
     assert session.rate.rate == Fraction(config.num_users)
-    assert session.rate.per_s_multiplicity == tuple(n for n in association.profile if n)
+    assert session.rate.per_s_multiplicity == eq7_loads(one_row_pda(config.num_caches),
+                                                        association.profile)
+    assert session.rate.per_s_multiplicity == association.profile
     for (lam, i), payload in zip(session.garray.pairs, session.transmissions):
         user = association.groups[lam - 1][i - 1]
         demanded = session.library[session.demands[user - 1] - 1]
@@ -833,6 +837,26 @@ def test_zero_memory_sessions_decode_at_rate_k_with_one_pad_per_user(session):
         (row,) = session.user_keys[user]
         assert session.garray.pairs[row] == (lam, i)
         assert np.array_equal(payload, plain ^ session.key_pool[row])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(session=zero_memory_sessions())
+def test_the_zero_memory_scheme_is_the_procedure_on_the_one_row_pda(session):
+    """The M = 0 session runs on the one-row PDA 1 ... Lambda, empty caches
+    included: its G-array and rate are build_g_array's and rate_report's
+    there, and sweep's m0-baseline row is memory 0, rate K, the M = 0
+    cut-set bound and F = 1."""
+    config, association = session.config, session.association
+    pda = one_row_pda(config.num_caches)
+    assert session.pda == pda and session.pda.num_rows == 1
+    assert session.garray == build_g_array(pda, association)
+    assert session.rate == rate_report(pda, association.profile)
+    (row,) = [pt for pt in sweep(config.num_files, association.profile, {})
+              if pt.pda_id == "m0-baseline"]
+    assert (row.memory, row.rate_achievable, row.rate_lower_bound, row.subpacketization) == (
+        0, config.num_users, cutset_bound(config.num_files, 0, association.profile), 1
+    )
 
 
 def test_the_zero_memory_scheme_runs_no_field_product(monkeypatch):
