@@ -19,14 +19,14 @@ matrix, built from the exp/log tables and cached per matrix
 coefficient column j, zero-padded to a 1, 2, 4 or 8k-byte word row, so
 an entry holds C * 2^l * padded R bytes (at most 4 MiB at F <= 128).
 One gather of those rows and one XOR reduce multiply a whole chunk of
-symbols, holding at most about 512 KiB at a time; a one-column matrix
-needs the gather alone.  The other array
+symbols, holding at most about 512 KiB at a time.  The other array
 operations, and matmul at l > 8, gather from the exp/log tables
 directly, exp[log a + log b] for a product.
 
-`BinaryField.echelon` is the package's one elimination kernel.  It gives
-the sharing inverse (Gauss-Jordan on [A | I]), the secrecy module's
-(C_v^lam)^-1 of each cache (on [C_v^lam | I]), and every rank check.
+`BinaryField.echelon`, a forward elimination, is the package's one
+elimination kernel.  It decides every rank check, and two passes of it
+make `sharing.invert_matrix`, the one inverse, which decoding and the
+secrecy module's (C_v^lam)^-1 of each cache take.
 """
 
 from __future__ import annotations
@@ -182,10 +182,7 @@ class BinaryField:
         into the (R, L) result.  The symbols are taken in chunks of
         columns so that the gathered words and their int64 indices, C *
         (padded R + 8) bytes per symbol, stay within _GATHER_BUDGET_BYTES
-        (512 KiB).  The symbols are bound-checked before the gather.  With
-        one coefficient column (C = 1, as in the secrecy module's cancel
-        rows at Z = 1) the symbols are the row indices themselves: no
-        offset is added and there is nothing to XOR together.
+        (512 KiB).  The symbols are bound-checked before the gather.
 
         At l > 8, where a table per coefficient would not pay for itself,
         the C terms of a row are XORed in one coefficient column at a time,
@@ -208,11 +205,8 @@ class BinaryField:
             out = np.empty((width, length), dtype=self.dtype)
             for start in range(0, length, chunk):
                 stop = start + chunk
-                if len(offsets) == 1:
-                    products = rows.take(symbols[0, start:stop], axis=0)
-                else:
-                    terms = rows.take(symbols[:, start:stop] + offsets, axis=0)
-                    products = np.bitwise_xor.reduce(terms, axis=0)
+                terms = rows.take(symbols[:, start:stop] + offsets, axis=0)
+                products = np.bitwise_xor.reduce(terms, axis=0)
                 out[:, start:stop] = products.view(np.uint8)[:, :width].T
             return out
         exp, log = self.exp_table, self.log_table
@@ -225,14 +219,14 @@ class BinaryField:
         return out
 
     def echelon(self, mat: np.ndarray, pivot_cols: int) -> int:
-        """In-place Gauss-Jordan elimination taking pivots only from the
-        first pivot_cols columns; returns the pivot count.
+        """In-place forward elimination taking pivots only from the first
+        pivot_cols columns; returns the pivot count.
 
-        Each pivot is scaled to 1 and is the only nonzero entry of its
-        column, and the rows below the pivots end with zeros throughout the
-        first pivot_cols columns.  Clearing a column above its pivot changes
-        only rows above it, so every row from the pivot down is exactly what
-        a row echelon elimination leaves.
+        Each pivot is scaled to 1 and clears its column below it only, so
+        the rows past the pivots are zero throughout the first pivot_cols
+        columns and are exactly a Gauss-Jordan elimination's (clearing
+        above a pivot changes only rows above it); the rows above are not
+        reduced.
         """
         exp, log = self.exp_table, self.log_table
         pivots = 0
@@ -248,8 +242,7 @@ class BinaryField:
             pv = int(mat[pivots, col])
             if pv != 1:
                 mat[pivots] = exp[(self.order - 1 - log[pv]) + log[mat[pivots]]]
-            hits = np.nonzero(mat[:, col])[0]
-            hits = hits[hits != pivots]
+            hits = pivots + 1 + np.nonzero(mat[pivots + 1 :, col])[0]
             if hits.size:
                 mat[hits] ^= self.scaled_outer(mat[hits, col], mat[pivots])
             pivots += 1

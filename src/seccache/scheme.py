@@ -437,8 +437,9 @@ def _session_inputs(
     demands = tuple(demands)
     if len(demands) != config.num_users:
         raise ValueError("demand vector length must be K")
-    if any(not 1 <= d <= config.num_files for d in demands):
-        raise ValueError("demand out of range")
+    for user, d in enumerate(demands, start=1):
+        if not 1 <= d <= config.num_files:
+            raise ValueError(f"user {user} demands file {d}, not one of 1..{config.num_files}")
 
     association = Association.from_profile(profile)
     if association.num_users != config.num_users:

@@ -70,10 +70,11 @@ A failing delivery check's reduced witness is one kept broadcast, the
 first that exposes a protected file, and it lifts to M1 in closed form:
 the broadcast, its key unless the pads are stripped, and C_v[j]
 (C_v^lam)^-1 on the cached shares of file n for each share j of file n it
-carries, which cancels v_n (`_cancel_rows`, once per cache with a failing
-user).  With the pads stripped this is the witness an elimination of M1
-gives: every cache and key row pivots (C_v^lam is invertible and each key
-has its own column), so no broadcast row is swapped up past the pivots.
+carries, which cancels v_n (`_cancel_rows`, one `invert_matrix` per cache
+with a failing user).  With the pads stripped this is the witness an
+elimination of M1 gives: every cache and key row pivots (C_v^lam is
+invertible and each key has its own column), so no broadcast row is
+swapped up past the pivots.
 With the pads on, a key the user lacks makes its broadcast a pivot, and
 such an elimination may name another valid broadcast.
 """
@@ -86,7 +87,7 @@ import numpy as np
 
 from .field import BinaryField
 from .scheme import SessionState
-from .sharing import cauchy_matrix
+from .sharing import cauchy_matrix, invert_matrix
 
 RowLabel = tuple
 
@@ -161,8 +162,8 @@ def _verdict(model: "LinearObservationModel", witness: np.ndarray | None) -> Sec
 # -- elimination over GF(2^l) ----------------------------------------------
 
 
-# The one elimination kernel, under a module-level name so that the secrecy
-# module's eliminations can be wrapped and counted in one place.
+# The one elimination kernel, under a module-level name so that the rank
+# checks' eliminations can be wrapped and counted apart from the inverses.
 _echelon = BinaryField.echelon
 
 
@@ -385,17 +386,18 @@ def strip_pads(session: SessionState) -> SessionState:
 def _cancel_rows(session: SessionState, cache: int) -> np.ndarray:
     """C_v (C_v^lam)^-1, F x Z: the combinations of the cache's shares that
     cancel each share's sharing randomness, for lifting its users' failing
-    witnesses.  Eliminating [C_v^lam | I] on its first Z columns leaves
-    [I | (C_v^lam)^-1]; the cache holds Z distinct rows of a Cauchy matrix,
-    so fewer than Z pivots breaks an invariant."""
+    witnesses.  (C_v^lam)^-1 comes from `invert_matrix`; the cache holds Z
+    distinct rows of a Cauchy matrix, so a singular C_v^lam breaks an
+    invariant."""
     field, meta = session.config.field, session.meta
-    z = meta.num_random
     c_v = cauchy_matrix(meta.num_shares, field)[:, meta.num_subfiles :]
     rows = [j - 1 for j in session.cached_rows[cache - 1]]
-    work = np.concatenate([c_v[rows], np.eye(z, dtype=c_v.dtype)], axis=1)
-    if _echelon(field, work, z) < z:
-        raise RuntimeError(f"cache {cache}: the randomness block of its shares is singular")
-    return field.matmul(c_v, work[:, z:])
+    try:
+        inverse = invert_matrix(c_v[rows], field)
+    except ValueError:
+        raise RuntimeError(
+            f"cache {cache}: the randomness block of its shares is singular") from None
+    return field.matmul(c_v, inverse)
 
 
 def _carried_shares(session: SessionState) -> np.ndarray:

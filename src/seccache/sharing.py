@@ -15,12 +15,12 @@ across byte boundaries and keep a bit-level unpack/pack path.
 
 The share matrix is not an argument: F and the field fix it as
 cauchy_matrix(F, field), a cached read-only array built by one exp/log
-table gather.  Its inverse, which decoding uses, is a Gauss-Jordan
-elimination of [A | I] by `BinaryField.echelon`, the same kernel that
-serves the secrecy checks, and is cached read-only as well.  Sharing and
-unsharing are one `BinaryField.matmul` each: at l <= 8 it multiplies
-in one gather of word-padded product rows that are cached per
-coefficient matrix, so the share matrix and the inverse's rows are
+table gather.  Its inverse, which decoding uses, is `invert_matrix`, two
+forward eliminations by `BinaryField.echelon`, the kernel of the secrecy
+checks, which inverts their caches' randomness blocks too; it is cached
+read-only as well.  Sharing and unsharing are one `BinaryField.matmul` each: at
+l <= 8 it multiplies in one gather of word-padded product rows that are
+cached per coefficient matrix, so the share matrix and the inverse's rows are
 tabulated once per process; at l > 8 every product is a gather
 exp[log a + log b].  No scalar field product runs on this path.  At
 F = 1 (so Z = 0, the M = 0 scheme's whole-file share) the matrix is
@@ -103,8 +103,10 @@ def cauchy_matrix(n: int, field: BinaryField) -> np.ndarray:
 
 
 def invert_matrix(mat: np.ndarray, field: BinaryField) -> np.ndarray:
-    """Inverse over the field: `BinaryField.echelon` turns [A | I] into
-    [I | A^-1]; raises ValueError on a singular matrix."""
+    """Inverse over the field from two forward passes of `BinaryField.echelon`
+    (ValueError if singular): [A | I] becomes [U | E], U = E A unit upper
+    triangular; rows and U's columns reversed (J), U is unit lower
+    triangular, so [J U J | J E] becomes [I | J A^-1]."""
     mat = np.asarray(mat, dtype=field.dtype)
     n = len(mat)
     if mat.shape != (n, n):
@@ -112,7 +114,9 @@ def invert_matrix(mat: np.ndarray, field: BinaryField) -> np.ndarray:
     work = np.hstack([mat, np.eye(n, dtype=field.dtype)])
     if field.echelon(work, n) < n:
         raise ValueError("singular matrix")
-    return work[:, n:]
+    work = np.hstack([work[::-1, n - 1 :: -1], work[::-1, n:]])
+    field.echelon(work, n)
+    return work[::-1, n:]
 
 
 @lru_cache(maxsize=64)

@@ -118,12 +118,13 @@ def field_inv(field, a):
     return field.pow(a, field.order - 2)
 
 
-def scalar_row_reduce(field, rows, pivot_cols):
+def scalar_row_reduce(field, rows, pivot_cols, above=True):
     """Test-side oracle: Gauss-Jordan elimination on plain lists of ints with
     scalar field arithmetic, written independently of the package's numpy
     kernel.  Pivots come from the first pivot_cols columns, each the first
-    nonzero entry at or below the pivot row.  Returns (reduced rows, pivot
-    count)."""
+    nonzero entry at or below the pivot row.  With above=False only the
+    rows below a pivot are cleared, a forward elimination.  Returns
+    (reduced rows, pivot count)."""
     rows = [list(map(int, r)) for r in rows]
     pivot_row = 0
     for col in range(pivot_cols):
@@ -135,7 +136,7 @@ def scalar_row_reduce(field, rows, pivot_cols):
         rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
         inv = field_inv(field, rows[pivot_row][col])
         rows[pivot_row] = [field.mul(inv, v) for v in rows[pivot_row]]
-        for r in range(len(rows)):
+        for r in range(0 if above else pivot_row + 1, len(rows)):
             if r != pivot_row and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [
@@ -314,18 +315,19 @@ def residual(session, cache):
     """The reference delivery reduction: R_lam = C_w + C_v (C_v^lam)^-1
     C_w^lam, F x (F - Z), each share as a user at the given cache sees it
     once its cached shares have cancelled the sharing randomness, and the
-    cancel rows C_v (C_v^lam)^-1, F x Z.  Eliminating [C_v^lam | C_w^lam |
-    I] on its first Z columns leaves [I | (C_v^lam)^-1 C_w^lam |
-    (C_v^lam)^-1]."""
+    cancel rows C_v (C_v^lam)^-1, F x Z.  The scalar Gauss-Jordan oracle
+    turns [C_v^lam | I] into [I | (C_v^lam)^-1], so no package elimination
+    takes part."""
     field, z, nsub = session.config.field, session.meta.num_random, session.meta.num_subfiles
     enc = cauchy_matrix(session.meta.num_shares, field)
     c_w, c_v = enc[:, :nsub], enc[:, nsub:]
     rows = [j - 1 for j in session.cached_rows[cache - 1]]
-    work = np.concatenate([c_v[rows], c_w[rows], np.eye(z, dtype=c_v.dtype)], axis=1)
-    if field.echelon(work, z) < z:
+    work = np.concatenate([c_v[rows], np.eye(z, dtype=c_v.dtype)], axis=1)
+    reduced, rank = scalar_row_reduce(field, work.tolist(), z)
+    if rank < z:
         raise ValueError(f"cache {cache}: its randomness block is singular")
-    product = field.matmul(c_v, work[:, z:])
-    return c_w ^ product[:, :nsub], product[:, nsub:]
+    cancel = field.matmul(c_v, np.array(reduced, dtype=field.dtype).reshape(z, 2 * z)[:, z:])
+    return c_w ^ field.matmul(cancel, c_w[rows]), cancel
 
 
 def residual_delivery_model(session, user, r_lam):

@@ -176,6 +176,9 @@ def test_optimality_ratio_flags_small_library():
     report = optimality_ratio(mn_pda(3, 1), 6, (2, 2, 2))
     assert not report.gap_bound_applies
     assert report.ratio >= 1
+    # one file leaves no valid cut, so there is no ratio to flag
+    with pytest.raises(ValueError, match="^lower bound is zero; the ratio is undefined$"):
+        optimality_ratio(mn_pda(3, 1), 1, (1, 1, 1))
 
 
 # -- sweeps ---------------------------------------------------------------------

@@ -64,6 +64,9 @@ def test_pda_mn_roundtrips(tmp_path, capsys):
     assert run(["pda", "mn", 4, 2, "--out", out]) == 0
     assert run(["pda", "validate", out]) == 0
     assert "Lambda=4 F=6 Z=3 S=4" in capsys.readouterr().out
+    # without --out the same text goes to stdout
+    assert run(["pda", "mn", 4, 2]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_pda_show(capsys):
@@ -524,3 +527,37 @@ def test_unsorted_profile_records_cache_order(tmp_path):
     assert manifest["cache_order"] == [2, 3, 1]
     # verify re-derives the identical session from the raw inputs
     assert run(["verify", out]) == 0
+
+
+SIMULATE = ["simulate", "--files", 3, "--bytes", 2, "--out", "{run}"]
+MN_3_1 = ["--pda", "mn:3,1", "--profile", "1,1,1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ([*SIMULATE, "--pda", "mn:3,1", "--profile", "1,x,1"],
+     "bad profile '1,x,1': expected comma-separated integers"),
+    ([*SIMULATE, "--pda", "mn:3,1", "--profile", "1,-1,2"],
+     "profile entries must be nonnegative integers"),
+    ([*SIMULATE, *MN_3_1, "--demands", "1,x,3"], "bad demands '1,x,3'"),
+    ([*SIMULATE, *MN_3_1, "--demands", "1,2"], "expected 3 demands, got 2"),
+    ([*SIMULATE, *MN_3_1, "--demands", "1,2,4"], "user 3 demands file 4, not one of 1..3"),
+    ([*SIMULATE, *MN_3_1, "--demands", "0,2,3"], "user 1 demands file 0, not one of 1..3"),
+    ([*SIMULATE, "--pda", "mn:3", "--profile", "1,1,1"],
+     "bad PDA source 'mn:3': expected mn:Lambda,t"),
+    ([*SIMULATE, *MN_3_1, "--library", "{lib}"], "library dir holds 2 files, expected 3"),
+    ([*SIMULATE, "--pda", "mn:3,1", "--profile", "1,1"],
+     "profile length must equal the PDA's column count"),
+    (["rate", "--pda", "mn:3,1", "--profile", "1,1,1,1"],
+     "profile length must equal the PDA's column count"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_bad_simulate_and_rate_inputs_are_refused_before_a_run_is_written(
+        args, message, tmp_path, capsys):
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    for i in range(2):
+        (lib / f"file{i}.bin").write_bytes(bytes(2))
+    out = tmp_path / "run"
+    assert run([str(a).format(lib=lib, run=out) for a in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()

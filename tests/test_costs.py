@@ -1,6 +1,7 @@
 """Exact work counts of decoding and verifying two subset-family sessions:
 the eliminations `BinaryField.echelon` and the secrecy module's `_echelon`
-run, the cells of the matrices they eliminate, and the field products
+run, the cells of the matrices they eliminate, the cells their row updates
+(`BinaryField.scaled_outer`) write, and the field products
 `BinaryField.matmul` computes.  A change that adds work to these paths
 moves a count here; one that removes work re-pins it on purpose.
 
@@ -30,11 +31,13 @@ def sessions():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of eliminations, eliminated cells and field products while
-    the test runs.  secrecy._echelon is bound at import, so it is wrapped
-    apart from BinaryField.echelon."""
-    counts = {"eliminations": 0, "cells": 0, "products": 0}
+    """Counts of eliminations, eliminated cells, field products and the
+    cells the eliminations' row updates write while the test runs.
+    secrecy._echelon is bound at import, so it is wrapped apart from
+    BinaryField.echelon."""
+    counts = {"eliminations": 0, "cells": 0, "products": 0, "updated": 0}
     echelon, matmul, secrecy_echelon = BinaryField.echelon, BinaryField.matmul, secrecy._echelon
+    scaled_outer = BinaryField.scaled_outer
 
     def count_elimination(kernel):
         def wrapped(field, mat, pivot_cols):
@@ -47,7 +50,12 @@ def counted(monkeypatch):
         counts["products"] += 1
         return matmul(field, coeffs, symbols)
 
+    def count_update(field, factors, row):
+        counts["updated"] += len(factors) * len(row)
+        return scaled_outer(field, factors, row)
+
     monkeypatch.setattr(BinaryField, "echelon", count_elimination(echelon))
+    monkeypatch.setattr(BinaryField, "scaled_outer", count_update)
     monkeypatch.setattr(secrecy, "_echelon", count_elimination(secrecy_echelon))
     monkeypatch.setattr(BinaryField, "matmul", count_product)
     return counts
@@ -68,16 +76,31 @@ def strip_pads_verify(session):
     assert not secrecy.verify_session(secrecy.strip_pads(session)).all_hold
 
 
-# The mn:12,4 strip-pads verify takes tens of seconds, so it is not pinned.
+# Cells written by the eliminations' row updates, rows x columns of each
+# `scaled_outer`; a run with no elimination writes none.  An inverse
+# updates n (n - 1) rows of 2n cells in its two forward passes, as one
+# Gauss-Jordan pass did.
+UPDATED = {
+    ("mn:10,3", "cold_decode"): 120 * 119 * 240,
+    ("mn:10,3", "strip_pads_verify"): 29_908_800,
+    ("mn:12,4", "cold_decode"): 495 * 494 * 990,
+}
+
+
+# The mn:12,4 strip-pads verify takes about ten seconds, so it is not
+# pinned.  An inverse is two forward passes over [A | I], so a cold decode
+# eliminates twice and each cache with a failing user adds two Z x 2Z
+# eliminations.
 @pytest.mark.parametrize("shape, run, eliminations, cells, products", [
     ("mn:10,3", clean_verify, 0, 0, 0),
-    ("mn:10,3", cold_decode, 1, 120 * 240, 20),
-    ("mn:10,3", strip_pads_verify, 11, 504_720, 10),
+    ("mn:10,3", cold_decode, 2, 2 * 120 * 240, 20),
+    ("mn:10,3", strip_pads_verify, 21, 530_640, 10),
     ("mn:12,4", clean_verify, 0, 0, 0),
-    ("mn:12,4", cold_decode, 1, 495 * 990, 24),
+    ("mn:12,4", cold_decode, 2, 2 * 495 * 990, 24),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_decoding_and_verifying_cost_what_they_cost_today(
     sessions, counted, shape, run, eliminations, cells, products
 ):
     run(sessions[shape])
-    assert counted == {"eliminations": eliminations, "cells": cells, "products": products}
+    assert counted == {"eliminations": eliminations, "cells": cells, "products": products,
+                       "updated": UPDATED.get((shape, run.__name__), 0)}

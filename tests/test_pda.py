@@ -133,6 +133,8 @@ def test_bad_entries_rejected():
         validate(((0, 1), (1, None)))
     with pytest.raises(PdaError):
         validate(())
+    with pytest.raises(PdaError, match="^row 2 has 1 entries, expected 2$"):
+        validate(((None, 1), (1,)))
 
 
 def test_mn_small_cases():
@@ -289,6 +291,8 @@ def test_load_empty_and_garbage():
         load_pda("not a header\n")
     with pytest.raises(PdaFormatError, match="bad entry"):
         load_pda("2 2 1 1\n* x\n1 *\n")
+    with pytest.raises(PdaFormatError, match="^expected 2 grid rows, found 1$"):
+        load_pda("2 2 1 1\n* 1\n")
 
 
 @pytest.mark.parametrize("text, message", [

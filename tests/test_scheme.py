@@ -337,11 +337,31 @@ def test_single_user_single_transmission():
 
 
 def test_demand_out_of_range(worked_pda):
+    """The refusal names the first user whose demand is not a file."""
     config = small_config(worked_pda, 21, 21)
-    with pytest.raises(ValueError, match="demand"):
-        run_session(
-            worked_pda, config, profile=WORKED_PROFILE, demands=(25,) * 21
-        )
+    for demands, message in [((25,) * 21, "user 1 demands file 25, not one of 1..21"),
+                             ((*range(1, 21), 0), "user 21 demands file 0, not one of 1..21")]:
+        with pytest.raises(ValueError) as refused:
+            run_session(worked_pda, config, profile=WORKED_PROFILE, demands=demands)
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: small_config(s.pda, 21, 21, seed=2**64), "seed must fit in 64 bits"),
+    (lambda s: small_config(s.pda, 21, 21, seed=-1), "seed must fit in 64 bits"),
+    (lambda s: build_g_array(s.pda, Association.from_profile((1,) * 5)),
+     "association and PDA disagree on the cache count"),
+    (lambda s: rate_report(s.pda, (1,) * 7), "profile length must equal the cache count"),
+    (lambda s: scheme.deliver(s.garray, s.shares, (22, *s.demands[1:]), s.key_pool),
+     "user 1 demands unknown file 22"),
+    (lambda s: run_session(s.pda, s.config, profile=WORKED_PROFILE,
+                           library=[bytes(4)] * 20 + [bytes(5)]),
+     "library files must all have the configured length"),
+], ids=["seed-too-large", "seed-negative", "g-array", "rate", "deliver", "library"])
+def test_session_calls_refuse_inputs_that_do_not_fit(worked_session, call, message):
+    with pytest.raises(ValueError) as refused:
+        call(worked_session)
+    assert str(refused.value) == message
 
 
 # -- decoding --------------------------------------------------------------------

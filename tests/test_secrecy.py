@@ -596,15 +596,17 @@ def test_a_cache_must_list_z_distinct_rows_in_range(worked_session, rows):
 
 def test_verification_cost_does_not_grow_with_file_size(monkeypatch):
     # a clean verify eliminates nothing, so the sessions are stripped: their
-    # failing caches and the eavesdropper eliminate
+    # failing caches' inverses and the eavesdropper eliminate
     shapes = []
-    echelon = secrecy._echelon
 
-    def recording(field, mat, pivot_cols):
-        shapes.append((mat.shape, pivot_cols))
-        return echelon(field, mat, pivot_cols)
+    def recording(echelon):
+        def recorded(field, mat, pivot_cols):
+            shapes.append((mat.shape, pivot_cols))
+            return echelon(field, mat, pivot_cols)
+        return recorded
 
-    monkeypatch.setattr(secrecy, "_echelon", recording)
+    monkeypatch.setattr(secrecy, "_echelon", recording(secrecy._echelon))
+    monkeypatch.setattr(BinaryField, "echelon", recording(BinaryField.echelon))
     by_size = {}
     for file_bytes in (4, 2048):
         shapes.clear()
@@ -614,23 +616,29 @@ def test_verification_cost_does_not_grow_with_file_size(monkeypatch):
 
 
 def test_failing_witnesses_take_no_elimination(monkeypatch):
-    # with the pads on nothing eliminates; stripping them adds one
-    # elimination for each cache's cancel rows, as every cache has a failing
-    # user, and one for the eavesdropper's one-position model, and no
-    # failing delivery witness takes one, as each is lifted in closed form
+    # with the pads on nothing inverts or eliminates; stripping them adds one
+    # inverse for each cache's cancel rows, as every cache has a failing
+    # user, and one elimination for the eavesdropper's one-position model,
+    # and no failing delivery witness takes one, as each is lifted in closed
+    # form
     counts = []
-    echelon = secrecy._echelon
+    echelon, invert = secrecy._echelon, secrecy.invert_matrix
 
-    def recording(field, mat, pivot_cols):
-        counts[-1] += pivot_cols > 0
+    def eliminating(field, mat, pivot_cols):
+        counts[-1]["eliminations"] += pivot_cols > 0
         return echelon(field, mat, pivot_cols)
 
-    monkeypatch.setattr(secrecy, "_echelon", recording)
+    def inverting(mat, field):
+        counts[-1]["inverses"] += 1
+        return invert(mat, field)
+
+    monkeypatch.setattr(secrecy, "_echelon", eliminating)
+    monkeypatch.setattr(secrecy, "invert_matrix", inverting)
     for strip in (False, True):
-        counts.append(0)
+        counts.append({"inverses": 0, "eliminations": 0})
         report = verify_session(make_worked_session(strip_pads=strip))
         assert report.all_hold != strip
-    assert counts == [0, 7]
+    assert counts == [{"inverses": 0, "eliminations": 0}, {"inverses": 6, "eliminations": 1}]
 
 
 def mn_10_3_session():
@@ -642,14 +650,17 @@ def mn_10_3_session():
 
 
 def counting_field_arithmetic(monkeypatch):
-    """Patch the secrecy module's eliminations and every field product to
-    count their calls, and forbid building a one-position model."""
+    """Patch every elimination, the secrecy module's and those of its
+    inverses, and every field product to count their calls, and forbid
+    building a one-position model."""
     calls = {"echelon": 0, "matmul": 0}
-    echelon, matmul = secrecy._echelon, BinaryField.matmul
+    matmul = BinaryField.matmul
 
-    def eliminating(field, mat, pivot_cols):
-        calls["echelon"] += 1
-        return echelon(field, mat, pivot_cols)
+    def eliminating(echelon):
+        def counted(field, mat, pivot_cols):
+            calls["echelon"] += 1
+            return echelon(field, mat, pivot_cols)
+        return counted
 
     def multiplying(self, coeffs, symbols):
         calls["matmul"] += 1
@@ -658,7 +669,8 @@ def counting_field_arithmetic(monkeypatch):
     def no_dense_model(*args, **kwargs):
         raise AssertionError("a clean verify builds no one-position model")
 
-    monkeypatch.setattr(secrecy, "_echelon", eliminating)
+    monkeypatch.setattr(secrecy, "_echelon", eliminating(secrecy._echelon))
+    monkeypatch.setattr(BinaryField, "echelon", eliminating(BinaryField.echelon))
     monkeypatch.setattr(BinaryField, "matmul", multiplying)
     monkeypatch.setattr(secrecy, "SessionAnalyzer", no_dense_model)
     return calls

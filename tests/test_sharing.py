@@ -98,6 +98,8 @@ def test_cauchy_entries_are_scalar_inverses(l, draw):
 def test_cauchy_field_too_small():
     with pytest.raises(ValueError):
         cauchy_matrix(4, BinaryField(2))  # needs 8 distinct elements
+    with pytest.raises(ValueError, match="^matrix size must be positive$"):
+        cauchy_matrix(0, BinaryField(2))
 
 
 def test_cauchy_deterministic(gf8):
@@ -304,6 +306,8 @@ def test_invert_matrix_roundtrip(l, n, deficient, draw):
 def test_invert_singular_matrix_rejected(gf3):
     with pytest.raises(ValueError):
         invert_matrix(np.array([[1, 1], [1, 1]]), gf3)
+    with pytest.raises(ValueError, match="^only square matrices can be inverted$"):
+        invert_matrix(np.ones((2, 3)), gf3)
 
 
 # -- codec against a Python-integer reference --------------------------------------
@@ -401,6 +405,8 @@ def test_a_batch_must_split_into_equal_files(gf8):
         share_file(b"abc", 4, 2, gf8, rng, 0)
     with pytest.raises(ValueError, match="into shape"):
         bytes_to_subfiles(b"abcd", 4, 2, gf8, 2, out=gf8.zeros(2, 3))
+    with pytest.raises(ValueError, match="^need 0 <= Z < F, got Z=2, F=2$"):
+        bytes_to_subfiles(b"ab", 2, 2, gf8)
 
 
 @pytest.mark.parametrize("l", [8, 16])
@@ -536,8 +542,8 @@ def gather_examples(test):
         dict(shape=(2, 0), length=chunk(9, 2) + 3, seed=33, zero_share=0.3,
              coeffs=[[3, 1], [0, 5], [7, 2], [1, 1], [6, 4], [2, 0], [5, 5],
                      [4, 7], [1, 6]]),
-        # one coefficient column, whose symbols index its rows directly,
-        # across the chunks and with R padded to 4 and to 16 bytes
+        # one coefficient column, a take and a reduce over one term, across
+        # the chunks and with R padded to 4 and to 16 bytes
         dict(shape=(1, 0), length=chunk(3, 1) + 5, seed=34, zero_share=0.3,
              coeffs=[[3], [0], [5]]),
         dict(shape=(1, 0), length=40, seed=35, zero_share=0.3,
